@@ -47,27 +47,9 @@ def lower_factor(problem, p=2):
     )
 
 
-def _neumann_factor(problem, p):
-    try:
-        A_inv = numerics.inverse(problem.A, "A")
-    except SingularMatrixError as exc:
-        raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
-    K = np.abs(problem.B @ A_inv) if problem.form == TYPE_TWO else np.abs(A_inv @ problem.B)
-    rho = numerics.spectral_radius_nonneg(K)
-    if rho >= 1.0:
-        raise InapplicableBoundError(
-            f"spectral radius of the absolute iteration matrix is {rho:.6g} >= 1",
-            condition="spectral_radius",
-        )
-    series = numerics.inverse(np.eye(problem.n) - K, "I - K")
-    if problem.form == TYPE_TWO:
-        return numerics.p_norm(A_inv, p) * numerics.p_norm(series, p)
-    return numerics.p_norm(series, p) * numerics.p_norm(A_inv, p)
-
-
 def _singular_gap_factor(problem):
-    smin_a, _ = numerics.extreme_singulars(problem.A)
-    _, smax_b = numerics.extreme_singulars(problem.B)
+    smin_a = float(problem.analysis.singular_values("A")[-1])
+    smax_b = float(problem.analysis.singular_values("B")[0])
     gap = smin_a - smax_b
     if gap <= 0.0:
         raise InapplicableBoundError(
@@ -79,19 +61,20 @@ def _singular_gap_factor(problem):
 
 
 def _norm_ratio_factor(problem):
+    analysis = problem.analysis
     try:
-        A_inv = numerics.inverse(problem.A, "A")
-        B_inv = numerics.inverse(problem.B, "B")
+        analysis.require_regular("A")
+        analysis.require_regular("B")
     except SingularMatrixError as exc:
         raise InapplicableBoundError(str(exc), condition="invertible_factors") from exc
-    K = problem.B @ A_inv if problem.form == TYPE_TWO else A_inv @ problem.B
-    t = numerics.p_norm(K, 2)
+    t = analysis.ratio_norm()
     if t >= 1.0:
         raise InapplicableBoundError(
             f"largest singular value of the ratio matrix is {t:.6g} >= 1",
             condition="ratio_singular_value",
         )
-    return t * numerics.p_norm(B_inv, 2) / (1.0 - t)
+    # ||B^-1||_2 is the reciprocal of the smallest singular value of B.
+    return t / float(analysis.singular_values("B")[-1]) / (1.0 - t)
 
 
 def upper_factor(problem, method=NEUMANN, p=2):
@@ -109,7 +92,7 @@ def upper_factor(problem, method=NEUMANN, p=2):
     """
     p = numerics.check_norm(p)
     if method == NEUMANN:
-        return _neumann_factor(problem, p)
+        return problem.analysis.neumann_factor(p)
     if method == SINGULAR_GAP:
         if p != 2:
             raise ValueError("singular_gap is defined for the 2-norm only")

@@ -10,11 +10,13 @@ Both reduce to an ordinary linear system when B = 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numerics
+from .exceptions import InapplicableBoundError, SingularMatrixError
 
 TYPE_ONE = "type1"
 TYPE_TWO = "type2"
@@ -57,9 +59,133 @@ class AveProblem:
     def n(self):
         return self.A.shape[0]
 
+    @property
+    def analysis(self):
+        """The ``ProblemAnalysis`` of the current ``(A, B, form)``.
+
+        It is rebuilt when A, B or form is reassigned.  Editing A or B in
+        place after the first use leaves it stale: assign a new array.
+        """
+        current = self.__dict__.get("_analysis")
+        if (current is None or current.A is not self.A or current.B is not self.B
+                or current.form != self.form):
+            current = self._analysis = ProblemAnalysis(self.A, self.B, self.form)
+        return current
+
+    def __getstate__(self):
+        # The analysis holds a lock, which cannot be copied or pickled.
+        state = self.__dict__.copy()
+        state.pop("_analysis", None)
+        return state
+
     def perturbed(self, dA, dB, db):
         """Return a new problem with the same form and shifted data."""
         return AveProblem(self.A + dA, self.B + dB, self.b + db, self.form)
+
+
+class ProblemAnalysis:
+    """Quantities of one ``(A, B, form)``, each computed on first request
+    and then shared by the solver, the estimators and the solvability screen.
+
+    K is A^-1 B (B A^-1 for type2).  Only singular values, scalars, the
+    componentwise kernels and the solver's LU factors of A are kept; A^-1
+    and K are rebuilt when a new quantity needs them.  A per-analysis lock
+    makes concurrent callers compute each quantity once.
+    """
+
+    def __init__(self, A, B, form):
+        self.A, self.B, self.form = A, B, form
+        self._memo = {}
+        self._lock = threading.RLock()
+
+    def memoised(self, key, compute):
+        """The value stored under ``key``, from ``compute()`` on first use."""
+        if key not in self._memo:
+            with self._lock:
+                if key not in self._memo:
+                    value = compute()
+                    if isinstance(value, np.ndarray):
+                        value.flags.writeable = False    # shared by every caller
+                    self._memo[key] = value
+        return self._memo[key]
+
+    def singular_values(self, name):
+        """Descending singular values of ``"A"`` or ``"B"``."""
+        return self.memoised(name, lambda: np.linalg.svd(getattr(self, name), compute_uv=False))
+
+    def norm(self, name, p):
+        """Induced p-norm of ``"A"`` or ``"B"`` (p already checked)."""
+        if p == 2:
+            return float(self.singular_values(name)[0])
+        return numerics.p_norm(getattr(self, name), p)
+
+    def require_regular(self, name, label=None):
+        """Raise SingularMatrixError where ``numerics.inverse`` would."""
+        cond = numerics.cond_from_singulars(self.singular_values(name))
+        numerics.require_regular(cond, label or name)
+
+    def _ratio(self):
+        """Fresh (A^-1, K); A must have passed the gate."""
+        A_inv = np.linalg.inv(self.A)
+        return A_inv, (self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B)
+
+    def spectral_radius(self):
+        """Spectral radius of |K|; A must have passed the gate."""
+        return self.memoised(
+            "rho", lambda: numerics.spectral_radius_nonneg(np.abs(self._ratio()[1])))
+
+    def ratio_norm(self):
+        """Largest singular value of K; A must have passed the gate."""
+        return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio()[1], 2))
+
+    def _contraction(self):
+        """Fresh (A^-1, |K|); InapplicableBoundError unless A is regular and
+        rho(|K|) < 1."""
+        try:
+            self.require_regular("A")
+        except SingularMatrixError as exc:
+            raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
+        if self._memo.get("rho", 0.0) < 1.0:
+            A_inv, M = self._ratio()
+            np.abs(M, out=M)
+            if self.memoised("rho", lambda: numerics.spectral_radius_nonneg(M)) < 1.0:
+                return A_inv, M
+        raise InapplicableBoundError(
+            f"spectral radius of the absolute iteration matrix is {self._memo['rho']:.6g} >= 1",
+            condition="spectral_radius",
+        )
+
+    def neumann_factor(self, p):
+        """||A^-1||_p ||(I - |K|)^-1||_p (p already checked)."""
+        def compute():
+            A_inv, M = self._contraction()
+            core = np.eye(len(M)) - M
+            if p != 2:
+                series = numerics.inverse(core, "I - K")
+                return numerics.p_norm(A_inv, p) * numerics.p_norm(series, p)
+            s = np.linalg.svd(core, compute_uv=False)
+            numerics.require_regular(numerics.cond_from_singulars(s), "I - K")
+            return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
+        return self.memoised(("neumann", p), compute)
+
+    def componentwise_kernel(self, kernel):
+        """(I - |K|) |A^-1| (``"damped"``) or (I - |K|)^-1 |A^-1|
+        (``"series"``), factors swapped for type2."""
+        if kernel not in ("damped", "series"):
+            raise ValueError(f"unknown kernel {kernel!r}; use 'damped' or 'series'")
+
+        def compute():
+            A_inv, M = self._contraction()
+            core = np.eye(len(M)) - M
+            if kernel == "series":
+                core = numerics.inverse(core, "I - M")
+            return np.abs(A_inv) @ core if self.form == TYPE_TWO else core @ np.abs(A_inv)
+        return self.memoised(("kernel", kernel), compute)
+
+    def kernel_norm(self, kernel, p):
+        """||kernel (|A| + |B|)||_p (p already checked)."""
+        return self.memoised(("kernel_norm", kernel, p), lambda: numerics.p_norm(
+            self.componentwise_kernel(kernel) @ (np.abs(self.A) + np.abs(self.B)), p))
 
 
 def residual(problem, x):
@@ -175,32 +301,30 @@ def solvability_report(problem, exhaustive_limit=20, samples=1000):
     """
     A, B = problem.A, problem.B
     left = problem.form == TYPE_TWO
+    analysis = problem.analysis
     checks = []
 
-    smin_a, _ = numerics.extreme_singulars(A)
-    _, smax_b = numerics.extreme_singulars(B)
+    smin_a = float(analysis.singular_values("A")[-1])
+    smax_b = float(analysis.singular_values("B")[0])
     checks.append(SolvabilityCheck(
         "singular_value_gap", smin_a - smax_b, 0.0, smin_a > smax_b,
         "smallest singular value of A minus largest of B, must be positive",
     ))
 
     try:
-        A_inv = numerics.inverse(A, "A")
-    except numerics.SingularMatrixError:
-        A_inv = None
-    if A_inv is None:
+        analysis.require_regular("A")
+    except SingularMatrixError:
         checks.append(SolvabilityCheck(
             "spectral_radius", math.inf, 1.0, False, "A is numerically singular"))
         checks.append(SolvabilityCheck(
             "largest_singular_ratio", math.inf, 1.0, False, "A is numerically singular"))
     else:
-        K = B @ A_inv if left else A_inv @ B
-        rho = numerics.spectral_radius_nonneg(np.abs(K))
+        rho = analysis.spectral_radius()
         checks.append(SolvabilityCheck(
             "spectral_radius", rho, 1.0, rho < 1.0,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",
         ))
-        sigma = numerics.p_norm(K, 2)
+        sigma = analysis.ratio_norm()
         checks.append(SolvabilityCheck(
             "largest_singular_ratio", sigma, 1.0, sigma < 1.0,
             "largest singular value of A^-1 B (B A^-1 for type2), must be below one",

@@ -26,6 +26,7 @@ from . import __version__
 from .complementarity import LcpProblem, lcp_to_ave
 from .exceptions import AveBoundsError
 from .perturbation import Perturbation, perturbation_experiment
+from .solver import picard_solve
 
 FAMILIES = ("tridiag", "lattice")
 FORMATS = ("csv", "json", "markdown")
@@ -150,14 +151,20 @@ def run_experiment(spec):
 
     Rows come back ordered by (size, epsilon).  A failing cell (solver or
     bound trouble) is recorded in ``failures`` instead of aborting the
-    rest of the grid.  Cells run on a thread pool sized by the
+    rest of the grid.  Each base problem is solved once, before the cells
+    of its size start.  Cells run on a thread pool sized by the
     AVE_BOUNDS_THREADS environment variable (0 or unset = one per CPU, up
     to the number of cells).
     """
     problems = {}
+    bases = {}
     for size in spec.sizes:
         lcp = gen_problem(spec.family, size)
         problems[size] = lcp_to_ave(lcp)
+        try:
+            bases[size] = picard_solve(problems[size], spec.options)
+        except (AveBoundsError, ValueError) as exc:
+            bases[size] = exc
 
     jobs = [(si, ei, size, eps)
             for si, size in enumerate(spec.sizes)
@@ -165,9 +172,11 @@ def run_experiment(spec):
 
     def cell(job):
         _, _, size, eps = job
-        problem = problems[size]
+        problem, base = problems[size], bases[size]
+        if isinstance(base, Exception):
+            return base     # every cell of this size fails with the base error
         pert = gen_perturbation(spec.family, problem.n, eps)
-        return perturbation_experiment(problem, pert, spec.options)
+        return perturbation_experiment(problem, pert, spec.options, base=base)
 
     results = {}
     failures = {}

@@ -104,12 +104,23 @@ def inverse(m, name="matrix"):
     instead of returning garbage.
     """
     arr = as_square(m, name)
-    cond = np.linalg.cond(arr)
+    require_regular(np.linalg.cond(arr), name)
+    return np.linalg.inv(arr)
+
+
+def cond_from_singulars(s):
+    """``np.linalg.cond`` from descending singular values (0/0 is inf)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = s[0] / s[-1]
+    return float("inf") if np.isnan(cond) else float(cond)
+
+
+def require_regular(cond, name="matrix"):
+    """The gate of ``inverse`` on a 2-norm condition number."""
     if not np.isfinite(cond) or cond > 1.0 / _RCOND_FLOOR:
         raise SingularMatrixError(
             f"{name} is singular to working precision (cond ~ {cond:.3e})"
         )
-    return np.linalg.inv(arr)
 
 
 def comparison_matrix(m):

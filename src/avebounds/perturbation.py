@@ -13,8 +13,7 @@ import numpy as np
 
 from . import numerics
 from .bounds import METHODS, NEUMANN, NORM_RATIO, SINGULAR_GAP, upper_factor
-from .core import TYPE_TWO
-from .exceptions import InapplicableBoundError, NonConvergenceError, SingularMatrixError
+from .exceptions import InapplicableBoundError, NonConvergenceError
 from .solver import picard_solve
 
 # The singular-value gap used for the grid experiments is probed across the
@@ -104,7 +103,7 @@ def _relative_coefficient(problem, pert, p):
         raise ValueError("relative bounds are undefined for b = 0")
     return (
         numerics.p_norm(pert.db, p) / norm_b
-        * (numerics.p_norm(problem.A, p) + numerics.p_norm(problem.B, p))
+        * (problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
         + numerics.p_norm(pert.dA, p)
         + numerics.p_norm(pert.dB, p)
     )
@@ -126,13 +125,13 @@ def rhs_only_bound(problem, db, method=NEUMANN, p=2):
         raise ValueError("relative bounds are undefined for b = 0")
     factor = upper_factor(problem, method, p)
     scale = numerics.p_norm(db, p) / norm_b * (
-        numerics.p_norm(problem.A, p) + numerics.p_norm(problem.B, p))
+        problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
     return factor * scale
 
 
-def _partial_gap_factor(A, B):
-    sa = np.linalg.svd(A, compute_uv=False)[:_GAP_PROBE]
-    sb = np.linalg.svd(B, compute_uv=False)[:_GAP_PROBE]
+def _partial_gap_factor(problem):
+    sa = problem.analysis.singular_values("A")[:_GAP_PROBE]
+    sb = problem.analysis.singular_values("B")[:_GAP_PROBE]
     gap = float(sa.max() - sb.min())
     if gap <= 0.0:
         raise InapplicableBoundError(
@@ -159,9 +158,13 @@ def general_relative_bound(problem, pert, method=None, p=2):
     """
     p = numerics.check_norm(p)
     pert.validate_dims(problem)
-    w = _relative_coefficient(problem, pert, p)
-    perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
+    return _relative_bound(problem, pert, problem.perturbed(pert.dA, pert.dB, pert.db),
+                           method, p)
 
+
+def _relative_bound(problem, pert, perturbed, method, p):
+    """``general_relative_bound`` for an already built perturbed problem."""
+    w = _relative_coefficient(problem, pert, p)
     report = PerturbBoundReport(w=w)
     wanted = METHODS if method is None else (method,)
     for name in wanted:
@@ -172,7 +175,7 @@ def general_relative_bound(problem, pert, method=None, p=2):
             elif name == SINGULAR_GAP:
                 if p != 2:
                     raise ValueError("singular_gap is defined for the 2-norm only")
-                factor = _partial_gap_factor(perturbed.A, perturbed.B)
+                factor = _partial_gap_factor(perturbed)
                 report.upsilon = factor * w
             elif name == NORM_RATIO:
                 if p != 2:
@@ -188,33 +191,6 @@ def general_relative_bound(problem, pert, method=None, p=2):
             continue
         report.estimates.append((name, factor))
     return report
-
-
-def _componentwise_kernel(problem, kernel):
-    try:
-        A_inv = numerics.inverse(problem.A, "A")
-    except SingularMatrixError as exc:
-        raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
-    eye = np.eye(problem.n)
-    if problem.form == TYPE_TWO:
-        M = np.abs(problem.B @ A_inv)
-    else:
-        M = np.abs(A_inv @ problem.B)
-    rho = numerics.spectral_radius_nonneg(M)
-    if rho >= 1.0:
-        raise InapplicableBoundError(
-            f"spectral radius of the absolute iteration matrix is {rho:.6g} >= 1",
-            condition="spectral_radius",
-        )
-    if kernel == "damped":
-        core = eye - M
-    elif kernel == "series":
-        core = numerics.inverse(eye - M, "I - M")
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}; use 'damped' or 'series'")
-    if problem.form == TYPE_TWO:
-        return np.abs(A_inv) @ core
-    return core @ np.abs(A_inv)
 
 
 def componentwise_bound(problem, x_star, epsilon, p=2, kernel="damped"):
@@ -248,10 +224,9 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="damped"):
     if norm_x == 0:
         raise ValueError("relative bounds are undefined for x* = 0")
 
-    K = _componentwise_kernel(problem, kernel)
-    S = np.abs(problem.A) + np.abs(problem.B)
-    u = np.abs(problem.b) + S @ np.abs(x_star)
-    damping = epsilon * numerics.p_norm(K @ S, p)
+    K = problem.analysis.componentwise_kernel(kernel)
+    u = np.abs(problem.b) + (np.abs(problem.A) + np.abs(problem.B)) @ np.abs(x_star)
+    damping = epsilon * problem.analysis.kernel_norm(kernel, p)
     if damping >= 1.0:
         raise InapplicableBoundError(
             f"denominator condition fails: eps * ||K (|A| + |B|)|| = {damping:.6g} >= 1",
@@ -312,32 +287,37 @@ def classical_linear_bounds(A, dA, b, db, x_star, epsilon, p=2):
     return normwise, comp
 
 
-def perturbation_experiment(problem, pert, options=None):
+def _require_converged(result, which):
+    if not result.converged:
+        raise NonConvergenceError(
+            f"solver did not converge on the {which} problem "
+            f"({result.iterations} iterations, last step {result.final_step_norm:.3e})"
+        )
+    return result
+
+
+def perturbation_experiment(problem, pert, options=None, *, base=None):
     """Solve the problem and its perturbation, then record the observed
     relative error r next to every bound that applies.
 
-    Bounds whose hypotheses fail are recorded as None.  Solver failure on
-    either problem raises NonConvergenceError since r would be undefined.
+    ``base`` is the result of ``picard_solve(problem, options)`` when the
+    caller already has it (one base solve shared by many perturbations);
+    the problem is solved here otherwise.  Bounds whose hypotheses fail are
+    recorded as None.  Solver failure on either problem raises
+    NonConvergenceError since r would be undefined.
     """
     pert.validate_dims(problem)
-    base = picard_solve(problem, options)
-    if not base.converged:
-        raise NonConvergenceError(
-            f"solver did not converge on the base problem "
-            f"({base.iterations} iterations, last step {base.final_step_norm:.3e})"
-        )
-    shifted = picard_solve(problem.perturbed(pert.dA, pert.dB, pert.db), options)
-    if not shifted.converged:
-        raise NonConvergenceError(
-            f"solver did not converge on the perturbed problem "
-            f"({shifted.iterations} iterations, last step {shifted.final_step_norm:.3e})"
-        )
+    if base is None:
+        base = picard_solve(problem, options)
+    _require_converged(base, "base")
+    perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
+    shifted = _require_converged(picard_solve(perturbed, options), "perturbed")
     norm_x = float(np.linalg.norm(base.x))
     if norm_x == 0:
         raise ValueError("relative error is undefined for x* = 0")
     r = float(np.linalg.norm(base.x - shifted.x)) / norm_x
 
-    report = general_relative_bound(problem, pert, method=None, p=2)
+    report = _relative_bound(problem, pert, perturbed, None, 2)
     delta = None
     if pert.epsilon is not None:
         try:

@@ -19,7 +19,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import numerics
 from .core import TYPE_ONE, residual
-from .exceptions import SingularMatrixError
 
 
 @dataclass
@@ -49,17 +48,18 @@ def picard_solve(problem, options=None):
 
     Non-convergence within the iteration budget is an outcome, not an
     exception: the result carries ``converged=False`` and the last iterate.
-    A numerically singular A is an error since the iteration is undefined.
+    So is divergence to non-finite values: the iteration stops with the
+    last finite iterate and an infinite step norm.  A numerically singular
+    A is an error (SingularMatrixError) since the iteration is undefined.
     """
     opts = options or SolveOptions()
-    A, B, b = problem.A, problem.B, problem.b
-
-    cond = np.linalg.cond(A)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise SingularMatrixError(
-            f"picard_solve: A is singular to working precision (cond ~ {cond:.3e})"
-        )
-    lu = lu_factor(A)
+    B, b = problem.B, problem.b
+    analysis = problem.analysis
+    analysis.require_regular("A", "picard_solve: A")
+    lu, piv = analysis.memoised("lu", lambda: lu_factor(analysis.A))
+    # LAPACK's getrs wrapper shifts the pivot array in place while it runs,
+    # so each solve needs its own copy to share the factors across threads.
+    lu = (lu, piv.copy())
 
     if opts.initial is None:
         x = np.zeros(problem.n)
@@ -72,14 +72,19 @@ def picard_solve(problem, options=None):
     step = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        rhs = B @ np.abs(x) + b if type_one else np.abs(B @ x) + b
-        x_next = lu_solve(lu, rhs)
-        step = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if step < opts.tolerance:
-            converged = True
-            break
-
-    res_norm = float(np.linalg.norm(residual(problem, x)))
+    # A diverging iteration overflows; it stops at the first non-finite
+    # step and keeps the last finite iterate.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, opts.max_iterations + 1):
+            rhs = B @ np.abs(x) + b if type_one else np.abs(B @ x) + b
+            x_next = lu_solve(lu, rhs, check_finite=False)
+            step = float(np.linalg.norm(x_next - x))
+            if not np.isfinite(step):
+                step = np.inf
+                break
+            x = x_next
+            if step < opts.tolerance:
+                converged = True
+                break
+        res_norm = float(np.linalg.norm(residual(problem, x)))
     return SolveResult(x, iterations, step, res_norm, converged)

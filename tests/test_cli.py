@@ -44,6 +44,12 @@ class TestSolveCommand:
         assert code == 3
         assert "converged: False" in capsys.readouterr().out
 
+    def test_diverging_iteration_exit_code(self, mtx, capsys):
+        code = main(["solve", "--a", mtx("a", np.eye(2)), "--b", mtx("b", 3.0 * np.eye(2)),
+                     "--rhs", mtx("rhs", [1.0, 1.0])])
+        assert code == 3
+        assert "converged: False" in capsys.readouterr().out
+
     def test_singular_matrix_exit_code(self, mtx, capsys):
         code = main(["solve", "--a", mtx("a", [[0.0]]), "--rhs", mtx("rhs", [1.0])])
         assert code == 1

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from avebounds import SolveOptions
+from avebounds import LcpProblem, SolveOptions, lcp_to_ave
+from avebounds import harness
+from avebounds.exceptions import AveBoundsError
 from avebounds.harness import (
     BENCH_EPSILONS,
     BENCH_TABLES,
@@ -18,7 +20,7 @@ from avebounds.harness import (
     run_experiment,
     tridiagonal,
 )
-from avebounds.perturbation import ExperimentRecord
+from avebounds.perturbation import ExperimentRecord, perturbation_experiment
 
 
 class TestGenerators:
@@ -146,6 +148,32 @@ class TestRunExperiment:
         n, eps, message = out.failures[0]
         assert n == 3 and eps == 0.01
         assert "converge" in message
+
+    @pytest.mark.parametrize("M, options", [
+        (-np.eye(3), None),                                  # A = I + M = 0
+        (-0.5 * np.eye(3), None),                            # iterates overflow
+        (-0.5 * np.eye(3), SolveOptions(max_iterations=5)),  # budget too small
+        (np.eye(3), SolveOptions(initial=[1.0])),            # ValueError
+    ], ids=["singular", "diverging", "nonconverged", "valueerror"])
+    def test_base_failure_fails_every_cell_of_its_size(self, monkeypatch, M, options):
+        # The base problem is solved once per size; when that solve fails,
+        # each cell of the size still fails with the message the unshared
+        # per-cell path gives.
+        bad = LcpProblem(M, -np.ones(3))
+        real = harness.gen_problem
+        monkeypatch.setattr(harness, "gen_problem",
+                            lambda family, size: bad if size == 3 else real(family, size))
+        with pytest.raises((AveBoundsError, ValueError)) as direct:
+            perturbation_experiment(lcp_to_ave(bad), gen_perturbation("tridiag", 3, 0.01),
+                                    options)
+        out = run_experiment(ExperimentSpec("tridiag", [3, 4], [0.01, 0.02],
+                                            options=options))
+        failed = [(n, eps) for n, eps, _ in out.failures]
+        assert failed[:2] == [(3, 0.01), (3, 0.02)]
+        assert all(msg == str(direct.value) for n, _, msg in out.failures if n == 3)
+        if options is None:
+            assert failed == [(3, 0.01), (3, 0.02)]
+            assert [(r.n, r.epsilon) for r in out.rows] == [(4, 0.01), (4, 0.02)]
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         spec = ExperimentSpec("tridiag", [4, 6], [0.01, 0.03])

@@ -38,6 +38,32 @@ class TestPicardSolve:
         assert not res.converged
         assert res.iterations == 30
 
+    @pytest.mark.parametrize("form", ["type1", TYPE_TWO])
+    def test_divergence_to_overflow_is_an_outcome(self, form):
+        # x_{k+1} = 3|x_k| + 1 overflows; the solver must stop, not raise
+        # numpy's ValueError on a non-finite right-hand side.
+        p = AveProblem(np.eye(3), 3.0 * np.eye(3), np.ones(3), form)
+        res = picard_solve(p)
+        assert not res.converged
+        assert res.final_step_norm == np.inf
+        assert np.all(np.isfinite(res.x))
+        assert res.iterations < SolveOptions().max_iterations
+
+    def test_frozen_seed_unsolvable_instance(self):
+        # K = A^-1 B = 1.25 H with H >= 0 row-stochastic and A^-1 b > 0: the
+        # iterates stay positive and grow like 1.25**k, and no solution
+        # exists.  This raised numpy's ValueError once the iterates overflowed.
+        rng = np.random.default_rng(20241017)
+        n = 40
+        A = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        H = np.abs(rng.standard_normal((n, n)))
+        H /= H.sum(axis=1, keepdims=True)
+        c = np.abs(rng.standard_normal(n)) + 0.1
+        res = picard_solve(AveProblem(A, A @ (1.25 * H), A @ c))
+        assert not res.converged
+        assert res.final_step_norm == np.inf
+        assert np.all(np.isfinite(res.x))
+
     def test_singular_A_raises(self):
         p = AveProblem(np.zeros((2, 2)), np.eye(2), np.ones(2))
         with pytest.raises(SingularMatrixError):
