@@ -28,23 +28,23 @@ _BRUTE_SEED = 20240517
 
 
 def lower_factor(problem, p=2):
-    """max(||A - B||_p, ||A + B||_p) -- the denominator of the lower error
-    bound.  Valid for both problem forms.
+    """The denominator of the lower error bound: the largest norm of
+    A - B diag(d) (type2: A - diag(d) B) over the sign box d in [-1, 1]^n.
 
-    The two norms are the values of ||A - B diag(d)||_p at the extreme
-    diagonals d = +/-1.  For p = 1 the maximum over the whole sign box is
-    always attained there, so the resulting lower bound is exact; for
-    p = 2 and p = inf an interior or mixed-sign diagonal can exceed both
-    extremes slightly, making the bound a tight estimate rather than a
-    guarantee.  ``brute_force_alpha`` probes the box directly when a
-    certified comparison is needed, and ||A||_p + ||B||_p always dominates
-    the whole family in any norm.
+    * Type1 with p = 1 and type2 with p = inf: each column (type2: row) of
+      the family depends on one d_j alone and its norm is convex in it, so
+      the maximum is max(||A - B||_p, ||A + B||_p), at d = +/-1.  Exact.
+    * Type1 with p = inf and type2 with p = 1: each row (type2: column)
+      picks its own signs, so the maximum is || |A| + |B| ||_p.  Exact.
+    * p = 2: max(||A - B||_2, ||A + B||_2).  An interior or mixed-sign
+      diagonal can exceed both, so this is a tight estimate rather than a
+      guarantee; ||A||_2 + ||B||_2 always dominates the family.
     """
     p = numerics.check_norm(p)
-    return max(
-        numerics.p_norm(problem.A - problem.B, p),
-        numerics.p_norm(problem.A + problem.B, p),
-    )
+    A, B = problem.A, problem.B
+    if p == (1 if problem.form == TYPE_TWO else np.inf):
+        return numerics.p_norm(np.abs(A) + np.abs(B), p)
+    return max(numerics.p_norm(A - B, p), numerics.p_norm(A + B, p))
 
 
 def _singular_gap_factor(problem):

@@ -89,8 +89,11 @@ class ProblemAnalysis:
 
     K is A^-1 B (B A^-1 for type2).  Only singular values, scalars, the
     componentwise kernels and the solver's LU factors of A are kept; A^-1
-    and K are rebuilt when a new quantity needs them.  A per-analysis lock
-    makes concurrent callers compute each quantity once.
+    and K are rebuilt when a new quantity needs them.  The premise
+    rho(|K|) < 1 is held as a Collatz-Wielandt certificate from one linear
+    solve; rho(|K|) itself comes from ``eigvals`` only when the certificate
+    fails or ``solvability_report`` asks for the number.  A per-analysis
+    lock makes concurrent callers compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -140,15 +143,19 @@ class ProblemAnalysis:
 
     def _contraction(self):
         """Fresh (A^-1, |K|); InapplicableBoundError unless A is regular and
-        rho(|K|) < 1."""
+        rho(|K|) < 1.
+
+        The Collatz-Wielandt certificate decides; rho(|K|) from ``eigvals``
+        is computed only when the certificate fails."""
         try:
             self.require_regular("A")
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
-        if self._memo.get("rho", 0.0) < 1.0:
+        if self._memo.get("contracts", True):
             A_inv, M = self._ratio()
             np.abs(M, out=M)
-            if self.memoised("rho", lambda: numerics.spectral_radius_nonneg(M)) < 1.0:
+            if self.memoised("contracts", lambda: numerics.certifies_contraction(M) or (
+                    self.memoised("rho", lambda: numerics.spectral_radius_nonneg(M)) < 1.0)):
                 return A_inv, M
         raise InapplicableBoundError(
             f"spectral radius of the absolute iteration matrix is {self._memo['rho']:.6g} >= 1",

@@ -6,6 +6,8 @@ code above it can assume well-formed data.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import SingularMatrixError
@@ -64,15 +66,25 @@ def p_norm(obj, p=2):
     The 2-norm of a matrix is its largest singular value; 1 and inf are the
     max column / row absolute sums.  Anything else is rejected rather than
     silently computing a non-operator norm.
+
+    The largest singular value comes from one symmetric eigensolve of the
+    smaller Gram matrix instead of an SVD.  The matrix is first scaled by
+    its largest entry, so entries as large as 1e200 or as small as 1e-200
+    neither overflow nor underflow the Gram matrix.
     """
     p = check_norm(p)
     arr = np.asarray(obj, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("p_norm: entries must be finite")
-    if arr.ndim == 1:
+    if arr.ndim == 1 or (arr.ndim == 2 and p != 2):
         return float(np.linalg.norm(arr, p))
     if arr.ndim == 2:
-        return float(np.linalg.norm(arr, p))
+        s = float(np.max(np.abs(arr)))
+        if s == 0.0:
+            return 0.0
+        scaled = arr / s
+        gram = scaled.T @ scaled if arr.shape[0] >= arr.shape[1] else scaled @ scaled.T
+        return s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
 
 
@@ -94,6 +106,29 @@ def spectral_radius_nonneg(m):
     if np.any(arr < 0):
         raise ValueError("spectral_radius_nonneg: matrix has negative entries")
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
+
+
+def certifies_contraction(m):
+    """True only if rho(m) < 1 is proven for an entrywise nonnegative m.
+
+    Solves ``(I - m) y = 1`` once.  A ``y > 0`` with ``m y < y`` entrywise
+    is a Collatz-Wielandt certificate: rho(m) <= max_i (m y)_i / y_i < 1.
+    ``m y`` is inflated by ``2 n eps`` first, which covers the rounding of a
+    sum of n nonnegative products in any order.  False means "not proven":
+    some m with rho(m) < 1 give it too, near rho = 1 or when (I - m)^-1 is
+    too large for y to be resolved (a strongly non-normal m).
+    """
+    arr = as_square(m)
+    if np.any(arr < 0):
+        raise ValueError("certifies_contraction: matrix has negative entries")
+    n = arr.shape[0]
+    try:
+        y = np.linalg.solve(np.eye(n) - arr, np.ones(n))
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(y > 0)
+                    and np.all(arr @ y * (1.0 + 2 * n * np.finfo(float).eps) < y))
 
 
 def inverse(m, name="matrix"):

@@ -223,6 +223,58 @@ def test_concurrent_solves_share_one_factorization():
         assert np.array_equal(res.x, want.x)
 
 
+def _abs_ratio(A, B, form):
+    A_inv = np.linalg.inv(A)
+    return np.abs(B @ A_inv if form == TYPE_TWO else A_inv @ B)
+
+
+def _gate_outcomes(problem):
+    analysis = problem.analysis
+    calls = [lambda p=p: upper_factor(problem, "neumann", p) for p in NORMS]
+    calls += [lambda k=k: analysis.componentwise_kernel(k) for k in ("damped", "series")]
+    return [_outcome(call) for call in calls]
+
+
+def test_certified_gate_agrees_with_eigvals_away_from_one(monkeypatch):
+    """The Collatz-Wielandt certificate decides the contraction premise as
+    rho(|K|) from ``eigvals`` does wherever |rho - 1| > 1e-9."""
+    rng = np.random.default_rng(20241018)
+    problems = []
+    for form in (TYPE_ONE, TYPE_TWO):
+        for n in (1, 3, 8, 30):
+            for target in (0.0, 0.3, 0.9, 0.999, 1 - 1e-6, 1 - 1e-8, 1 + 1e-8,
+                           1 + 1e-6, 1.001, 1.5, 4.0):
+                A = rng.normal(size=(n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+                B = rng.normal(size=(n, n))
+                B *= target / numerics.spectral_radius_nonneg(_abs_ratio(A, B, form))
+                problems.append(AveProblem(A, B, rng.normal(size=n), form))
+    checked = 0
+    for problem in problems:
+        rho = numerics.spectral_radius_nonneg(_abs_ratio(problem.A, problem.B, problem.form))
+        if abs(rho - 1.0) <= 1e-9:
+            continue
+        got = _gate_outcomes(_fresh(problem))
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "certifies_contraction", lambda m: False)
+            want = _gate_outcomes(_fresh(problem))
+        _assert_same(got, want)
+        conditions = {w[2] for w in want if isinstance(w, tuple)}
+        assert conditions == (set() if rho < 1.0 else {"spectral_radius"})
+        checked += 1
+    assert checked >= 80
+
+
+def test_table_three_makes_no_eigensolve(monkeypatch):
+    """The certificate proves rho(|K|) < 1 on every table-3 problem, so no
+    nonsymmetric eigensolve runs."""
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or eigvals(*a, **k))
+    out = reproduce_table(3)
+    assert len(out.rows) == 5 and out.failures == []
+    assert calls == []
+
+
 def test_table_three_factors_once_per_problem(monkeypatch):
     """Counts for reproduce_table(3) (lattice, n = 225, five cells).
 

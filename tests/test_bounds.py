@@ -6,12 +6,15 @@ from avebounds import (
     NEUMANN,
     NORM_RATIO,
     SINGULAR_GAP,
+    TYPE_ONE,
+    TYPE_TWO,
     brute_force_alpha,
     error_bound_report,
     error_interval,
     identity_ave_bounds,
     lower_factor,
     shifted_norm_slack,
+    sign_box_vertices,
     upper_factor,
 )
 from avebounds.exceptions import InapplicableBoundError
@@ -36,6 +39,25 @@ class TestLowerFactor:
     def test_scalar(self):
         p = AveProblem([[2.0]], [[1.0]], [0.0])
         assert lower_factor(p) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+    @pytest.mark.parametrize("p", (1, np.inf), ids=["p1", "pinf"])
+    def test_equals_largest_vertex_norm(self, form, p):
+        # A norm of an affine family is convex in d, so its maximum over the
+        # sign box is the largest of the 2**n vertex norms.
+        rng = np.random.default_rng(20241018)
+        axis = 1 if p == 1 else 2
+        for n in range(1, 9):
+            for _ in range(3):
+                A, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+                d = sign_box_vertices(n)
+                if form == TYPE_TWO:
+                    stack = A[None, :, :] - d[:, :, None] * B[None, :, :]
+                else:
+                    stack = A[None, :, :] - B[None, :, :] * d[:, None, :]
+                want = np.abs(stack).sum(axis=axis).max()
+                got = lower_factor(AveProblem(A, B, np.zeros(n), form), p)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestUpperFactor:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,100 @@ class TestPNorm:
     def test_rejects_higher_rank(self):
         with pytest.raises(ValueError):
             numerics.p_norm(np.zeros((2, 2, 2)))
+
+
+class TestGramTwoNorm:
+    """The matrix 2-norm from the scaled Gram matrix matches the SVD's."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(20241018)
+        for shape in ((1, 1), (2, 2), (7, 7), (40, 40), (60, 9), (9, 60), (1, 30), (30, 1)):
+            m = rng.normal(size=shape)
+            yield m
+            yield m * np.logspace(0, -8, shape[1])[None, :]     # column-scaled
+            yield m * np.logspace(-8, 0, shape[0])[:, None]     # row-scaled
+        m = rng.normal(size=(12, 12))
+        yield m * 1e200
+        yield m * 1e-200
+        yield np.diag([1e200, 3.0, 1e-200])
+
+    def test_matches_svd_norm(self):
+        for m in self._cases():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = numerics.p_norm(m, 2)
+            assert np.isfinite(got)
+            assert got == pytest.approx(np.linalg.norm(m, 2), rel=1e-13, abs=0.0)
+
+    def test_zero_and_scalar(self):
+        assert numerics.p_norm(np.zeros((3, 5)), 2) == 0.0
+        assert numerics.p_norm(np.zeros((1, 1)), 2) == 0.0
+        assert numerics.p_norm(np.array([[-3.0]]), 2) == 3.0
+        assert numerics.p_norm(np.array([[2e-300]]), 2) == pytest.approx(2e-300, rel=1e-15)
+
+
+def _stochastic(rng, n):
+    """Row-stochastic matrix with dyadic entries, so every row sums to
+    exactly 1 in floating point and scaling by c gives rho exactly c."""
+    total = 2.0 ** int(np.ceil(np.log2(8 * n)))
+    counts = rng.integers(0, 8, size=(n, n)).astype(float)
+    counts[:, -1] = 0.0
+    counts[:, -1] = total - counts.sum(axis=1)
+    return counts / total
+
+
+class TestCertifiesContraction:
+    """A True certificate proves rho < 1; below 0.999 it is always found."""
+
+    @staticmethod
+    def _cases():
+        """(matrix, rho) pairs with rho known exactly."""
+        rng = np.random.default_rng(20241018)
+        for n in (1, 2, 5, 20, 60):
+            for c in (0.0, 0.5, 0.999, 1.0, 1.25):
+                yield c * _stochastic(rng, n), c
+            # reducible block triangular: rho is the larger diagonal block's
+            k = n // 2 + 1
+            for top, bottom in ((0.5, 0.9), (0.999, 0.25), (0.5, 1.0), (1.25, 0.5)):
+                m = np.zeros((n + k, n + k))
+                m[:n, :n] = top * _stochastic(rng, n)
+                m[n:, n:] = bottom * _stochastic(rng, k)
+                m[:n, n:] = rng.uniform(0.0, 2.0, size=(n, k))
+                yield m, max(top, bottom)
+            # a zero row over a block with rho = c: block lower triangular
+            for c in (0.5, 1.0, 1.25):
+                m = np.zeros((n + 1, n + 1))
+                m[1:, 1:] = c * _stochastic(rng, n)
+                m[1:, 0] = rng.uniform(0.0, 2.0, size=n)
+                yield m, c
+            yield np.triu(rng.uniform(0.0, 1.0, size=(n, n)), 1), 0.0     # nilpotent
+            yield np.zeros((n, n)), 0.0
+
+    def test_sound_and_complete_away_from_one(self):
+        for m, rho in self._cases():
+            # each case's rho from its construction, checked independently
+            assert numerics.spectral_radius_nonneg(m) == pytest.approx(rho, abs=1e-6)
+            got = numerics.certifies_contraction(m)
+            if rho >= 1.0:
+                assert got is False
+            else:
+                assert got is True
+
+    def test_false_when_i_minus_m_singular(self):
+        rng = np.random.default_rng(3)
+        for m in (np.eye(1), np.eye(4), _stochastic(rng, 6),
+                  np.array([[0.0, 1.0], [1.0, 0.0]])):
+            assert numerics.certifies_contraction(m) is False
+
+    def test_scalar_literals(self):
+        assert numerics.certifies_contraction(np.array([[0.999]])) is True
+        assert numerics.certifies_contraction(np.array([[1.0]])) is False
+        assert numerics.certifies_contraction(np.array([[1.25]])) is False
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError):
+            numerics.certifies_contraction(np.array([[0.5, -0.1], [0.0, 0.5]]))
 
 
 class TestExtremeSingulars:
