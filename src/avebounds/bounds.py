@@ -7,7 +7,7 @@ the true solution is sandwiched by multiples of the natural residual:
 
 ``lower_factor`` has a cheap closed form; the upper constant is not
 computable exactly, so this module offers three estimators with different
-hypotheses plus a brute-force probe for small problems.
+hypotheses plus an exact sign-vertex enumeration for small problems.
 """
 from __future__ import annotations
 
@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .core import TYPE_TWO, residual, sign_box_vertices
+from .core import TYPE_TWO, _sign_family, _vertex_witness, residual, sign_box_vertices
 from .exceptions import InapplicableBoundError, SingularMatrixError
 
 NEUMANN = "neumann"
 SINGULAR_GAP = "singular_gap"
 NORM_RATIO = "norm_ratio"
 METHODS = (NEUMANN, SINGULAR_GAP, NORM_RATIO)
-
-_BRUTE_SEED = 20240517
 
 
 def lower_factor(problem, p=2):
@@ -213,24 +211,15 @@ def error_interval(problem, x, p=2):
     return ErrorInterval(r_norm, lower, best * r_norm, best_method)
 
 
-def _stack_norms(stack, p):
-    if p == 1:
-        return np.abs(stack).sum(axis=1).max(axis=1)
-    if p == 2:
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    return np.abs(stack).sum(axis=2).max(axis=1)
+def brute_force_alpha(problem, p=2):
+    """Exact max ||(A - B diag(d))^-1||_p over the sign box d in [-1,1]^n
+    (type2: A - diag(d) B) from its 2**n vertices; limited to n <= 20.
 
-
-def brute_force_alpha(problem, p=2, sample_budget=1000):
-    """Probe max ||(A - B diag(d))^{-1}||_p over the sign box d in [-1,1]^n.
-
-    Enumerates all 2**n sign vertices plus ``sample_budget`` sampled
-    interior diagonals (fixed seed).  This is a *lower* estimate of the
-    true maximum -- the norm need not peak at a vertex -- but it is an
-    effective cross-check for the closed-form estimators at small n.
-    Returns +inf when a singular member is hit, which also certifies that
-    the problem is not uniquely solvable for every right-hand side.
-    Limited to n <= 20.
+    +inf when the vertex determinants lack one strict common sign: some
+    member is then singular (or too close to tell).  Otherwise, with the
+    other d_i fixed, every entry of the inverse is a ratio of affine
+    functions of d_j with one pole-free denominator, so each induced norm
+    is quasiconvex in d_j and peaks at a vertex.
     """
     p = numerics.check_norm(p)
     n = problem.n
@@ -238,33 +227,11 @@ def brute_force_alpha(problem, p=2, sample_budget=1000):
         raise ValueError(f"brute_force_alpha is limited to n <= 20, got {n}")
     A, B = problem.A, problem.B
     left = problem.form == TYPE_TWO
-
-    rng = np.random.default_rng(_BRUTE_SEED)
-    d_all = np.vstack([
-        sign_box_vertices(n),
-        rng.uniform(-1.0, 1.0, size=(max(sample_budget, 0), n)),
-    ])
-    best = 0.0
-    chunk = 4096
-    for start in range(0, d_all.shape[0], chunk):
-        block = d_all[start:start + chunk]
-        if left:
-            stack = A[None, :, :] - block[:, :, None] * B[None, :, :]
-        else:
-            stack = A[None, :, :] - B[None, :, :] * block[:, None, :]
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:
-            # at least one member is exactly singular; find it the slow way
-            for i in range(block.shape[0]):
-                try:
-                    one = np.linalg.inv(stack[i])
-                except np.linalg.LinAlgError:
-                    return float("inf")
-                best = max(best, float(_stack_norms(one[None], p)[0]))
-            continue
-        best = max(best, float(_stack_norms(inv, p).max()))
-    return best
+    vertices = sign_box_vertices(n)
+    if _vertex_witness(A, B, vertices, left) is not None:
+        return float("inf")
+    return max(float(numerics.batched_norms(np.linalg.inv(stack), p).max())
+               for _, stack in _sign_family(A, B, vertices, left))
 
 
 def shifted_norm_slack(A, alpha, p=2):

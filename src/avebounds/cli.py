@@ -36,8 +36,6 @@ _FORMS = {"1": TYPE_ONE, "2": TYPE_TWO}
 def _common(parser):
     parser.add_argument("--format", choices=FORMATS, default="markdown",
                         help="output format (default markdown)")
-    parser.add_argument("--norm", choices=sorted(_NORMS), default="2",
-                        help="norm for bound computations (default 2)")
 
 
 def _solver_args(parser):
@@ -221,6 +219,8 @@ def build_parser():
     p.add_argument("--rhs", help="right-hand side (.mtx); needed with --at")
     p.add_argument("--at", help="evaluate the error interval at this point (.mtx)")
     p.add_argument("--form", choices=sorted(_FORMS), default="1")
+    p.add_argument("--norm", choices=sorted(_NORMS), default="2",
+                   help="norm for bound computations (default 2)")
     _common(p)
     p.set_defaults(func=_cmd_bounds)
 

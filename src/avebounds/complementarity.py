@@ -15,14 +15,12 @@ import numpy as np
 
 from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
-from .core import AveProblem, TYPE_ONE, sign_box_vertices
+from .core import AveProblem, TYPE_ONE, _sign_family, _vertex_witness, sign_box_vertices
 from .exceptions import InapplicableBoundError, SingularMatrixError
 
 SHIFTED = "shifted"   # z = |x| + x,    w = |x| - x
 HALVED = "halved"     # z = (|x|+x)/2,  w = (|x|-x)/2
 CONVENTIONS = (SHIFTED, HALVED)
-
-_BETA_SEED = 20240229
 
 
 @dataclass
@@ -122,12 +120,14 @@ def lcp_min_residual(lcp, z):
 
 
 def column_w_property(hlcp, limit=20):
-    """Whether (M, N) has the column W-property.
+    """Whether (M, N) has the column W-property: all 2**n column
+    representatives have determinants of one strict sign, which
+    characterises unique solvability of the HLCP for every q.
 
-    Builds every column-representative matrix (column j taken from M or
-    from N) and checks that all 2**n determinants share one strict sign.
-    This characterises unique solvability of the HLCP for every q.  Cost
-    is exponential, so dimensions above ``limit`` are refused.
+    The representatives are the vertices of the sign family of
+    ``hlcp_to_ave(hlcp)``: (M+N)/2 - (N-M)/2 diag(d) takes column j from M
+    at d_j = +1 and from N at d_j = -1.  Dimensions above ``limit`` are
+    refused.
     """
     n = hlcp.n
     if n > limit:
@@ -135,23 +135,8 @@ def column_w_property(hlcp, limit=20):
             f"column_w_property enumerates 2**{n} representative matrices; "
             f"raise limit (currently {limit}) explicitly if you mean it"
         )
-    masks = (sign_box_vertices(n) + 1.0) / 2.0   # rows in {0,1}^n
-    sign = 0.0
-    chunk = 8192
-    for start in range(0, masks.shape[0], chunk):
-        block = masks[start:start + chunk]
-        reps = (
-            hlcp.M[None, :, :] * block[:, None, :]
-            + hlcp.N[None, :, :] * (1.0 - block)[:, None, :]
-        )
-        dets = np.linalg.det(reps)
-        if dets[0] == 0.0:
-            return False
-        if sign == 0.0:
-            sign = 1.0 if dets[0] > 0 else -1.0
-        if np.any(dets * sign <= 0.0):
-            return False
-    return True
+    ave = hlcp_to_ave(hlcp)
+    return _vertex_witness(ave.A, ave.B, sign_box_vertices(n)) is None
 
 
 def hlcp_error_bounds(hlcp, p=2):
@@ -220,57 +205,32 @@ def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
     return upper_factor(shifted, method, p) * coefficient
 
 
-def beta_factor(M, p=2, sample_budget=1000):
-    """Probe max ||(I - L + L M)^-1 L||_p over diagonal L, entries in [0,1].
+def beta_factor(M, p=2):
+    """Exact max ||(I - L + L M)^-1 L||_p over diagonal L with entries
+    lam in [0,1], from the 2**n vertices lam in {0,1}^n; limited to n <= 20.
 
-    Enumerates the 2**n 0/1 vertices plus ``sample_budget`` interior draws
-    (fixed seed), so like the other brute-force probes it is a *lower*
-    estimate of the true maximum.  A singular member means the LCP lacks
-    the uniqueness property; the offending diagonal is reported through a
-    warning and the result is +inf.  Limited to n <= 20.
+    I - L + L M is the left-form sign family I - diag(lam) (I - M).  When
+    its vertex determinants lack one strict common sign, the LCP lacks the
+    uniqueness property: a warning names the first offending diagonal and
+    the result is +inf.  Otherwise, by Sherman-Morrison, every entry of the
+    product is a ratio of affine functions of lam_k with one pole-free
+    denominator, so each norm peaks at a vertex.
     """
     M = numerics.as_square(M, "M")
     p = numerics.check_norm(p)
     n = M.shape[0]
     if n > 20:
         raise ValueError(f"beta_factor is limited to n <= 20, got {n}")
-    rng = np.random.default_rng(_BETA_SEED)
-    lam_all = np.vstack([
-        (sign_box_vertices(n) + 1.0) / 2.0,
-        rng.uniform(0.0, 1.0, size=(max(sample_budget, 0), n)),
-    ])
-    idx = np.arange(n)
-    best = 0.0
-    chunk = 4096
-    for start in range(0, lam_all.shape[0], chunk):
-        block = lam_all[start:start + chunk]
-        stack = block[:, :, None] * M[None, :, :]
-        stack[:, idx, idx] += 1.0 - block
-        try:
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:
-            for i in range(block.shape[0]):
-                try:
-                    one = np.linalg.inv(stack[i])
-                except np.linalg.LinAlgError:
-                    warnings.warn(
-                        "singular member at diagonal "
-                        f"{np.array2string(block[i], precision=3)}; "
-                        "the uniqueness factor is unbounded"
-                    )
-                    return float("inf")
-                prod = one * block[i][None, :]
-                best = max(best, numerics.p_norm(prod, p))
-            continue
-        prod = inv * block[:, None, :]
-        if p == 1:
-            vals = np.abs(prod).sum(axis=1).max(axis=1)
-        elif p == 2:
-            vals = np.linalg.svd(prod, compute_uv=False)[:, 0]
-        else:
-            vals = np.abs(prod).sum(axis=2).max(axis=1)
-        best = max(best, float(vals.max()))
-    return best
+    eye = np.eye(n)
+    vertices = (sign_box_vertices(n) + 1.0) / 2.0
+    witness = _vertex_witness(eye, eye - M, vertices, left=True)
+    if witness is not None:
+        warnings.warn(f"singular member at diagonal {np.array2string(witness, precision=3)}; "
+                      "the uniqueness factor is unbounded")
+        return float("inf")
+    return max(
+        float(numerics.batched_norms(np.linalg.inv(stack) * block[:, None, :], p).max())
+        for block, stack in _sign_family(eye, eye - M, vertices, left=True))
 
 
 @dataclass
@@ -295,12 +255,12 @@ class LcpPerturbFactors:
             raise ValueError("beta and delta must be nonnegative")
 
 
-def region_factors(M, eta, epsilon, p=2, sample_budget=1000):
+def region_factors(M, eta, epsilon, p=2):
     """Build LcpPerturbFactors for matrix M with region radius eta and
     relative perturbation scale epsilon."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    beta = beta_factor(M, p, sample_budget)
+    beta = beta_factor(M, p)
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
     return LcpPerturbFactors(
@@ -311,7 +271,7 @@ def region_factors(M, eta, epsilon, p=2, sample_budget=1000):
     )
 
 
-def lcp_pair_bounds(lcp_a, lcp_b, p=2, sample_budget=1000):
+def lcp_pair_bounds(lcp_a, lcp_b, p=2):
     """Distance bounds between the solutions of two LCPs (A, b) and (B, c).
 
     Returns ``(absolute, relative)``:
@@ -326,8 +286,8 @@ def lcp_pair_bounds(lcp_a, lcp_b, p=2, sample_budget=1000):
     p = numerics.check_norm(p)
     if lcp_a.n != lcp_b.n:
         raise ValueError("the two problems must have the same dimension")
-    beta_a = beta_factor(lcp_a.M, p, sample_budget)
-    beta_b = beta_factor(lcp_b.M, p, sample_budget)
+    beta_a = beta_factor(lcp_a.M, p)
+    beta_b = beta_factor(lcp_b.M, p)
     norm_ab = numerics.p_norm(lcp_a.M - lcp_b.M, p)
     norm_bc = numerics.p_norm(lcp_a.q - lcp_b.q, p)
     neg_c = numerics.p_norm(numerics.positive_part(-lcp_b.q), p)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,12 +24,12 @@ TYPE_TWO = "type2"
 FORMS = (TYPE_ONE, TYPE_TWO)
 
 VERDICT_PROVEN = "proven_unique"
-VERDICT_HEURISTIC = "heuristic_pass"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_FAILS = "fails_all_sufficient_conditions"
 
-# Fixed seed so solvability sampling is reproducible run to run.
-_SAMPLE_SEED = 20240811
+# Members of the sign family stacked per batched LAPACK call.
+_SIGN_CHUNK = 4096
+_CORE = "I - |K|"     # the matrix the Neumann series inverts, in gate messages
 
 
 @dataclass
@@ -167,11 +168,12 @@ class ProblemAnalysis:
         def compute():
             A_inv, M = self._contraction()
             core = np.eye(len(M)) - M
-            if p != 2:
-                series = numerics.inverse(core, "I - K")
-                return numerics.p_norm(A_inv, p) * numerics.p_norm(series, p)
-            s = np.linalg.svd(core, compute_uv=False)
-            numerics.require_regular(numerics.cond_from_singulars(s), "I - K")
+            with _core_gate():
+                if p != 2:
+                    series = numerics.inverse(core, _CORE)
+                    return numerics.p_norm(A_inv, p) * numerics.p_norm(series, p)
+                s = np.linalg.svd(core, compute_uv=False)
+                numerics.require_regular(numerics.cond_from_singulars(s), _CORE)
             return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
         return self.memoised(("neumann", p), compute)
 
@@ -185,7 +187,8 @@ class ProblemAnalysis:
             A_inv, M = self._contraction()
             core = np.eye(len(M)) - M
             if kernel == "series":
-                core = numerics.inverse(core, "I - M")
+                with _core_gate():
+                    core = numerics.inverse(core, _CORE)
             return np.abs(A_inv) @ core if self.form == TYPE_TWO else core @ np.abs(A_inv)
         return self.memoised(("kernel", kernel), compute)
 
@@ -193,6 +196,16 @@ class ProblemAnalysis:
         """||kernel (|A| + |B|)||_p (p already checked)."""
         return self.memoised(("kernel_norm", kernel, p), lambda: numerics.p_norm(
             self.componentwise_kernel(kernel) @ (np.abs(self.A) + np.abs(self.B)), p))
+
+
+@contextmanager
+def _core_gate():
+    """A failed gate on I - |K| makes the bound inapplicable: rho(|K|) < 1
+    does not keep its inverse within working precision."""
+    try:
+        yield
+    except SingularMatrixError as exc:
+        raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
 
 
 def residual(problem, x):
@@ -247,32 +260,44 @@ class SolvabilityReport:
         return self.verdict == VERDICT_PROVEN
 
 
-def _sign_vertex_matrices(A, B, d_values, left=False):
-    """Stack of A - B*diag(d) (or A - diag(d)*B when ``left``) for each row
+def _sign_family(A, B, d_values, left=False):
+    """Yield ``(block, stack)`` over chunks of the rows of ``d_values``:
+    ``stack[i]`` is A - B diag(block[i]), or A - diag(block[i]) B when
+    ``left``.  This is the one loop over members of a sign family."""
+    for start in range(0, d_values.shape[0], _SIGN_CHUNK):
+        block = d_values[start:start + _SIGN_CHUNK]
+        if left:
+            yield block, A[None, :, :] - block[:, :, None] * B[None, :, :]
+        else:
+            yield block, A[None, :, :] - B[None, :, :] * block[:, None, :]
 
-    of ``d_values``; shapes (k, n, n)."""
-    if left:
-        return A[None, :, :] - d_values[:, :, None] * B[None, :, :]
-    return A[None, :, :] - B[None, :, :] * d_values[:, None, :]
 
+def _vertex_witness(A, B, vertices, left=False):
+    """None when every member at ``vertices`` has a determinant of one
+    common strict sign, else the first vertex that breaks it.
 
-def _all_nonsingular(A, B, d_values, left, chunk=16384):
-    """True if every A - B diag(d) over the rows of d_values is nonsingular.
-
-    Returns (ok, witness) where witness is the offending d row if any.
-    Uses batched determinants; exact zeros are what we are screening for,
-    but anything below a tiny absolute floor is treated as singular too.
+    The determinant of A - B diag(d) is affine in each d_j, so one strict
+    sign at all vertices of a box proves every member of the box regular,
+    and a sign change proves a singular member.  A determinant counts as
+    strict only when |det| > n eps prod_j ||col_j||_2, a rounding-size
+    fraction of Hadamard's bound, which is scale-free.
     """
-    n = A.shape[1]
-    scale = max(np.linalg.norm(A, np.inf), np.linalg.norm(B, np.inf), 1.0)
-    floor = 1e-12 * scale**n
-    for start in range(0, d_values.shape[0], chunk):
-        block = d_values[start:start + chunk]
-        dets = np.linalg.det(_sign_vertex_matrices(A, B, block, left))
-        bad = np.abs(dets) <= floor
+    n = A.shape[0]
+    log_floor = math.log(n * np.finfo(float).eps)
+    # The test is homogeneous; an exact 2**k scaling keeps the norms finite.
+    exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
+    A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
+    sign = 0.0
+    for block, stack in _sign_family(A, B, vertices, left):
+        signs, logdets = np.linalg.slogdet(stack)
+        with np.errstate(divide="ignore"):      # a zero column has log norm -inf
+            log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)
+        if sign == 0.0:
+            sign = signs[0]
+        bad = (signs != sign) | ~(logdets > log_hadamard + log_floor)
         if np.any(bad):
-            return False, block[np.argmax(bad)]
-    return True, None
+            return block[np.argmax(bad)]
+    return None
 
 
 def sign_box_vertices(n):
@@ -284,7 +309,7 @@ def sign_box_vertices(n):
     return bits.astype(float) * 2.0 - 1.0
 
 
-def solvability_report(problem, exhaustive_limit=20, samples=1000):
+def solvability_report(problem, exhaustive_limit=20):
     """Screen a problem for unique solvability.
 
     Three sufficient conditions are evaluated (mirrored for type2):
@@ -294,20 +319,18 @@ def solvability_report(problem, exhaustive_limit=20, samples=1000):
     * largest singular value of A^-1 B below one.
 
     Any pass proves a unique solution exists for every right-hand side
-    (``proven_unique``).  When all three fail and the dimension allows it,
-    the sign-diagonal family A - B diag(d) is tested for nonsingularity at
-    every vertex d in {-1,1}^n plus ``samples`` interior draws:
+    (``proven_unique``).  When all three fail and n <= ``exhaustive_limit``,
+    the sign family A - B diag(d) decides (see ``_vertex_witness``):
 
-    * no singular member found   -> ``heuristic_pass`` (evidence, not proof),
-    * singular member found      -> ``inconclusive`` (some right-hand sides
-      lack unique solutions; this particular b may or may not),
+    * one strict determinant sign at every vertex d in {-1,1}^n proves no
+      member of the box singular -> ``proven_unique``,
+    * otherwise ``inconclusive``: some right-hand sides may lack unique
+      solutions; this particular b may or may not,
     * dimension over the limit   -> ``fails_all_sufficient_conditions``.
 
     A non-invertible A simply fails the conditions that need it; it is not
     an error here.
     """
-    A, B = problem.A, problem.B
-    left = problem.form == TYPE_TWO
     analysis = problem.analysis
     checks = []
 
@@ -344,23 +367,19 @@ def solvability_report(problem, exhaustive_limit=20, samples=1000):
     if n > exhaustive_limit:
         return SolvabilityReport(checks, VERDICT_FAILS)
 
-    vertices = sign_box_vertices(n)
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    interior = rng.uniform(-1.0, 1.0, size=(max(samples, 0), n))
-    ok_v, witness = _all_nonsingular(A, B, vertices, left)
-    ok_i = True
-    if ok_v:
-        ok_i, witness = _all_nonsingular(A, B, interior, left)
-    if ok_v and ok_i:
+    witness = _vertex_witness(problem.A, problem.B, sign_box_vertices(n),
+                              left=problem.form == TYPE_TWO)
+    if witness is None:
         checks.append(SolvabilityCheck(
             "sign_family_nonsingular", 1.0, 1.0, True,
-            f"all {len(vertices)} sign vertices and {len(interior)} sampled "
-            "interior diagonals are nonsingular",
+            f"all {2**n} sign-vertex determinants share one strict sign, "
+            "so every member of the box is nonsingular",
         ))
-        return SolvabilityReport(checks, VERDICT_HEURISTIC)
+        return SolvabilityReport(checks, VERDICT_PROVEN)
     checks.append(SolvabilityCheck(
         "sign_family_nonsingular", 0.0, 1.0, False,
-        f"singular member found at d = {np.array2string(witness, precision=3)}; "
-        "some right-hand sides lack unique solutions",
+        "the box may hold a singular member: the determinant changes sign or "
+        f"is of rounding size at d = {np.array2string(witness, precision=3)}; "
+        "some right-hand sides may lack unique solutions",
     ))
     return SolvabilityReport(checks, VERDICT_INCONCLUSIVE)

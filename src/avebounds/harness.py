@@ -111,7 +111,6 @@ class ExperimentSpec:
     family: str
     sizes: list
     epsilons: list
-    p: float = 2
     options: object = None          # SolveOptions or None
     fmt: str = "markdown"
 
@@ -178,22 +177,18 @@ def run_experiment(spec):
         pert = gen_perturbation(spec.family, problem.n, eps)
         return perturbation_experiment(problem, pert, spec.options, base=base)
 
+    def guarded(job):
+        try:
+            return cell(job)
+        except (AveBoundsError, ValueError) as exc:
+            return exc
+
     results = {}
     failures = {}
     workers = _thread_count(len(jobs))
     if workers == 1 or len(jobs) == 1:
-        outcomes = []
-        for job in jobs:
-            try:
-                outcomes.append(cell(job))
-            except (AveBoundsError, ValueError) as exc:
-                outcomes.append(exc)
+        outcomes = [guarded(job) for job in jobs]
     else:
-        def guarded(job):
-            try:
-                return cell(job)
-            except (AveBoundsError, ValueError) as exc:
-                return exc
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(guarded, jobs))
 
@@ -208,7 +203,7 @@ def run_experiment(spec):
         "family": spec.family,
         "sizes": list(spec.sizes),
         "epsilons": list(spec.epsilons),
-        "norm": spec.p if spec.p != np.inf else "inf",
+        "norm": 2,      # every table quantity is a 2-norm
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool_version": __version__,
     })

@@ -6,8 +6,6 @@ code above it can assume well-formed data.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .exceptions import SingularMatrixError
@@ -65,27 +63,37 @@ def p_norm(obj, p=2):
 
     The 2-norm of a matrix is its largest singular value; 1 and inf are the
     max column / row absolute sums.  Anything else is rejected rather than
-    silently computing a non-operator norm.
-
-    The largest singular value comes from one symmetric eigensolve of the
-    smaller Gram matrix instead of an SVD.  The matrix is first scaled by
-    its largest entry, so entries as large as 1e200 or as small as 1e-200
-    neither overflow nor underflow the Gram matrix.
+    silently computing a non-operator norm.  Matrices go through
+    ``batched_norms``.
     """
     p = check_norm(p)
     arr = np.asarray(obj, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("p_norm: entries must be finite")
-    if arr.ndim == 1 or (arr.ndim == 2 and p != 2):
+    if arr.ndim == 1:
         return float(np.linalg.norm(arr, p))
     if arr.ndim == 2:
-        s = float(np.max(np.abs(arr)))
-        if s == 0.0:
-            return 0.0
-        scaled = arr / s
-        gram = scaled.T @ scaled if arr.shape[0] >= arr.shape[1] else scaled @ scaled.T
-        return s * math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+        return float(batched_norms(arr[None], p)[0])
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
+
+
+def batched_norms(stack, p):
+    """Induced p-norms of every matrix in a stack of shape (k, m, n).
+
+    ``p`` must already be checked.  For p = 2 the largest singular value
+    comes from one symmetric eigensolve of the smaller Gram matrix instead
+    of an SVD.  Each matrix is first scaled by its largest entry, so entries
+    as large as 1e200 or as small as 1e-200 neither overflow nor underflow.
+    """
+    if p == 1:
+        return np.abs(stack).sum(axis=1).max(axis=1)
+    if p != 2:
+        return np.abs(stack).sum(axis=2).max(axis=1)
+    s = np.abs(stack).max(axis=(1, 2))
+    scaled = stack / np.where(s > 0.0, s, 1.0)[:, None, None]
+    flipped = scaled.transpose(0, 2, 1)
+    gram = flipped @ scaled if stack.shape[1] >= stack.shape[2] else scaled @ flipped
+    return s * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 
 def extreme_singulars(m):

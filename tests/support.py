@@ -65,6 +65,36 @@ def vertex_mu2(problem):
     The entries of the inverse are ratios of multilinear functions of d and
     are coordinatewise monotone between their poles, so the maximum over the
     whole box is attained at a vertex; at small n this is exact."""
-    verts = sign_box_vertices(problem.n)
-    stack = problem.A[None, :, :] - problem.B[None, :, :] * verts[:, None, :]
+    stack = sign_members(problem.A, problem.B, sign_box_vertices(problem.n))
     return np.abs(np.linalg.inv(stack)).max(axis=0)
+
+
+def regular_sign_family(rng, n, form=TYPE_ONE):
+    """A pair whose sign family is regular although all three solvability
+    screens fail.
+
+    K = A^-1 B (B A^-1 for type2) is a permuted block diagonal of 2 x 2
+    blocks [[1/2, 2], [-e, 1/2]] with e in [0.15, 0.35] (plus a 1 x 1 block
+    [1/2] for odd n).  Each block's determinant of I - K D is
+    (1 - d1/2)(1 - d2/2) + 2 e d1 d2 >= 0.75 - 2e > 0 on the whole box, so
+    every member is nonsingular, while rho(|K|) = 1/2 + sqrt(2e) > 1.
+    """
+    K = np.zeros((n, n))
+    for j in range(0, n - 1, 2):
+        e = rng.uniform(0.15, 0.35)
+        block = np.array([[0.5, 2.0], [-e, 0.5]])
+        K[j:j + 2, j:j + 2] = block.T if rng.random() < 0.5 else block
+    if n % 2:
+        K[-1, -1] = 0.5
+    perm = rng.permutation(n)
+    K = K[perm][:, perm]
+    A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    B = A @ K if form == TYPE_ONE else K @ A
+    return AveProblem(A, B, np.ones(n), form)
+
+
+def sign_members(A, B, d_values, left=False):
+    """Stack of A - B diag(d) (A - diag(d) B when ``left``) per row of d_values."""
+    if left:
+        return A[None, :, :] - d_values[:, :, None] * B[None, :, :]
+    return A[None, :, :] - B[None, :, :] * d_values[:, None, :]

@@ -27,7 +27,7 @@ from avebounds import (
 )
 from avebounds import harness, perturbation, solver
 from avebounds.bounds import METHODS
-from avebounds.exceptions import AveBoundsError
+from avebounds.exceptions import AveBoundsError, InapplicableBoundError
 
 from support import random_solvable
 
@@ -308,3 +308,21 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     assert counts["picard_solve"] == 6
     assert counts.get("eigvals", 0) <= 6
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 45
+
+
+def test_unresolvable_neumann_inverse_is_inapplicable():
+    # rho(|K|) = 0 since B is strictly upper triangular, so the contraction
+    # premise holds, but cond(I - |K|) ~ 1e18 fails the conditioning gate.
+    n = 60
+    B = np.triu(np.random.default_rng(0).uniform(0.0, 5.0, (n, n)), 1)
+    problem = AveProblem(np.eye(n), B, np.ones(n))
+    for p in NORMS:
+        neumann = error_bound_report(problem, p).upper_factors[0]
+        assert neumann.method == "neumann" and not neumann.applicable
+        assert "I - |K|" in neumann.reason
+        with pytest.raises(InapplicableBoundError) as exc:
+            upper_factor(problem, "neumann", p)
+        assert exc.value.condition == "invertible_I_minus_K"
+    with pytest.raises(InapplicableBoundError) as exc:
+        componentwise_bound(problem, np.ones(n), 0.01, 2, kernel="series")
+    assert exc.value.condition == "invertible_I_minus_K"

@@ -208,10 +208,10 @@ class TestBruteForceAlpha:
             brute_force_alpha(p)
 
     def test_probe_stays_below_estimators(self):
-        # The brute probe is a lower estimate of the true constant, which
-        # every estimator bounds from above.
+        # The vertex maximum is the true constant, which every estimator
+        # bounds from above.
         p = two_by_two_demo()
-        probe = brute_force_alpha(p, sample_budget=500)
+        probe = brute_force_alpha(p)
         assert probe <= upper_factor(p, NEUMANN) + 1e-9
         assert probe <= upper_factor(p, SINGULAR_GAP) + 1e-9
         assert probe == pytest.approx(1.2807764064044151, abs=1e-6)

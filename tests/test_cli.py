@@ -92,6 +92,16 @@ class TestBoundsCommand:
         assert code == 2
         assert "no upper-bound estimator applies" in captured.err
 
+    @pytest.mark.parametrize("norm", ["1", "2", "inf"])
+    def test_unresolvable_neumann_inverse_exit_code(self, mtx, capsys, norm):
+        # rho(|A^-1 B|) = 0, yet I - |A^-1 B| fails the conditioning gate.
+        B = np.triu(np.random.default_rng(0).uniform(0.0, 5.0, (60, 60)), 1)
+        code = main(["bounds", "--a", mtx("a", np.eye(60)), "--b", mtx("b", B),
+                     "--norm", norm, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert not any(u["applicable"] for u in doc["upper_factors"])
+
 
 class TestPerturbCommand:
     def test_csv_record(self, mtx, capsys):
@@ -164,3 +174,18 @@ class TestTopLevel:
     def test_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--a", "a.mtx"],
+        ["perturb", "--a", "a.mtx", "--rhs", "b.mtx"],
+        ["lcp", "--m", "m.mtx", "--q", "q.mtx"],
+        ["hlcp", "--m", "m.mtx", "--n-mat", "n.mtx", "--q", "q.mtx"],
+        ["reproduce", "--table", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_norm_flag_only_on_bounds(self, argv, capsys):
+        # Only ``bounds`` computes in a selectable norm; elsewhere the flag
+        # would be ignored, so it is not accepted.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--norm", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --norm" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from avebounds import (
 )
 from avebounds.core import (
     VERDICT_FAILS,
-    VERDICT_HEURISTIC,
     VERDICT_INCONCLUSIVE,
     VERDICT_PROVEN,
 )
@@ -134,14 +133,14 @@ class TestSolvabilityReport:
         assert not by_name["singular_value_gap"].passed
         assert not by_name["largest_singular_ratio"].passed
 
-    def test_heuristic_when_family_regular(self):
+    def test_proven_when_family_regular(self):
         # All three sufficient conditions fail, yet every A - B diag(d) with
         # d in the unit box is nonsingular (the determinant is positive at
         # all four vertices and bilinear in d).
         p = AveProblem(np.eye(2), [[0.5, 2.0], [-0.3, 0.5]], np.zeros(2))
         rep = solvability_report(p)
-        assert rep.verdict == VERDICT_HEURISTIC
-        assert not rep.proven
+        assert rep.verdict == VERDICT_PROVEN
+        assert rep.proven
         assert all(not c.passed for c in rep.checks[:3])
         assert rep.checks[-1].name == "sign_family_nonsingular"
         assert rep.checks[-1].passed
