@@ -246,7 +246,7 @@ def shifted_norm_slack(A, alpha, p=2):
     """
     A = numerics.as_square(A, "A")
     p = numerics.check_norm(p)
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     eye = np.eye(A.shape[0])
     norm_a = numerics.p_norm(A, p)

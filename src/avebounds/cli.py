@@ -138,6 +138,24 @@ def _cmd_perturb(args):
     return 0
 
 
+def _print_complementarity(args, result, sol, label, residual):
+    """Print a recovered (z, w) pair with the sup norm of ``residual``
+    under ``label`` ("min_residual" or "feasibility")."""
+    if args.format == "json":
+        print(json.dumps({
+            "z": sol.z.tolist(),
+            "w": sol.w.tolist(),
+            "complementarity_gap": sol.complementarity_gap,
+            f"{label}_inf": float(np.max(np.abs(residual))),
+            "iterations": result.iterations,
+        }, indent=2))
+    else:
+        _print_vector("z", sol.z)
+        _print_vector("w", sol.w)
+        print(f"complementarity gap: {sol.complementarity_gap:.6e}")
+        print(f"{label.replace('_', '-')} sup norm: {np.max(np.abs(residual)):.6e}")
+
+
 def _cmd_lcp(args):
     lcp = LcpProblem(matrixio.load_matrix(args.m), matrixio.load_vector(args.q))
     result = picard_solve(lcp_to_ave(lcp), _options(args))
@@ -145,20 +163,8 @@ def _cmd_lcp(args):
         print("solver did not converge", file=sys.stderr)
         return 3
     sol = recover_solution(result.x, SHIFTED)
-    res = lcp_min_residual(lcp, sol.z)
-    if args.format == "json":
-        print(json.dumps({
-            "z": sol.z.tolist(),
-            "w": sol.w.tolist(),
-            "complementarity_gap": sol.complementarity_gap,
-            "min_residual_inf": float(np.max(np.abs(res))),
-            "iterations": result.iterations,
-        }, indent=2))
-    else:
-        _print_vector("z", sol.z)
-        _print_vector("w", sol.w)
-        print(f"complementarity gap: {sol.complementarity_gap:.6e}")
-        print(f"min-residual sup norm: {np.max(np.abs(res)):.6e}")
+    _print_complementarity(args, result, sol, "min_residual",
+                           lcp_min_residual(lcp, sol.z))
     return 0
 
 
@@ -173,20 +179,8 @@ def _cmd_hlcp(args):
         print("solver did not converge", file=sys.stderr)
         return 3
     sol = recover_solution(result.x, HALVED)
-    feas = hlcp.M @ sol.z - hlcp.N @ sol.w - hlcp.q
-    if args.format == "json":
-        print(json.dumps({
-            "z": sol.z.tolist(),
-            "w": sol.w.tolist(),
-            "complementarity_gap": sol.complementarity_gap,
-            "feasibility_inf": float(np.max(np.abs(feas))),
-            "iterations": result.iterations,
-        }, indent=2))
-    else:
-        _print_vector("z", sol.z)
-        _print_vector("w", sol.w)
-        print(f"complementarity gap: {sol.complementarity_gap:.6e}")
-        print(f"feasibility sup norm: {np.max(np.abs(feas)):.6e}")
+    _print_complementarity(args, result, sol, "feasibility",
+                           hlcp.M @ sol.z - hlcp.N @ sol.w - hlcp.q)
     return 0
 
 

@@ -251,14 +251,14 @@ class LcpPerturbFactors:
     def __post_init__(self):
         if not 0.0 <= self.eta < 1.0:
             raise ValueError("eta must lie in [0, 1)")
-        if self.beta < 0 or self.delta < 0:
+        if not (self.beta >= 0 and self.delta >= 0):
             raise ValueError("beta and delta must be nonnegative")
 
 
 def region_factors(M, eta, epsilon, p=2):
     """Build LcpPerturbFactors for matrix M with region radius eta and
     relative perturbation scale epsilon."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     beta = beta_factor(M, p)
     if not 0.0 <= eta < 1.0:
@@ -312,7 +312,7 @@ def lcp_region_bound(factors, norm_ab, negc_norm, bc_norm):
         relative = 2 delta / (1 - delta)        (needs delta < 1)
     """
     for name, val in (("norm_ab", norm_ab), ("negc_norm", negc_norm), ("bc_norm", bc_norm)):
-        if val < 0:
+        if not val >= 0:
             raise ValueError(f"{name} must be nonnegative")
     absolute = factors.alpha**2 * norm_ab * negc_norm + factors.alpha * bc_norm
     if factors.delta >= 1.0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,13 +87,14 @@ class ProblemAnalysis:
     """Quantities of one ``(A, B, form)``, each computed on first request
     and then shared by the solver, the estimators and the solvability screen.
 
-    K is A^-1 B (B A^-1 for type2).  Only singular values, scalars, the
-    componentwise kernels and the solver's LU factors of A are kept; A^-1
-    and K are rebuilt when a new quantity needs them.  The premise
-    rho(|K|) < 1 is held as a Collatz-Wielandt certificate from one linear
-    solve; rho(|K|) itself comes from ``eigvals`` only when the certificate
-    fails or ``solvability_report`` asks for the number.  A per-analysis
-    lock makes concurrent callers compute each quantity once.
+    K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
+    factorization of A: the solver, K, the Neumann factor and the kernels
+    all read it.  K is not kept; one matrix product rebuilds it when a new
+    quantity needs it.  The premise rho(|K|) < 1 is held as a
+    Collatz-Wielandt certificate from one linear solve; rho(|K|) itself
+    comes from ``eigvals`` only when the certificate fails or
+    ``solvability_report`` asks for the number.  A per-analysis lock makes
+    concurrent callers compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -128,9 +128,14 @@ class ProblemAnalysis:
         cond = numerics.cond_from_singulars(self.singular_values(name))
         numerics.require_regular(cond, label or name)
 
+    def inverse(self):
+        """A^-1, read-only; SingularMatrixError unless A passes the gate."""
+        self.require_regular("A")
+        return self.memoised("A_inv", lambda: np.linalg.inv(self.A))
+
     def _ratio(self):
-        """Fresh (A^-1, K); A must have passed the gate."""
-        A_inv = np.linalg.inv(self.A)
+        """(A^-1, a fresh K)."""
+        A_inv = self.inverse()
         return A_inv, (self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B)
 
     def spectral_radius(self):
@@ -163,18 +168,28 @@ class ProblemAnalysis:
             condition="spectral_radius",
         )
 
+    def _core_singulars(self, core):
+        """Singular values of ``core`` = I - |K|, computed once.
+
+        InapplicableBoundError when they fail the conditioning gate:
+        rho(|K|) < 1 does not keep the inverse of I - |K| within working
+        precision."""
+        s = self.memoised("core", lambda: np.linalg.svd(core, compute_uv=False))
+        try:
+            numerics.require_regular(numerics.cond_from_singulars(s), _CORE)
+        except SingularMatrixError as exc:
+            raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
+        return s
+
     def neumann_factor(self, p):
         """||A^-1||_p ||(I - |K|)^-1||_p (p already checked)."""
         def compute():
             A_inv, M = self._contraction()
             core = np.eye(len(M)) - M
-            with _core_gate():
-                if p != 2:
-                    series = numerics.inverse(core, _CORE)
-                    return numerics.p_norm(A_inv, p) * numerics.p_norm(series, p)
-                s = np.linalg.svd(core, compute_uv=False)
-                numerics.require_regular(numerics.cond_from_singulars(s), _CORE)
-            return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
+            s = self._core_singulars(core)
+            if p == 2:
+                return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
+            return numerics.p_norm(A_inv, p) * numerics.p_norm(np.linalg.inv(core), p)
         return self.memoised(("neumann", p), compute)
 
     def componentwise_kernel(self, kernel):
@@ -187,8 +202,8 @@ class ProblemAnalysis:
             A_inv, M = self._contraction()
             core = np.eye(len(M)) - M
             if kernel == "series":
-                with _core_gate():
-                    core = numerics.inverse(core, _CORE)
+                self._core_singulars(core)
+                core = np.linalg.inv(core)
             return np.abs(A_inv) @ core if self.form == TYPE_TWO else core @ np.abs(A_inv)
         return self.memoised(("kernel", kernel), compute)
 
@@ -196,16 +211,6 @@ class ProblemAnalysis:
         """||kernel (|A| + |B|)||_p (p already checked)."""
         return self.memoised(("kernel_norm", kernel, p), lambda: numerics.p_norm(
             self.componentwise_kernel(kernel) @ (np.abs(self.A) + np.abs(self.B)), p))
-
-
-@contextmanager
-def _core_gate():
-    """A failed gate on I - |K| makes the bound inapplicable: rho(|K|) < 1
-    does not keep its inverse within working precision."""
-    try:
-        yield
-    except SingularMatrixError as exc:
-        raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
 
 
 def residual(problem, x):

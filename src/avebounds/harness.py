@@ -93,7 +93,7 @@ def gen_perturbation(family, n, epsilon):
     These act on the AVE-form matrices (A, B) of the transformed LCP, not
     on M itself.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     if family == "tridiag":
         dA = epsilon * tridiagonal(n, 1, 2, -1)
@@ -119,7 +119,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ValueError("sizes must be a non-empty list of positive integers")
-        if any(e <= 0 for e in self.epsilons):
+        if not all(e > 0 for e in self.epsilons):
             raise ValueError("epsilons must be positive")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; use one of {FORMATS}")
@@ -165,12 +165,10 @@ def run_experiment(spec):
         except (AveBoundsError, ValueError) as exc:
             bases[size] = exc
 
-    jobs = [(si, ei, size, eps)
-            for si, size in enumerate(spec.sizes)
-            for ei, eps in enumerate(spec.epsilons)]
+    jobs = [(size, eps) for size in spec.sizes for eps in spec.epsilons]
 
     def cell(job):
-        _, _, size, eps = job
+        size, eps = job
         problem, base = problems[size], bases[size]
         if isinstance(base, Exception):
             return base     # every cell of this size fails with the base error
@@ -183,21 +181,12 @@ def run_experiment(spec):
         except (AveBoundsError, ValueError) as exc:
             return exc
 
-    results = {}
-    failures = {}
     workers = _thread_count(len(jobs))
     if workers == 1 or len(jobs) == 1:
         outcomes = [guarded(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(guarded, jobs))
-
-    for job, outcome in zip(jobs, outcomes):
-        si, ei, size, eps = job
-        if isinstance(outcome, Exception):
-            failures[(si, ei)] = (problems[size].n, eps, str(outcome))
-        else:
-            results[(si, ei)] = outcome
 
     out = TableOutput(meta={
         "family": spec.family,
@@ -207,11 +196,11 @@ def run_experiment(spec):
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool_version": __version__,
     })
-    for key in sorted(results.keys() | failures.keys()):
-        if key in results:
-            out.rows.append(results[key])
+    for (size, eps), outcome in zip(jobs, outcomes):
+        if isinstance(outcome, Exception):
+            out.failures.append((problems[size].n, eps, str(outcome)))
         else:
-            out.failures.append(failures[key])
+            out.rows.append(outcome)
     return out
 
 

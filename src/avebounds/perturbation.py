@@ -46,7 +46,7 @@ class Perturbation:
         self.db = numerics.as_vector(self.db, "db")
         if self.dB.shape != self.dA.shape or self.db.shape[0] != self.dA.shape[0]:
             raise ValueError("perturbation blocks have inconsistent shapes")
-        if self.epsilon is not None and self.epsilon < 0:
+        if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
 
     def validate_dims(self, problem):
@@ -215,7 +215,7 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="damped"):
     positive; both are reported as inapplicable when violated.
     """
     p = numerics.check_norm(p)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     x_star = numerics.as_vector(x_star, "x_star")
     if x_star.shape[0] != problem.n:

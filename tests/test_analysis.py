@@ -193,8 +193,9 @@ def test_threads_sharing_one_problem_agree():
 
 
 def test_concurrent_solves_share_one_factorization():
-    # LAPACK's getrs wrapper shifts the pivot array in place during a solve;
-    # solves that shared the memoised pivots corrupted memory.
+    # Concurrent solves read one memoised A^-1.  It is read-only, so a solve
+    # that wrote to it would raise instead of corrupting the others (as
+    # solves sharing one set of LU pivots once did).
     problem = random_solvable(np.random.default_rng(5), 200)
     options = SolveOptions(tolerance=1e-13)
     want = picard_solve(_fresh(problem), options)
@@ -282,7 +283,8 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     solves, 10 eigvals, 10 svd, 35 cond and 45 matrix 2-norms (90
     SVD-class calls).  Now the base problem is solved once, and each
     problem's singular values, spectral radius and kernels are computed
-    once.
+    once.  A is inverted once per problem (six problems): the solver, K,
+    the Neumann factor and the kernels share that inverse.
     """
     counts = {}
     lock = threading.Lock()
@@ -295,7 +297,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("svd", "cond", "eigvals"):
+    for name in ("svd", "cond", "eigvals", "inv"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(numerics, "p_norm", counted(
         "norm2", numerics.p_norm, lambda a, p=2: np.ndim(a) == 2 and p == 2))
@@ -306,6 +308,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     out = reproduce_table(3)
     assert len(out.rows) == 5 and out.failures == []
     assert counts["picard_solve"] == 6
+    assert counts["inv"] == 6
     assert counts.get("eigvals", 0) <= 6
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 45
 

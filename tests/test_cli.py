@@ -61,6 +61,14 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flag", [("solve", "--tol"), ("perturb", "--epsilon")])
+def test_nan_scale_exit_code(mtx, capsys, command, flag):
+    code = main([command, "--a", mtx("a", [[2.0]]), "--b", mtx("b", [[1.0]]),
+                 "--rhs", mtx("rhs", [3.0]), flag, "nan"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 class TestBoundsCommand:
     def test_factors_printed(self, mtx, capsys):
         code = main(["bounds", "--a", mtx("a", np.diag([2.0, 3.0]))])

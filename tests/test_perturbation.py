@@ -3,6 +3,8 @@ import pytest
 
 from avebounds import (
     AveProblem,
+    ExperimentSpec,
+    LcpPerturbFactors,
     NEUMANN,
     Perturbation,
     SINGULAR_GAP,
@@ -10,9 +12,12 @@ from avebounds import (
     classical_linear_bounds,
     componentwise_bound,
     general_relative_bound,
+    lcp_region_bound,
     perturbation_experiment,
     picard_solve,
+    region_factors,
     rhs_only_bound,
+    shifted_norm_slack,
     upper_factor,
 )
 from avebounds.exceptions import InapplicableBoundError, NonConvergenceError
@@ -55,6 +60,27 @@ class TestPerturbation:
         bad_b = Perturbation(np.zeros((2, 2)), np.zeros((2, 2)), [0.0, 0.01],
                              epsilon=0.1)
         assert bad_b.componentwise_violations(p0) == ["|db| <= epsilon |b| fails"]
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Perturbation(np.eye(2), np.eye(2), np.zeros(2), epsilon=NAN),
+    lambda: gen_perturbation("tridiag", 4, NAN),
+    lambda: ExperimentSpec("tridiag", [4], [0.01, NAN]),
+    lambda: region_factors(np.eye(2), 0.5, NAN),
+    lambda: lcp_region_bound(LcpPerturbFactors(1.0, 0.5, 2.0, 0.1), NAN, 1.0, 1.0),
+    lambda: LcpPerturbFactors(NAN, 0.5, 2.0, 0.1),
+    lambda: LcpPerturbFactors(1.0, 0.5, 2.0, NAN),
+    lambda: shifted_norm_slack(np.eye(2), NAN),
+], ids=["Perturbation", "gen_perturbation", "ExperimentSpec", "region_factors",
+        "lcp_region_bound", "LcpPerturbFactors.beta", "LcpPerturbFactors.delta",
+        "shifted_norm_slack"])
+def test_nan_scales_are_rejected(call):
+    # A NaN passes every ``x < 0`` guard; the guards are written ``not x >= 0``.
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestRhsOnlyBound:
@@ -199,6 +225,8 @@ class TestComponentwiseBound:
         p = AveProblem([[2.0]], [[1.0]], [3.0])
         with pytest.raises(ValueError):
             componentwise_bound(p, [3.0], -0.1)
+        with pytest.raises(ValueError):
+            componentwise_bound(p, [3.0], float("nan"))
         with pytest.raises(ValueError):
             componentwise_bound(p, [0.0], 0.1)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avebounds import AveProblem, SolveOptions, TYPE_TWO, picard_solve, residual
+from avebounds import AveProblem, SolveOptions, TYPE_ONE, TYPE_TWO, picard_solve, residual
 from avebounds.exceptions import SingularMatrixError
 
 from support import random_solvable
@@ -11,6 +11,8 @@ class TestSolveOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveOptions(tolerance=0.0)
+        with pytest.raises(ValueError):
+            SolveOptions(tolerance=float("nan"))
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
 
@@ -96,3 +98,26 @@ class TestPicardSolve:
             assert res.final_residual_norm < 1e-7
             assert np.linalg.norm(residual(p, res.x)) == pytest.approx(
                 res.final_residual_norm, abs=1e-15)
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_accurate_with_ill_conditioned_A(self, form):
+        # cond(A) = 1e9 and K = A^-1 B = 0.5 H (H >= 0 row-stochastic, so
+        # rho(|K|) = 0.5; B A^-1 for type2).  A computed A^-1 carries errors
+        # of order cond(A) eps; iterating x <- A^-1 (B|x| + b) with it moves
+        # the fixed point by up to cond(A)^2 eps (errors 6e-3 to 9e-2 for
+        # type2 here).  The residual-correction form stays near 1e-8, as an
+        # LU solve per iteration does.
+        n = 40
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A = U @ np.diag(np.logspace(0, -9, n)) @ V.T
+            H = np.abs(rng.normal(size=(n, n)))
+            H /= H.sum(axis=1, keepdims=True)
+            B = 0.5 * (A @ H if form == TYPE_ONE else H @ A)
+            x_star = rng.normal(size=n) / np.sqrt(n)
+            b = A @ x_star - (B @ np.abs(x_star) if form == TYPE_ONE else np.abs(B @ x_star))
+            res = picard_solve(AveProblem(A, B, b, form), SolveOptions(tolerance=1e-8))
+            assert res.converged
+            assert np.linalg.norm(res.x - x_star) <= 1e-6 * np.linalg.norm(x_star)
