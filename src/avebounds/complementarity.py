@@ -260,9 +260,9 @@ def region_factors(M, eta, epsilon, p=2):
     relative perturbation scale epsilon."""
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
-    beta = beta_factor(M, p)
     if not 0.0 <= eta < 1.0:
         raise ValueError("eta must lie in [0, 1)")
+    beta = beta_factor(M, p)
     return LcpPerturbFactors(
         beta=beta,
         eta=eta,

@@ -115,7 +115,7 @@ class ProblemAnalysis:
 
     def singular_values(self, name):
         """Descending singular values of ``"A"`` or ``"B"``."""
-        return self.memoised(name, lambda: np.linalg.svd(getattr(self, name), compute_uv=False))
+        return self.memoised(name, lambda: numerics.singular_values(getattr(self, name)))
 
     def norm(self, name, p):
         """Induced p-norm of ``"A"`` or ``"B"`` (p already checked)."""
@@ -174,22 +174,31 @@ class ProblemAnalysis:
         InapplicableBoundError when they fail the conditioning gate:
         rho(|K|) < 1 does not keep the inverse of I - |K| within working
         precision."""
-        s = self.memoised("core", lambda: np.linalg.svd(core, compute_uv=False))
+        s = self.memoised("core", lambda: numerics.singular_values(core))
         try:
             numerics.require_regular(numerics.cond_from_singulars(s), _CORE)
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
         return s
 
+    def _core_inverse(self):
+        """(I - |K|)^-1, read-only and computed once, after the premise of
+        ``_contraction`` and the gate of ``_core_singulars`` pass."""
+        def compute():
+            core = np.eye(self.A.shape[0]) - self._contraction()[1]
+            self._core_singulars(core)
+            return np.linalg.inv(core)
+        return self.memoised("core_inv", compute)
+
     def neumann_factor(self, p):
         """||A^-1||_p ||(I - |K|)^-1||_p (p already checked)."""
         def compute():
-            A_inv, M = self._contraction()
-            core = np.eye(len(M)) - M
-            s = self._core_singulars(core)
-            if p == 2:
-                return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
-            return numerics.p_norm(A_inv, p) * numerics.p_norm(np.linalg.inv(core), p)
+            if p != 2:
+                core_inv = self._core_inverse()
+                return numerics.p_norm(self.inverse(), p) * numerics.p_norm(core_inv, p)
+            M = self._contraction()[1]
+            s = self._core_singulars(np.eye(len(M)) - M)
+            return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
         return self.memoised(("neumann", p), compute)
 
     def componentwise_kernel(self, kernel):
@@ -199,11 +208,12 @@ class ProblemAnalysis:
             raise ValueError(f"unknown kernel {kernel!r}; use 'damped' or 'series'")
 
         def compute():
-            A_inv, M = self._contraction()
-            core = np.eye(len(M)) - M
             if kernel == "series":
-                self._core_singulars(core)
-                core = np.linalg.inv(core)
+                core = self._core_inverse()
+                A_inv = self.inverse()
+            else:
+                A_inv, M = self._contraction()
+                core = np.eye(len(M)) - M
             return np.abs(A_inv) @ core if self.form == TYPE_TWO else core @ np.abs(A_inv)
         return self.memoised(("kernel", kernel), compute)
 

@@ -284,7 +284,10 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     SVD-class calls).  Now the base problem is solved once, and each
     problem's singular values, spectral radius and kernels are computed
     once.  A is inverted once per problem (six problems): the solver, K,
-    the Neumann factor and the kernels share that inverse.
+    the Neumann factor and the kernels share that inverse.  A, B and their
+    perturbations are exactly symmetric here, so their singular values come
+    from ``eigvalsh``: the only SVDs left are the five of the nonsymmetric
+    I - |K'| of the perturbed problems, and nothing calls ``cond``.
     """
     counts = {}
     lock = threading.Lock()
@@ -309,8 +312,25 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     assert len(out.rows) == 5 and out.failures == []
     assert counts["picard_solve"] == 6
     assert counts["inv"] == 6
+    assert counts.get("svd", 0) == 5
+    assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) <= 6
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 45
+
+
+def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
+    """(I - |K|)^-1 is computed once per analysis: the Neumann factors for
+    p = 1 and inf and the series kernel read one memoised inverse, so with
+    the one of A they make two inversions (three of I - |K| before)."""
+    problem = random_solvable(np.random.default_rng(30), 30)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+    for p in (1, np.inf):
+        neumann = error_bound_report(problem, p).upper_factors[0]
+        assert neumann.method == "neumann" and neumann.applicable
+    componentwise_bound(problem, np.ones(30), 0.01, 2, kernel="series")
+    assert len(calls) == 2
 
 
 def test_unresolvable_neumann_inverse_is_inapplicable():

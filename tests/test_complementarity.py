@@ -22,6 +22,7 @@ from avebounds import (
     recover_solution,
     region_factors,
 )
+from avebounds import complementarity
 from avebounds.bounds import NEUMANN, SINGULAR_GAP
 from avebounds.exceptions import InapplicableBoundError
 from avebounds.harness import gen_tridiag_lcp
@@ -254,6 +255,16 @@ class TestRegionBounds:
             region_factors(np.eye(2), eta=0.0, epsilon=-0.1)
         with pytest.raises(ValueError):
             region_factors(np.eye(2), eta=1.2, epsilon=0.1)
+
+    def test_region_factors_rejects_eta_before_enumerating(self, monkeypatch):
+        # beta_factor enumerates 2**n vertices; a bad eta must not pay for it.
+        def enumerated(*args, **kwargs):
+            raise AssertionError("beta_factor ran before eta was validated")
+        monkeypatch.setattr(complementarity, "beta_factor", enumerated)
+        M = gen_tridiag_lcp(16).M
+        for eta in (1.5, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="eta"):
+                region_factors(M, eta, 0.01)
 
     def test_region_bound_literal(self):
         facs = LcpPerturbFactors(beta=0.5, eta=0.5, alpha=1.0, delta=0.2)

@@ -160,6 +160,107 @@ class TestExtremeSingulars:
         assert smax == pytest.approx(0.9848857801796105, abs=1e-12)
 
 
+def _symmetric(m):
+    """The symmetric matrix with the upper triangle of ``m``."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
+class TestSymmetricRoute:
+    """Exactly symmetric matrices take their singular values and 2-norms
+    from ``eigvalsh``; everything else from ``svd`` or the Gram matrix.
+    Both agree with ``np.linalg.svd`` to 1e-13 of sigma_max."""
+
+    @staticmethod
+    def _symmetric_cases():
+        rng = np.random.default_rng(20241019)
+        for n in (2, 7, 40):
+            yield _symmetric(rng.normal(size=(n, n)))                 # indefinite
+            x = rng.normal(size=(n, max(1, n // 3)))
+            yield _symmetric(x @ x.T)                                 # semidefinite, low rank
+            yield np.diag(np.r_[rng.uniform(1.0, 2.0, n - 1), 0.0])  # an exact zero eigenvalue
+            z = np.zeros((n, n))
+            z[: n // 2, : n // 2] = _symmetric(rng.normal(size=(n // 2, n // 2)))
+            yield z                                                   # a zero block
+        m = _symmetric(rng.normal(size=(12, 12)))
+        yield m * 1e200
+        yield m * 1e-200
+        yield np.array([[-3.0]])
+        yield np.array([[2e-300]])
+        yield np.zeros((1, 1))
+
+    @staticmethod
+    def _near_symmetric(rng, n):
+        m = _symmetric(rng.normal(size=(n, n)))
+        m[0, n - 1] = np.nextafter(m[0, n - 1], np.inf)               # one ulp off
+        return m
+
+    @staticmethod
+    def _agree(got, m):
+        want = np.linalg.svd(m, compute_uv=False)
+        assert got.shape == want.shape and np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-13 * want[0])
+
+    def test_symmetric_singular_values_match_svd_without_svd(self, monkeypatch):
+        cases = list(self._symmetric_cases())
+        calls = []
+        svd = np.linalg.svd
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [numerics.singular_values(m) for m in cases]
+        assert calls == []
+        for s, m in zip(got, cases):
+            self._agree(s, m)
+            assert np.all(np.diff(s) <= 0.0)
+            smin, smax = numerics.extreme_singulars(m)
+            assert (smin, smax) == (s[-1], s[0])
+
+    def test_one_ulp_from_symmetric_takes_the_svd(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        cases = [self._near_symmetric(rng, n) for n in (2, 9, 40)]
+        calls = []
+        svd = np.linalg.svd
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = [numerics.singular_values(m) for m in cases]
+        assert len(calls) == len(cases)
+        for s, m in zip(got, cases):
+            self._agree(s, m)
+
+    def test_symmetric_stack_norms_come_from_the_stack(self, monkeypatch):
+        stack = np.stack([_symmetric(m) for m in
+                          np.random.default_rng(8).normal(size=(5, 9, 9))])
+        stack[1] *= 1e200
+        stack[2] *= 1e-200
+        stack[3] = 0.0
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = numerics.batched_norms(stack, 2)
+        s = np.abs(stack).max(axis=(1, 2))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], stack / np.where(s > 0.0, s, 1.0)[:, None, None])
+        for norm, m in zip(got, stack):
+            assert abs(norm - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-13 * norm
+
+    def test_norms_of_all_cases_and_a_mixed_stack(self):
+        rng = np.random.default_rng(9)
+        singles = list(self._symmetric_cases()) + [self._near_symmetric(rng, 6)]
+        mixed = np.stack([_symmetric(rng.normal(size=(6, 6))), rng.normal(size=(6, 6)),
+                          self._near_symmetric(rng, 6), 1e-200 * _symmetric(rng.normal(size=(6, 6)))])
+        for stack in [m[None] for m in singles] + [mixed]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = numerics.batched_norms(stack, 2)
+            want = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 class TestSpectralRadius:
     def test_nonnegative_literal(self):
         b = np.abs(np.array([[0.9, -0.4], [0.4, 0.9]]))
