@@ -61,8 +61,10 @@ def _singular_gap_factor(problem):
 def _norm_ratio_factor(problem):
     analysis = problem.analysis
     try:
-        analysis.require_regular("A")
-        analysis.require_regular("B")
+        analysis.inverse()
+        # ||B^-1||_2 below reads these singular values; they gate B too.
+        numerics.require_regular(
+            numerics.cond_from_singulars(analysis.singular_values("B")), "B", 2)
     except SingularMatrixError as exc:
         raise InapplicableBoundError(str(exc), condition="invertible_factors") from exc
     t = analysis.ratio_norm()
@@ -71,7 +73,6 @@ def _norm_ratio_factor(problem):
             f"largest singular value of the ratio matrix is {t:.6g} >= 1",
             condition="ratio_singular_value",
         )
-    # ||B^-1||_2 is the reciprocal of the smallest singular value of B.
     return t / float(analysis.singular_values("B")[-1]) / (1.0 - t)
 
 

@@ -89,9 +89,11 @@ class ProblemAnalysis:
 
     K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
     factorization of A: the solver, K, the Neumann factor and the kernels
-    all read it.  K is not kept; one matrix product rebuilds it when a new
-    quantity needs it.  The premise rho(|K|) < 1 is held as a
-    Collatz-Wielandt certificate from one linear solve; rho(|K|) itself
+    all read it.  It, like (I - |K|)^-1, is gated on its own 1-norm
+    condition number (``numerics.gated_inverse``), not on singular values.
+    K is not kept; one matrix product rebuilds it when a new quantity needs
+    it.  The premise rho(|K|) < 1 is held as a Collatz-Wielandt
+    certificate from one linear solve; rho(|K|) itself
     comes from ``eigvals`` only when the certificate fails or
     ``solvability_report`` asks for the number.  A per-analysis lock makes
     concurrent callers compute each quantity once.
@@ -108,8 +110,9 @@ class ProblemAnalysis:
             with self._lock:
                 if key not in self._memo:
                     value = compute()
-                    if isinstance(value, np.ndarray):
-                        value.flags.writeable = False    # shared by every caller
+                    for item in value if isinstance(value, tuple) else (value,):
+                        if isinstance(item, np.ndarray):
+                            item.flags.writeable = False    # shared by every caller
                     self._memo[key] = value
         return self._memo[key]
 
@@ -123,15 +126,13 @@ class ProblemAnalysis:
             return float(self.singular_values(name)[0])
         return numerics.p_norm(getattr(self, name), p)
 
-    def require_regular(self, name, label=None):
-        """Raise SingularMatrixError where ``numerics.inverse`` would."""
-        cond = numerics.cond_from_singulars(self.singular_values(name))
-        numerics.require_regular(cond, label or name)
-
-    def inverse(self):
-        """A^-1, read-only; SingularMatrixError unless A passes the gate."""
-        self.require_regular("A")
-        return self.memoised("A_inv", lambda: np.linalg.inv(self.A))
+    def inverse(self, label="A"):
+        """A^-1, read-only; SingularMatrixError (naming ``label``) unless it
+        passes the gate of ``numerics.inverse``.  A is inverted once, even
+        when it fails."""
+        inv, cond = self.memoised("A_inv", lambda: numerics.gated_inverse(self.A))
+        numerics.require_regular(cond, label)
+        return inv
 
     def _ratio(self):
         """(A^-1, a fresh K)."""
@@ -154,7 +155,7 @@ class ProblemAnalysis:
         The Collatz-Wielandt certificate decides; rho(|K|) from ``eigvals``
         is computed only when the certificate fails."""
         try:
-            self.require_regular("A")
+            self.inverse()
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
         if self._memo.get("contracts", True):
@@ -168,27 +169,29 @@ class ProblemAnalysis:
             condition="spectral_radius",
         )
 
-    def _core_singulars(self, core):
-        """Singular values of ``core`` = I - |K|, computed once.
-
-        InapplicableBoundError when they fail the conditioning gate:
-        rho(|K|) < 1 does not keep the inverse of I - |K| within working
-        precision."""
-        s = self.memoised("core", lambda: numerics.singular_values(core))
+    def _core_gate(self, cond, p):
+        """InapplicableBoundError when I - |K| fails the conditioning gate:
+        rho(|K|) < 1 does not keep its inverse within working precision."""
         try:
-            numerics.require_regular(numerics.cond_from_singulars(s), _CORE)
+            numerics.require_regular(cond, _CORE, p)
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
+
+    def _core_singulars(self):
+        """Singular values of I - |K|, computed once, after the premise of
+        ``_contraction`` and their own 2-norm gate pass."""
+        s = self.memoised("core", lambda: numerics.singular_values(
+            np.eye(self.A.shape[0]) - self._contraction()[1]))
+        self._core_gate(numerics.cond_from_singulars(s), 2)
         return s
 
     def _core_inverse(self):
         """(I - |K|)^-1, read-only and computed once, after the premise of
-        ``_contraction`` and the gate of ``_core_singulars`` pass."""
-        def compute():
-            core = np.eye(self.A.shape[0]) - self._contraction()[1]
-            self._core_singulars(core)
-            return np.linalg.inv(core)
-        return self.memoised("core_inv", compute)
+        ``_contraction`` and the gate of ``numerics.inverse`` pass."""
+        inv, cond = self.memoised("core_inv", lambda: numerics.gated_inverse(
+            np.eye(self.A.shape[0]) - self._contraction()[1]))
+        self._core_gate(cond, 1)
+        return inv
 
     def neumann_factor(self, p):
         """||A^-1||_p ||(I - |K|)^-1||_p (p already checked)."""
@@ -196,8 +199,7 @@ class ProblemAnalysis:
             if p != 2:
                 core_inv = self._core_inverse()
                 return numerics.p_norm(self.inverse(), p) * numerics.p_norm(core_inv, p)
-            M = self._contraction()[1]
-            s = self._core_singulars(np.eye(len(M)) - M)
+            s = self._core_singulars()
             return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
         return self.memoised(("neumann", p), compute)
 
@@ -357,7 +359,7 @@ def solvability_report(problem, exhaustive_limit=20):
     ))
 
     try:
-        analysis.require_regular("A")
+        analysis.inverse()
     except SingularMatrixError:
         checks.append(SolvabilityCheck(
             "spectral_radius", math.inf, 1.0, False, "A is numerically singular"))

@@ -15,6 +15,7 @@ a fixed epsilon grid.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -117,10 +118,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
+        message = f"sizes must be a non-empty list of positive integers, got {self.sizes!r}"
+        try:
+            self.sizes = [operator.index(s) for s in self.sizes]
+        except TypeError:
+            raise ValueError(message) from None
         if not self.sizes or any(s < 1 for s in self.sizes):
-            raise ValueError("sizes must be a non-empty list of positive integers")
-        if not all(e > 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
+            raise ValueError(message)
+        if not self.epsilons or not all(e > 0 for e in self.epsilons):
+            raise ValueError("epsilons must be a non-empty list of positive numbers")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}; use one of {FORMATS}")
 

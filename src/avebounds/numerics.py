@@ -165,13 +165,35 @@ def certifies_contraction(m):
 def inverse(m, name="matrix"):
     """Invert a square matrix, rejecting numerically singular input.
 
-    Uses the 2-norm condition number, from ``singular_values``, as the
-    gate: anything with a reciprocal condition below 1e-14 raises
-    SingularMatrixError instead of returning garbage.
+    The gate is the 1-norm condition number of the inverse it computes
+    (``gated_inverse``): anything above 1e14 raises SingularMatrixError
+    instead of returning garbage.  No singular values are computed.
     """
-    arr = as_square(m, name)
-    require_regular(cond_from_singulars(singular_values(arr)), name)
-    return np.linalg.inv(arr)
+    inv, cond = gated_inverse(as_square(m, name))
+    require_regular(cond, name)
+    return inv
+
+
+def gated_inverse(m):
+    """``(m^-1, cond)`` with cond = ||m||_1 ||m^-1||_1, the 1-norm condition
+    number of the computed inverse, as LAPACK's ``xGECON`` and MATLAB's
+    ``inv`` warning use; O(n^2) once the inverse exists.  It lies within a
+    factor n of the 2-norm condition number.  When the product overflows,
+    it is taken again of ``m / s`` and ``s m^-1``, s = max |m_ij|, so column
+    sums of entries near 1e308 do not make m singular.  A ``LinAlgError``,
+    a non-finite inverse or a condition number that still overflows gives
+    ``(None, inf)``.
+    """
+    try:
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = float(np.abs(m).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
+        if not np.isfinite(cond):
+            s = np.abs(m).max()
+            cond = float(np.abs(m / s).sum(axis=0).max() * np.abs(s * inv).sum(axis=0).max())
+    return (inv, cond) if np.isfinite(cond) else (None, np.inf)
 
 
 def cond_from_singulars(s):
@@ -182,11 +204,11 @@ def cond_from_singulars(s):
     return float("inf") if np.isnan(cond) else float(cond)
 
 
-def require_regular(cond, name="matrix"):
-    """The gate of ``inverse`` on a 2-norm condition number."""
-    if not np.isfinite(cond) or cond > 1.0 / _RCOND_FLOOR:
+def require_regular(cond, name="matrix", p=1):
+    """The gate of ``inverse`` on a p-norm condition number (p = 1 or 2)."""
+    if not cond <= 1.0 / _RCOND_FLOOR:
         raise SingularMatrixError(
-            f"{name} is singular to working precision (cond ~ {cond:.3e})"
+            f"{name} is singular to working precision ({p}-norm cond ~ {cond:.3e})"
         )
 
 

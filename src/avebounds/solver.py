@@ -19,6 +19,7 @@ solution, not speed records.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ class SolveOptions:
     def __post_init__(self):
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        try:
+            self.max_iterations = operator.index(self.max_iterations)
+        except TypeError:
+            raise ValueError(
+                f"max_iterations must be an integer, got {self.max_iterations!r}") from None
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -60,8 +66,7 @@ def picard_solve(problem, options=None):
     """
     opts = options or SolveOptions()
     A, B, b = problem.A, problem.B, problem.b
-    problem.analysis.require_regular("A", "picard_solve: A")
-    A_inv = problem.analysis.inverse()
+    A_inv = problem.analysis.inverse("picard_solve: A")
 
     if opts.initial is None:
         x = np.zeros(problem.n)

@@ -12,13 +12,17 @@ import pytest
 
 from avebounds import (
     AveProblem,
+    HlcpProblem,
     TYPE_ONE,
     TYPE_TWO,
     Perturbation,
     SolveOptions,
     componentwise_bound,
     error_bound_report,
+    error_interval,
     general_relative_bound,
+    hlcp_to_ave,
+    lcp_to_ave,
     numerics,
     picard_solve,
     reproduce_table,
@@ -27,9 +31,9 @@ from avebounds import (
 )
 from avebounds import harness, perturbation, solver
 from avebounds.bounds import METHODS
-from avebounds.exceptions import AveBoundsError, InapplicableBoundError
+from avebounds.exceptions import AveBoundsError, InapplicableBoundError, SingularMatrixError
 
-from support import random_solvable
+from support import random_hplus_lcp, random_solvable
 
 NORMS = (1, 2, np.inf)
 
@@ -349,3 +353,56 @@ def test_unresolvable_neumann_inverse_is_inapplicable():
     with pytest.raises(InapplicableBoundError) as exc:
         componentwise_bound(problem, np.ones(n), 0.01, 2, kernel="series")
     assert exc.value.condition == "invertible_I_minus_K"
+
+
+def _count_singular_value_calls(monkeypatch):
+    """Count calls to the routines that compute singular values."""
+    calls = []
+    for name in ("svd", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_solve_and_p1_pinf_bounds_make_no_svd(monkeypatch, form):
+    """The solver, the p = 1 and inf bounds and the series kernel need A^-1
+    and (I - |K|)^-1 only; their gates read those inverses, so no singular
+    values are computed (one or two SVDs per call before)."""
+    rng = np.random.default_rng(31)
+    problem = random_solvable(rng, 30, form=form)
+    lcp = random_hplus_lcp(rng, 12)
+    hlcp = HlcpProblem(lcp.M, 2.0 * np.eye(12), lcp.q)
+    calls = _count_singular_value_calls(monkeypatch)
+    x = picard_solve(problem).x
+    for p in (1, np.inf):
+        assert error_interval(problem, x + 1e-3, p).upper_method == "neumann"
+        assert error_bound_report(problem, p).best_upper() is not None
+    componentwise_bound(problem, x, 1e-3, np.inf, kernel="series")
+    picard_solve(lcp_to_ave(lcp))
+    picard_solve(hlcp_to_ave(hlcp))
+    assert calls == []
+
+
+def test_singular_A_is_inverted_once_per_analysis(monkeypatch):
+    rng = np.random.default_rng(32)
+    problem = random_solvable(rng, 8)
+    A = problem.A.copy()
+    A[1] = A[0]
+    problem = AveProblem(A, problem.B, problem.b)
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
+    for _ in range(2):
+        with pytest.raises(SingularMatrixError, match="picard_solve: A"):
+            picard_solve(problem)
+        for p in NORMS:
+            with pytest.raises(InapplicableBoundError) as exc:
+                upper_factor(problem, "neumann", p)
+            assert exc.value.condition == "invertible_A"
+        with pytest.raises(InapplicableBoundError) as exc:
+            upper_factor(problem, "norm_ratio", 2)
+        assert exc.value.condition == "invertible_factors"
+        assert not solvability_report(problem).checks[1].passed
+    assert len(calls) == 1

@@ -101,6 +101,12 @@ class TestExperimentSpec:
             ExperimentSpec("tridiag", [3], [0.0])
         with pytest.raises(ValueError):
             ExperimentSpec("tridiag", [3], [0.1], fmt="yaml")
+        for sizes in ([2.5], [3.0], [3, 4.5], ["3"], [None]):
+            with pytest.raises(ValueError, match="sizes"):
+                ExperimentSpec("lattice", sizes, [0.01])
+        with pytest.raises(ValueError, match="epsilons"):
+            ExperimentSpec("tridiag", [3], [])
+        assert ExperimentSpec("tridiag", [np.int64(3)], [0.1]).sizes == [3]
 
 
 class TestRunExperiment:

@@ -284,8 +284,89 @@ class TestInverse:
 
     def test_near_singular_raises(self):
         m = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="1-norm cond"):
             numerics.inverse(m, "m")
+
+    @staticmethod
+    def _gate_cases():
+        """(label, matrix, cond_2 from the SVD) for matrices with cond_2 in
+        {1, 1e3, 1e9, 1e12} and singular ones."""
+        rng = np.random.default_rng(20241019)
+        yield "zero_column", np.zeros((1, 1)), np.inf
+        for n in (2, 5, 20, 60):
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            cases = [(f"cond{c:g}", U * np.logspace(0, -np.log10(c), n) @ V.T)
+                     for c in (1.0, 1e3, 1e9, 1e12)]
+            cases.append(("rounded", U * np.r_[np.ones(n - 1), 0.0] @ V.T))  # rank n - 1
+            exact = rng.integers(-3, 4, size=(n, n)).astype(float)
+            exact[-1] = exact[0] + exact[-2]                  # rows exactly dependent
+            zero_column = rng.normal(size=(n, n))
+            zero_column[:, n // 2] = 0.0
+            cases += [("exact", exact), ("zero_column", zero_column)]
+            for label, m in cases:
+                yield label, m, numerics.cond_from_singulars(np.linalg.svd(m, compute_uv=False))
+
+    @staticmethod
+    def _accepts(m):
+        try:
+            numerics.inverse(m, "m")
+        except SingularMatrixError:
+            return False
+        return True
+
+    def test_gate_agrees_with_the_svd_gate_outside_a_factor_n(self):
+        """The 1-norm gate on the computed inverse decides as the 2-norm gate
+        on singular values wherever cond_2 is outside [1e14/n, n 1e14]."""
+        checked = 0
+        for label, m, cond in self._gate_cases():
+            n = m.shape[0]
+            accepted = self._accepts(m)
+            assert accepted == label.startswith("cond"), (label, n)
+            if 1e14 / n <= cond <= n * 1e14:
+                continue
+            try:
+                numerics.require_regular(cond, "m", 2)
+            except SingularMatrixError:
+                assert not accepted, (label, n)
+            else:
+                assert accepted, (label, n)
+            checked += 1
+        assert checked == 29
+
+    def test_gate_is_scale_free(self):
+        """Scaling by 1e-200 or 1e200 changes no verdict and warns of nothing."""
+        for label, m, _ in self._gate_cases():
+            want = self._accepts(m)
+            for scale in (1e-200, 1e200):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert self._accepts(scale * m) == want, (label, m.shape[0], scale)
+
+    def test_gate_survives_extreme_entries(self):
+        """Column sums above 1e308 do not make a well-conditioned matrix
+        singular, and a condition number above 1e308 is inf, not a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = numerics.gated_inverse(np.array([[1e308, 1e308], [1e308, -1e308]]))
+            assert big[1] == pytest.approx(2.0)
+            assert numerics.gated_inverse(np.diag([1e-300, 1e10])) == (None, np.inf)
+
+    def test_gate_makes_no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inverse gate ran a singular-value routine")
+        for name in ("svd", "eigvalsh", "cond"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        numerics.inverse(np.diag([1.0, 2.0, 3.0]), "m")
+        with pytest.raises(SingularMatrixError):
+            numerics.inverse(np.ones((3, 3)), "m")
+
+    def test_nonfinite_inverse_is_singular(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda m: np.full(m.shape, np.nan))
+        inv, cond = numerics.gated_inverse(np.eye(2))
+        assert inv is None and cond == np.inf
+        with pytest.raises(SingularMatrixError, match="cond ~ inf"):
+            numerics.inverse(np.eye(2), "m")
 
 
 class TestShapeHelpers:

@@ -15,6 +15,10 @@ class TestSolveOptions:
             SolveOptions(tolerance=float("nan"))
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
+        for count in (2.5, 3.0, "3", None):
+            with pytest.raises(ValueError, match="max_iterations"):
+                SolveOptions(max_iterations=count)
+        assert SolveOptions(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestPicardSolve:
