@@ -76,6 +76,17 @@ def _norm_ratio_factor(problem):
     return t / float(analysis.singular_values("B")[-1]) / (1.0 - t)
 
 
+def _checked_norm(method, p):
+    """``p`` checked for ``method``: ValueError for an unknown method or for
+    a 2-norm-only method asked for in another norm."""
+    p = numerics.check_norm(p)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of {METHODS}")
+    if method != NEUMANN and p != 2:
+        raise ValueError(f"{method} is defined for the 2-norm only")
+    return p
+
+
 def upper_factor(problem, method=NEUMANN, p=2):
     """One multiplicative upper constant for ``||x - x*|| <= c ||r(x)||``.
 
@@ -89,18 +100,12 @@ def upper_factor(problem, method=NEUMANN, p=2):
     Raises InapplicableBoundError when the method's hypothesis fails and
     ValueError when a 2-norm-only method is asked for in another norm.
     """
-    p = numerics.check_norm(p)
+    p = _checked_norm(method, p)
     if method == NEUMANN:
         return problem.analysis.neumann_factor(p)
     if method == SINGULAR_GAP:
-        if p != 2:
-            raise ValueError("singular_gap is defined for the 2-norm only")
         return _singular_gap_factor(problem)
-    if method == NORM_RATIO:
-        if p != 2:
-            raise ValueError("norm_ratio is defined for the 2-norm only")
-        return _norm_ratio_factor(problem)
-    raise ValueError(f"unknown method {method!r}; use one of {METHODS}")
+    return _norm_ratio_factor(problem)
 
 
 def identity_ave_bounds(A, p=2):
@@ -132,6 +137,14 @@ class UpperFactor:
 
 
 @dataclass
+class ErrorInterval:
+    residual_norm: float
+    lower: float
+    upper: float
+    upper_method: str
+
+
+@dataclass
 class ErrorBoundReport:
     lower_factor: float
     upper_factors: list = field(default_factory=list)
@@ -143,6 +156,34 @@ class ErrorBoundReport:
         vals = [u.value for u in self.upper_factors if u.applicable]
         return min(vals) if vals else None
 
+    def interval(self, residual_norm):
+        """Bracket ``||x - x*||_p`` from ``||r(x)||_p``.
+
+        The upper end uses the smallest applicable estimator; if none applies
+        the interval cannot be closed and InapplicableBoundError is raised.
+        """
+        applicable = [u for u in self.upper_factors if u.applicable]
+        if not applicable:
+            raise InapplicableBoundError(
+                "no upper-bound estimator applies: "
+                + "; ".join(f"{u.method}: {u.reason}" for u in self.upper_factors),
+                condition="no_applicable_estimator",
+            )
+        best = min(applicable, key=lambda u: u.value)
+        lower = residual_norm / self.lower_factor if self.lower_factor > 0 else 0.0
+        return ErrorInterval(residual_norm, lower, best.value * residual_norm, best.method)
+
+
+def _upper_factors(problem, p):
+    """Every estimator at ``p``, the inapplicable ones with the reason."""
+    out = []
+    for method in METHODS:
+        try:
+            out.append(UpperFactor(method, upper_factor(problem, method, p), True))
+        except (InapplicableBoundError, ValueError) as exc:
+            out.append(UpperFactor(method, None, False, str(exc)))
+    return out
+
 
 def error_bound_report(problem, p=2):
     """Evaluate the lower factor and every estimator that applies.
@@ -152,18 +193,7 @@ def error_bound_report(problem, p=2):
     identity and its special-case pair applies, that pair is included too.
     """
     p = numerics.check_norm(p)
-    report = ErrorBoundReport(lower_factor=lower_factor(problem, p), p=p)
-    for method in METHODS:
-        if method != NEUMANN and p != 2:
-            report.upper_factors.append(UpperFactor(
-                method, None, False, "defined for the 2-norm only"))
-            continue
-        try:
-            value = upper_factor(problem, method, p)
-        except InapplicableBoundError as exc:
-            report.upper_factors.append(UpperFactor(method, None, False, str(exc)))
-        else:
-            report.upper_factors.append(UpperFactor(method, value, True))
+    report = ErrorBoundReport(lower_factor(problem, p), _upper_factors(problem, p), p=p)
     if np.array_equal(problem.B, np.eye(problem.n)):
         try:
             report.identity_lower, report.identity_upper = identity_ave_bounds(problem.A, p)
@@ -172,44 +202,13 @@ def error_bound_report(problem, p=2):
     return report
 
 
-@dataclass
-class ErrorInterval:
-    residual_norm: float
-    lower: float
-    upper: float
-    upper_method: str
-
-
 def error_interval(problem, x, p=2):
-    """Bracket ``||x - x*||_p`` from the residual at x.
-
-    The upper end uses the smallest applicable estimator; if none applies
-    the interval cannot be closed and InapplicableBoundError is raised.
-    """
+    """Bracket ``||x - x*||_p`` from the residual at x; see
+    ``ErrorBoundReport.interval``."""
     p = numerics.check_norm(p)
     r_norm = numerics.p_norm(residual(problem, x), p)
-    low_fac = lower_factor(problem, p)
-    lower = r_norm / low_fac if low_fac > 0 else 0.0
-
-    best = None
-    best_method = None
-    reasons = []
-    for method in METHODS:
-        if method != NEUMANN and p != 2:
-            continue
-        try:
-            value = upper_factor(problem, method, p)
-        except InapplicableBoundError as exc:
-            reasons.append(f"{method}: {exc}")
-            continue
-        if best is None or value < best:
-            best, best_method = value, method
-    if best is None:
-        raise InapplicableBoundError(
-            "no upper-bound estimator applies: " + "; ".join(reasons),
-            condition="no_applicable_estimator",
-        )
-    return ErrorInterval(r_norm, lower, best * r_norm, best_method)
+    report = ErrorBoundReport(lower_factor(problem, p), _upper_factors(problem, p), p=p)
+    return report.interval(r_norm)
 
 
 def brute_force_alpha(problem, p=2):

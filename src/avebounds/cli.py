@@ -6,13 +6,14 @@ data, 3 when the solver fails to converge, 1 for other input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
-from . import __version__, matrixio
-from .bounds import error_bound_report, error_interval
+from . import __version__, matrixio, numerics
+from .bounds import error_bound_report
 from .complementarity import (
     HlcpProblem,
     LcpProblem,
@@ -23,7 +24,7 @@ from .complementarity import (
     lcp_to_ave,
     recover_solution,
 )
-from .core import AveProblem, TYPE_ONE, TYPE_TWO
+from .core import AveProblem, TYPE_ONE, TYPE_TWO, residual
 from .exceptions import InapplicableBoundError, NonConvergenceError, SingularMatrixError
 from .harness import FORMATS, emit, reproduce_table
 from .perturbation import Perturbation, perturbation_experiment
@@ -80,29 +81,21 @@ def _cmd_solve(args):
 
 
 def _cmd_bounds(args):
+    if args.at is not None and args.rhs is None:
+        raise ValueError("--at needs --rhs: the residual is taken against the right-hand side")
     problem = _load_problem(args)
     p = _NORMS[args.norm]
     report = error_bound_report(problem, p)
     doc = {
         "norm": args.norm,
         "lower_factor": report.lower_factor,
-        "upper_factors": [
-            {"method": u.method, "value": u.value,
-             "applicable": u.applicable, "reason": u.reason}
-            for u in report.upper_factors
-        ],
+        "upper_factors": [dataclasses.asdict(u) for u in report.upper_factors],
         "identity_lower": report.identity_lower,
         "identity_upper": report.identity_upper,
     }
     if args.at is not None:
-        x = matrixio.load_vector(args.at)
-        interval = error_interval(problem, x, p)
-        doc["interval"] = {
-            "residual_norm": interval.residual_norm,
-            "lower": interval.lower,
-            "upper": interval.upper,
-            "upper_method": interval.upper_method,
-        }
+        r_norm = numerics.p_norm(residual(problem, matrixio.load_vector(args.at)), p)
+        doc["interval"] = dataclasses.asdict(report.interval(r_norm))
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -210,7 +203,7 @@ def build_parser():
     p = sub.add_parser("bounds", help="residual error-bound factors")
     p.add_argument("--a", required=True)
     p.add_argument("--b", help="matrix B (.mtx); defaults to zero")
-    p.add_argument("--rhs", help="right-hand side (.mtx); needed with --at")
+    p.add_argument("--rhs", help="right-hand side (.mtx); required with --at")
     p.add_argument("--at", help="evaluate the error interval at this point (.mtx)")
     p.add_argument("--form", choices=sorted(_FORMS), default="1")
     p.add_argument("--norm", choices=sorted(_NORMS), default="2",

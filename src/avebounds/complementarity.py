@@ -17,6 +17,7 @@ from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
 from .core import AveProblem, TYPE_ONE, _sign_family, _vertex_witness, sign_box_vertices
 from .exceptions import InapplicableBoundError, SingularMatrixError
+from .perturbation import Perturbation, _relative_coefficient
 
 SHIFTED = "shifted"   # z = |x| + x,    w = |x| - x
 HALVED = "halved"     # z = (|x|+x)/2,  w = (|x|-x)/2
@@ -172,15 +173,16 @@ def lcp_comparison_bound(M, p=2):
 
 
 def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
-    """Relative solution-perturbation bound for an HLCP.
+    """Relative solution-perturbation bound for an HLCP: the AVE bound of
+    ``general_relative_bound`` applied to ``hlcp_to_ave(hlcp)``.
 
-    The bound is ``factor * coefficient`` with
+    The bound is ``factor * w`` with ``factor`` an upper-factor estimate
+    for the perturbed AVE pair ((M+N+dM+dN)/2, (N-M+dN-dM)/2) and
 
-        coefficient = (||dq||/||q||) (||M+N|| + ||M-N||)/2
-                      + (||dM+dN|| + ||dM-dN||)/2
+        w = (||dq||/||q||) (||M+N|| + ||M-N||)/2 + (||dM+dN|| + ||dM-dN||)/2
 
-    and ``factor`` an upper-factor estimate for the *perturbed* AVE pair
-    ((M+N+dM+dN)/2, (N-M+dN-dM)/2).
+    the relative coefficient of the AVE perturbation dA = (dM+dN)/2,
+    dB = (dN-dM)/2.
     """
     p = numerics.check_norm(p)
     dM = numerics.as_square(dM, "dM")
@@ -188,21 +190,10 @@ def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
     dq = numerics.as_vector(dq, "dq")
     if dM.shape != hlcp.M.shape or dN.shape != hlcp.M.shape or dq.shape[0] != hlcp.n:
         raise ValueError("perturbation blocks have inconsistent shapes")
-    norm_q = numerics.p_norm(hlcp.q, p)
-    if norm_q == 0:
-        raise ValueError("relative bounds are undefined for q = 0")
-    coefficient = (
-        numerics.p_norm(dq, p) / norm_q
-        * (numerics.p_norm(hlcp.M + hlcp.N, p) + numerics.p_norm(hlcp.M - hlcp.N, p)) / 2.0
-        + (numerics.p_norm(dM + dN, p) + numerics.p_norm(dM - dN, p)) / 2.0
-    )
-    shifted = AveProblem(
-        (hlcp.M + hlcp.N + dM + dN) / 2.0,
-        (hlcp.N - hlcp.M + dN - dM) / 2.0,
-        np.zeros(hlcp.n),
-        TYPE_ONE,
-    )
-    return upper_factor(shifted, method, p) * coefficient
+    ave = hlcp_to_ave(hlcp)
+    pert = Perturbation((dM + dN) / 2.0, (dN - dM) / 2.0, dq)
+    w = _relative_coefficient(ave, pert, p)
+    return upper_factor(ave.perturbed(pert.dA, pert.dB, pert.db), method, p) * w
 
 
 def beta_factor(M, p=2):
@@ -240,7 +231,7 @@ class LcpPerturbFactors:
     ``beta`` is the uniqueness factor of the reference matrix, ``eta`` the
     radius parameter of the matrix region (0 <= eta < 1), ``alpha`` the
     inflated factor valid across the region, and ``delta`` the scale
-    epsilon * beta * ||M||.
+    epsilon * beta * ||M|| (+inf when beta is).
     """
 
     beta: float
@@ -267,7 +258,7 @@ def region_factors(M, eta, epsilon, p=2):
         beta=beta,
         eta=eta,
         alpha=beta / (1.0 - eta),
-        delta=epsilon * beta * numerics.p_norm(M, p),
+        delta=float("inf") if np.isinf(beta) else epsilon * beta * numerics.p_norm(M, p),
     )
 
 
@@ -293,6 +284,9 @@ def lcp_pair_bounds(lcp_a, lcp_b, p=2):
     neg_c = numerics.p_norm(numerics.positive_part(-lcp_b.q), p)
     neg_b = numerics.p_norm(numerics.positive_part(-lcp_a.q), p)
 
+    if np.isinf(beta_a) or np.isinf(beta_b):
+        # Not inf * 0, which is NaN when a norm it multiplies vanishes.
+        return float("inf"), (float("inf") if neg_b > 0 else None)
     absolute = beta_a * (beta_b * norm_ab * neg_c + norm_bc)
     relative = None
     if neg_b > 0:

@@ -113,7 +113,6 @@ class ExperimentSpec:
     sizes: list
     epsilons: list
     options: object = None          # SolveOptions or None
-    fmt: str = "markdown"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -127,8 +126,6 @@ class ExperimentSpec:
             raise ValueError(message)
         if not self.epsilons or not all(e > 0 for e in self.epsilons):
             raise ValueError("epsilons must be a non-empty list of positive numbers")
-        if self.fmt not in FORMATS:
-            raise ValueError(f"unknown format {self.fmt!r}; use one of {FORMATS}")
 
 
 @dataclass

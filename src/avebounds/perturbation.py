@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bounds import METHODS, NEUMANN, NORM_RATIO, SINGULAR_GAP, upper_factor
+from .bounds import METHODS, NEUMANN, NORM_RATIO, SINGULAR_GAP, _checked_norm, upper_factor
 from .exceptions import InapplicableBoundError, NonConvergenceError
 from .solver import picard_solve
 
@@ -22,6 +22,9 @@ from .solver import picard_solve
 # full-spectrum gap is often closed for the benchmark families while the
 # truncated probe stays open and tracks the observed error well.
 _GAP_PROBE = 6
+
+# The report field that holds each estimator's bound.
+_BOUND_NAMES = {NEUMANN: "tau", SINGULAR_GAP: "upsilon", NORM_RATIO: "nu"}
 
 
 @dataclass
@@ -95,18 +98,20 @@ class ExperimentRecord:
     delta: float | None
 
 
-def _relative_coefficient(problem, pert, p):
-    """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
-    in the perturbation scale."""
+def _rhs_term(problem, db, p):
+    """(||db||/||b||)(||A|| + ||B||), the right-hand side's share of w."""
     norm_b = numerics.p_norm(problem.b, p)
     if norm_b == 0:
         raise ValueError("relative bounds are undefined for b = 0")
-    return (
-        numerics.p_norm(pert.db, p) / norm_b
-        * (problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
-        + numerics.p_norm(pert.dA, p)
-        + numerics.p_norm(pert.dB, p)
-    )
+    return numerics.p_norm(db, p) / norm_b * (
+        problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
+
+
+def _relative_coefficient(problem, pert, p):
+    """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
+    in the perturbation scale."""
+    return (_rhs_term(problem, pert.db, p)
+            + numerics.p_norm(pert.dA, p) + numerics.p_norm(pert.dB, p))
 
 
 def rhs_only_bound(problem, db, method=NEUMANN, p=2):
@@ -120,13 +125,8 @@ def rhs_only_bound(problem, db, method=NEUMANN, p=2):
     db = numerics.as_vector(db, "db")
     if db.shape[0] != problem.n:
         raise ValueError(f"db has length {db.shape[0]}, expected {problem.n}")
-    norm_b = numerics.p_norm(problem.b, p)
-    if norm_b == 0:
-        raise ValueError("relative bounds are undefined for b = 0")
-    factor = upper_factor(problem, method, p)
-    scale = numerics.p_norm(db, p) / norm_b * (
-        problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
-    return factor * scale
+    scale = _rhs_term(problem, db, p)
+    return upper_factor(problem, method, p) * scale
 
 
 def _partial_gap_factor(problem):
@@ -150,7 +150,10 @@ def general_relative_bound(problem, pert, method=None, p=2):
 
     * tau     -- the inverse-series estimator (``neumann``),
     * upsilon -- the truncated singular-value gap (``singular_gap``),
-    * nu      -- the norm-ratio estimator (``norm_ratio``), 2-norm only.
+    * nu      -- the norm-ratio estimator (``norm_ratio``).
+
+    ``upper_factor`` gives tau's and nu's factors.  Its norm check also
+    guards upsilon, which, like nu, is defined for p = 2 alone.
 
     ``method=None`` evaluates all three, recording a note for each one
     whose hypothesis fails; naming a method raises instead when it does
@@ -169,27 +172,18 @@ def _relative_bound(problem, pert, perturbed, method, p):
     wanted = METHODS if method is None else (method,)
     for name in wanted:
         try:
-            if name == NEUMANN:
-                factor = upper_factor(perturbed, NEUMANN, p)
-                report.tau = factor * w
-            elif name == SINGULAR_GAP:
-                if p != 2:
-                    raise ValueError("singular_gap is defined for the 2-norm only")
+            if name == SINGULAR_GAP:
+                _checked_norm(name, p)
                 factor = _partial_gap_factor(perturbed)
-                report.upsilon = factor * w
-            elif name == NORM_RATIO:
-                if p != 2:
-                    raise ValueError("norm_ratio is defined for the 2-norm only")
-                factor = upper_factor(perturbed, NORM_RATIO, 2)
-                report.nu = factor * w
             else:
-                raise ValueError(f"unknown method {name!r}; use one of {METHODS}")
+                factor = upper_factor(perturbed, name, p)
         except (InapplicableBoundError, ValueError) as exc:
             if method is not None:
                 raise
             report.notes.append(f"{name}: {exc}")
             continue
         report.estimates.append((name, factor))
+        setattr(report, _BOUND_NAMES[name], factor * w)
     return report
 
 

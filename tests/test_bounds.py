@@ -13,11 +13,14 @@ from avebounds import (
     error_interval,
     identity_ave_bounds,
     lower_factor,
+    residual,
     shifted_norm_slack,
     sign_box_vertices,
     upper_factor,
 )
 from avebounds.exceptions import InapplicableBoundError
+
+from support import random_solvable
 
 
 def two_by_two_demo():
@@ -189,6 +192,33 @@ class TestErrorInterval:
         with pytest.raises(InapplicableBoundError) as exc:
             error_interval(p, [1.0, 1.0])
         assert exc.value.condition == "no_applicable_estimator"
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+@pytest.mark.parametrize("seed", range(8))
+def test_interval_is_read_off_the_report(seed, form):
+    """error_interval is the report's interval at the residual norm, for
+    problems where every, some or no estimator applies."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    base = random_solvable(rng, n, form=form)
+    x = rng.normal(size=n)
+    for scale in (1.0, 3.0):    # 3.0 pushes rho(|K|) past 1 for most seeds
+        problem = AveProblem(base.A, scale * base.B, base.b, form)
+        for p in (1, 2, np.inf):
+            report = error_bound_report(problem, p)
+            r_norm = np.linalg.norm(residual(problem, x), p)
+            try:
+                want = report.interval(r_norm)
+            except InapplicableBoundError as exc:
+                assert exc.condition == "no_applicable_estimator"
+                with pytest.raises(InapplicableBoundError) as got:
+                    error_interval(problem, x, p)
+                assert got.value.condition == "no_applicable_estimator"
+                continue
+            got = error_interval(problem, x, p)
+            assert got == want
+            assert got.upper == report.best_upper() * r_norm
 
 
 class TestBruteForceAlpha:

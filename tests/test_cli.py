@@ -94,6 +94,15 @@ class TestBoundsCommand:
         assert doc["interval"]["lower"] == pytest.approx(1.0 / 3.0)
         assert doc["interval"]["upper"] == pytest.approx(1.0)
 
+    def test_interval_needs_rhs(self, mtx, capsys):
+        # Without --rhs the residual would be taken against b = 0.
+        code = main(["bounds", "--a", mtx("a", [[3.0]]), "--b", mtx("b", [[1.0]]),
+                     "--at", mtx("x", [4.0]), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "--at needs --rhs" in captured.err
+
     def test_nothing_applicable_exit_code(self, mtx, capsys):
         code = main(["bounds", "--a", mtx("a", [[1.0]]), "--b", mtx("b", [[2.0]])])
         captured = capsys.readouterr()

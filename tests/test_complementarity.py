@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avebounds import (
+    AveProblem,
     HALVED,
     HlcpProblem,
     LcpPerturbFactors,
@@ -21,11 +22,14 @@ from avebounds import (
     picard_solve,
     recover_solution,
     region_factors,
+    upper_factor,
 )
 from avebounds import complementarity
-from avebounds.bounds import NEUMANN, SINGULAR_GAP
+from avebounds.bounds import NEUMANN, NORM_RATIO, SINGULAR_GAP
 from avebounds.exceptions import InapplicableBoundError
 from avebounds.harness import gen_tridiag_lcp
+
+from support import random_solvable
 
 
 def demo_matrix():
@@ -188,6 +192,33 @@ class TestHlcpPerturbBound:
                                np.zeros(2))
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_perturb_bound_matches_closed_form(seed):
+    """The AVE route gives the closed form (||dq||/||q||)(||M+N|| + ||M-N||)/2
+    + (||dM+dN|| + ||dM-dN||)/2 times the factor of the perturbed pair."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    ave = random_solvable(rng, n)
+    hlcp = HlcpProblem(ave.A - ave.B, ave.A + ave.B, ave.b)
+    dM, dN = 1e-3 * rng.normal(size=(2, n, n))
+    dq = 1e-3 * rng.normal(size=n)
+    M, N, q = hlcp.M, hlcp.N, hlcp.q
+    shifted = AveProblem((M + N + dM + dN) / 2, (N - M + dN - dM) / 2, np.zeros(n))
+    for p in (1, 2, np.inf):
+        norm = lambda v: np.linalg.norm(v, p)
+        w = (norm(dq) / norm(q) * (norm(M + N) + norm(M - N)) / 2
+             + (norm(dM + dN) + norm(dM - dN)) / 2)
+        for method in (NEUMANN, SINGULAR_GAP, NORM_RATIO):
+            try:
+                want = upper_factor(shifted, method, p) * w
+            except (InapplicableBoundError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    hlcp_perturb_bound(hlcp, dM, dN, dq, method, p)
+                continue
+            got = hlcp_perturb_bound(hlcp, dM, dN, dq, method, p)
+            assert got == pytest.approx(want, rel=1e-12), (p, method)
+
+
 class TestBetaFactor:
     def test_scaled_identity_closed_form(self):
         # max over diagonal entries in [0,1] of lam/(1 - lam + c lam) is
@@ -231,6 +262,14 @@ class TestPairBounds:
         assert absolute > 0
         assert relative is None
 
+    def test_infinite_beta_gives_inf_not_nan(self):
+        # beta = inf while ||A - B|| = ||b - c|| = 0: inf * 0 must not leak.
+        lcp = LcpProblem([[0.0]], [-1.0])
+        with pytest.warns(UserWarning):
+            absolute, relative = lcp_pair_bounds(lcp, lcp)
+        assert absolute == np.inf
+        assert relative == np.inf
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             lcp_pair_bounds(LcpProblem(np.eye(2), np.zeros(2)),
@@ -249,6 +288,12 @@ class TestRegionBounds:
         assert facs.beta == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert facs.alpha == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert facs.delta == pytest.approx(0.01, rel=1e-12)
+
+    def test_region_factors_infinite_beta(self):
+        # ||M|| = 0 would make delta = inf * 0 = NaN.
+        with pytest.warns(UserWarning):
+            facs = region_factors([[0.0]], eta=0.5, epsilon=0.01)
+        assert facs.beta == facs.alpha == facs.delta == np.inf
 
     def test_region_factors_validation(self):
         with pytest.raises(ValueError):

@@ -99,8 +99,6 @@ class TestExperimentSpec:
             ExperimentSpec("tridiag", [0], [0.1])
         with pytest.raises(ValueError):
             ExperimentSpec("tridiag", [3], [0.0])
-        with pytest.raises(ValueError):
-            ExperimentSpec("tridiag", [3], [0.1], fmt="yaml")
         for sizes in ([2.5], [3.0], [3, 4.5], ["3"], [None]):
             with pytest.raises(ValueError, match="sizes"):
                 ExperimentSpec("lattice", sizes, [0.01])
