@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .core import TYPE_TWO, _sign_family, _vertex_witness, residual, sign_box_vertices
+from .core import (
+    TYPE_TWO, AveProblem, _sign_family, _vertex_witness, residual, sign_box_vertices)
 from .exceptions import InapplicableBoundError, SingularMatrixError
 
 NEUMANN = "neumann"
@@ -39,10 +40,16 @@ def lower_factor(problem, p=2):
       guarantee; ||A||_2 + ||B||_2 always dominates the family.
     """
     p = numerics.check_norm(p)
-    A, B = problem.A, problem.B
     if p == (1 if problem.form == TYPE_TWO else np.inf):
-        return numerics.p_norm(np.abs(A) + np.abs(B), p)
-    return max(numerics.p_norm(A - B, p), numerics.p_norm(A + B, p))
+        return numerics.p_norm(np.abs(problem.A) + np.abs(problem.B), p)
+    return max(_shifted_norms(problem, p))
+
+
+def _shifted_norms(problem, p):
+    """(||A - B||_p, ||A + B||_p), computed once per analysis."""
+    A, B = problem.A, problem.B
+    return problem.analysis.memoised(
+        ("shifted_norms", p), lambda: (numerics.p_norm(A - B, p), numerics.p_norm(A + B, p)))
 
 
 def _singular_gap_factor(problem):
@@ -116,15 +123,19 @@ def identity_ave_bounds(A, p=2):
     upper = lower / (smin(A)**2 - 1).
     """
     A = numerics.as_square(A, "A")
-    p = numerics.check_norm(p)
-    smin, _ = numerics.extreme_singulars(A)
+    return _identity_pair(AveProblem(A, np.eye(len(A)), np.zeros(len(A))), numerics.check_norm(p))
+
+
+def _identity_pair(problem, p):
+    """``identity_ave_bounds`` of a problem whose B is I, from the singular
+    values and norms its analysis holds."""
+    smin = float(problem.analysis.singular_values("A")[-1])
     if smin <= 1.0:
         raise InapplicableBoundError(
             f"smallest singular value of A is {smin:.6g} <= 1",
             condition="smallest_singular_value",
         )
-    eye = np.eye(A.shape[0])
-    low = numerics.p_norm(A + eye, p) + numerics.p_norm(A - eye, p)
+    low = sum(_shifted_norms(problem, p))
     return low, low / (smin**2 - 1.0)
 
 
@@ -196,7 +207,7 @@ def error_bound_report(problem, p=2):
     report = ErrorBoundReport(lower_factor(problem, p), _upper_factors(problem, p), p=p)
     if np.array_equal(problem.B, np.eye(problem.n)):
         try:
-            report.identity_lower, report.identity_upper = identity_ave_bounds(problem.A, p)
+            report.identity_lower, report.identity_upper = _identity_pair(problem, p)
         except InapplicableBoundError:
             pass
     return report

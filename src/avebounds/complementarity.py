@@ -230,8 +230,8 @@ class LcpPerturbFactors:
 
     ``beta`` is the uniqueness factor of the reference matrix, ``eta`` the
     radius parameter of the matrix region (0 <= eta < 1), ``alpha`` the
-    inflated factor valid across the region, and ``delta`` the scale
-    epsilon * beta * ||M|| (+inf when beta is).
+    inflated factor beta / (1 - eta) >= beta valid across the region, and
+    ``delta`` the scale epsilon * beta * ||M|| (+inf when beta is).
     """
 
     beta: float
@@ -244,6 +244,8 @@ class LcpPerturbFactors:
             raise ValueError("eta must lie in [0, 1)")
         if not (self.beta >= 0 and self.delta >= 0):
             raise ValueError("beta and delta must be nonnegative")
+        if not self.alpha >= self.beta:
+            raise ValueError("alpha must be at least beta")
 
 
 def region_factors(M, eta, epsilon, p=2):
@@ -302,13 +304,15 @@ def lcp_region_bound(factors, norm_ab, negc_norm, bc_norm):
     (positive part of the negated second right-hand side) and ``bc_norm``
     (right-hand side difference):
 
-        absolute = alpha^2 * norm_ab * negc_norm + alpha * bc_norm
+        absolute = alpha^2 * norm_ab * negc_norm + alpha * bc_norm   (+inf if alpha is)
         relative = 2 delta / (1 - delta)        (needs delta < 1)
     """
     for name, val in (("norm_ab", norm_ab), ("negc_norm", negc_norm), ("bc_norm", bc_norm)):
-        if not val >= 0:
-            raise ValueError(f"{name} must be nonnegative")
-    absolute = factors.alpha**2 * norm_ab * negc_norm + factors.alpha * bc_norm
+        if not 0 <= val < np.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
+    # Not inf * 0, which is NaN for zero deviations.
+    absolute = float("inf") if np.isinf(factors.alpha) else (
+        factors.alpha**2 * norm_ab * negc_norm + factors.alpha * bc_norm)
     if factors.delta >= 1.0:
         raise InapplicableBoundError(
             f"relative form needs delta < 1, got {factors.delta:.6g}",

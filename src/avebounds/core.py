@@ -28,7 +28,6 @@ VERDICT_FAILS = "fails_all_sufficient_conditions"
 
 # Members of the sign family stacked per batched LAPACK call.
 _SIGN_CHUNK = 4096
-_CORE = "I - |K|"     # the matrix the Neumann series inverts, in gate messages
 
 
 @dataclass
@@ -89,14 +88,14 @@ class ProblemAnalysis:
 
     K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
     factorization of A: the solver, K, the Neumann factor and the kernels
-    all read it.  It, like (I - |K|)^-1, is gated on its own 1-norm
+    all read it.  The one inverse of I - |K| proves the premise
+    rho(|K|) < 1 (a Collatz-Wielandt certificate) and serves every Neumann
+    factor and the series kernel.  Both are gated on their own 1-norm
     condition number (``numerics.gated_inverse``), not on singular values.
     K is not kept; one matrix product rebuilds it when a new quantity needs
-    it.  The premise rho(|K|) < 1 is held as a Collatz-Wielandt
-    certificate from one linear solve; rho(|K|) itself
-    comes from ``eigvals`` only when the certificate fails or
-    ``solvability_report`` asks for the number.  A per-analysis lock makes
-    concurrent callers compute each quantity once.
+    it.  rho(|K|) itself comes from ``eigvals`` only when the certificate
+    fails or ``solvability_report`` asks for the number.  A per-analysis
+    lock makes concurrent callers compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -135,72 +134,56 @@ class ProblemAnalysis:
         return inv
 
     def _ratio(self):
-        """(A^-1, a fresh K)."""
+        """A fresh K; A must have passed the gate."""
         A_inv = self.inverse()
-        return A_inv, (self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B)
+        return self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
 
     def spectral_radius(self):
         """Spectral radius of |K|; A must have passed the gate."""
         return self.memoised(
-            "rho", lambda: numerics.spectral_radius_nonneg(np.abs(self._ratio()[1])))
+            "rho", lambda: numerics.spectral_radius_nonneg(np.abs(self._ratio())))
 
     def ratio_norm(self):
         """Largest singular value of K; A must have passed the gate."""
-        return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio()[1], 2))
+        return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio(), 2))
 
     def _contraction(self):
-        """Fresh (A^-1, |K|); InapplicableBoundError unless A is regular and
-        rho(|K|) < 1.
+        """The memoised ``numerics.contraction_inverse(|K|)``;
+        InapplicableBoundError unless A is regular and rho(|K|) < 1.
 
-        The Collatz-Wielandt certificate decides; rho(|K|) from ``eigvals``
+        Its Collatz-Wielandt certificate decides; rho(|K|) from ``eigvals``
         is computed only when the certificate fails."""
         try:
             self.inverse()
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
-        if self._memo.get("contracts", True):
-            A_inv, M = self._ratio()
-            np.abs(M, out=M)
-            if self.memoised("contracts", lambda: numerics.certifies_contraction(M) or (
-                    self.memoised("rho", lambda: numerics.spectral_radius_nonneg(M)) < 1.0)):
-                return A_inv, M
+        core = self.memoised("core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
+        if core[2] or self.spectral_radius() < 1.0:
+            return core
         raise InapplicableBoundError(
-            f"spectral radius of the absolute iteration matrix is {self._memo['rho']:.6g} >= 1",
+            "spectral radius of the absolute iteration matrix is "
+            f"{self.spectral_radius():.6g} >= 1",
             condition="spectral_radius",
         )
 
-    def _core_gate(self, cond, p):
-        """InapplicableBoundError when I - |K| fails the conditioning gate:
-        rho(|K|) < 1 does not keep its inverse within working precision."""
+    def _core_inverse(self):
+        """(I - |K|)^-1, read-only, after the premise of ``_contraction`` and
+        the gate of ``numerics.inverse`` pass; I - |K| is inverted once."""
+        inv, cond, _ = self._contraction()
         try:
-            numerics.require_regular(cond, _CORE, p)
+            numerics.require_regular(cond, "I - |K|")
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
-
-    def _core_singulars(self):
-        """Singular values of I - |K|, computed once, after the premise of
-        ``_contraction`` and their own 2-norm gate pass."""
-        s = self.memoised("core", lambda: numerics.singular_values(
-            np.eye(self.A.shape[0]) - self._contraction()[1]))
-        self._core_gate(numerics.cond_from_singulars(s), 2)
-        return s
-
-    def _core_inverse(self):
-        """(I - |K|)^-1, read-only and computed once, after the premise of
-        ``_contraction`` and the gate of ``numerics.inverse`` pass."""
-        inv, cond = self.memoised("core_inv", lambda: numerics.gated_inverse(
-            np.eye(self.A.shape[0]) - self._contraction()[1]))
-        self._core_gate(cond, 1)
         return inv
 
     def neumann_factor(self, p):
-        """||A^-1||_p ||(I - |K|)^-1||_p (p already checked)."""
+        """||A^-1||_p ||(I - |K|)^-1||_p (p already checked); ||A^-1||_2 is
+        1 / sigma_min(A)."""
         def compute():
-            if p != 2:
-                core_inv = self._core_inverse()
-                return numerics.p_norm(self.inverse(), p) * numerics.p_norm(core_inv, p)
-            s = self._core_singulars()
-            return float((1.0 / self.singular_values("A")[-1]) * (1.0 / s[-1]))
+            core = numerics.p_norm(self._core_inverse(), p)
+            if p == 2:
+                return float(core / self.singular_values("A")[-1])
+            return numerics.p_norm(self.inverse(), p) * core
         return self.memoised(("neumann", p), compute)
 
     def componentwise_kernel(self, kernel):
@@ -212,11 +195,11 @@ class ProblemAnalysis:
         def compute():
             if kernel == "series":
                 core = self._core_inverse()
-                A_inv = self.inverse()
             else:
-                A_inv, M = self._contraction()
-                core = np.eye(len(M)) - M
-            return np.abs(A_inv) @ core if self.form == TYPE_TWO else core @ np.abs(A_inv)
+                self._contraction()
+                core = np.eye(self.A.shape[0]) - np.abs(self._ratio())
+            A_inv = np.abs(self.inverse())
+            return A_inv @ core if self.form == TYPE_TWO else core @ A_inv
         return self.memoised(("kernel", kernel), compute)
 
     def kernel_norm(self, kernel, p):

@@ -139,27 +139,27 @@ def spectral_radius_nonneg(m):
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
 
-def certifies_contraction(m):
-    """True only if rho(m) < 1 is proven for an entrywise nonnegative m.
+def contraction_inverse(m):
+    """``(inv, cond, proven)`` for an entrywise nonnegative square m.
 
-    Solves ``(I - m) y = 1`` once.  A ``y > 0`` with ``m y < y`` entrywise
-    is a Collatz-Wielandt certificate: rho(m) <= max_i (m y)_i / y_i < 1.
-    ``m y`` is inflated by ``2 n eps`` first, which covers the rounding of a
-    sum of n nonnegative products in any order.  False means "not proven":
-    some m with rho(m) < 1 give it too, near rho = 1 or when (I - m)^-1 is
-    too large for y to be resolved (a strongly non-normal m).
+    ``inv, cond`` are ``gated_inverse(I - m)``.  ``proven`` is True only if
+    rho(m) < 1 is proven: ``y = inv 1`` with ``y > 0`` and ``m y < y``
+    entrywise is a Collatz-Wielandt certificate, rho(m) <= max_i
+    (m y)_i / y_i < 1, whatever the accuracy of ``inv``.  ``m y`` is
+    inflated by ``2 n eps`` first, which covers the rounding of a sum of n
+    nonnegative products in any order.  False means "not proven": some m
+    with rho(m) < 1 give it too, near rho = 1 or when (I - m)^-1 is too
+    large for y to be resolved (a strongly non-normal m).
     """
     arr = as_square(m)
     if np.any(arr < 0):
-        raise ValueError("certifies_contraction: matrix has negative entries")
+        raise ValueError("contraction_inverse: matrix has negative entries")
     n = arr.shape[0]
-    try:
-        y = np.linalg.solve(np.eye(n) - arr, np.ones(n))
-    except np.linalg.LinAlgError:
-        return False
+    inv, cond = gated_inverse(np.eye(n) - arr)
+    y = np.zeros(n) if inv is None else inv.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return bool(np.all(y > 0)
-                    and np.all(arr @ y * (1.0 + 2 * n * np.finfo(float).eps) < y))
+        return inv, cond, bool(np.all(y > 0)
+                               and np.all(arr @ y * (1.0 + 2 * n * np.finfo(float).eps) < y))
 
 
 def inverse(m, name="matrix"):

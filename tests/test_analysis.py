@@ -22,6 +22,7 @@ from avebounds import (
     error_interval,
     general_relative_bound,
     hlcp_to_ave,
+    identity_ave_bounds,
     lcp_to_ave,
     numerics,
     picard_solve,
@@ -260,7 +261,8 @@ def test_certified_gate_agrees_with_eigvals_away_from_one(monkeypatch):
             continue
         got = _gate_outcomes(_fresh(problem))
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "certifies_contraction", lambda m: False)
+            patch.setattr(numerics, "contraction_inverse",
+                          lambda m, f=numerics.contraction_inverse: f(m)[:2] + (False,))
             want = _gate_outcomes(_fresh(problem))
         _assert_same(got, want)
         conditions = {w[2] for w in want if isinstance(w, tuple)}
@@ -287,11 +289,12 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     solves, 10 eigvals, 10 svd, 35 cond and 45 matrix 2-norms (90
     SVD-class calls).  Now the base problem is solved once, and each
     problem's singular values, spectral radius and kernels are computed
-    once.  A is inverted once per problem (six problems): the solver, K,
-    the Neumann factor and the kernels share that inverse.  A, B and their
+    once.  Each of the six problems makes two inversions: A^-1, which the
+    solver, K and the kernels share, and (I - |K|)^-1, which proves
+    rho(|K|) < 1 and gives every Neumann factor.  A, B and their
     perturbations are exactly symmetric here, so their singular values come
-    from ``eigvalsh``: the only SVDs left are the five of the nonsymmetric
-    I - |K'| of the perturbed problems, and nothing calls ``cond``.
+    from ``eigvalsh``; the 2-norm of the nonsymmetric (I - |K'|)^-1 comes
+    from its Gram matrix.  Nothing calls ``svd`` or ``cond``.
     """
     counts = {}
     lock = threading.Lock()
@@ -315,26 +318,31 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     out = reproduce_table(3)
     assert len(out.rows) == 5 and out.failures == []
     assert counts["picard_solve"] == 6
-    assert counts["inv"] == 6
-    assert counts.get("svd", 0) == 5
+    assert counts["inv"] == 12
+    assert counts.get("svd", 0) == 0
     assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) <= 6
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 45
 
 
 def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
-    """(I - |K|)^-1 is computed once per analysis: the Neumann factors for
-    p = 1 and inf and the series kernel read one memoised inverse, so with
-    the one of A they make two inversions (three of I - |K| before)."""
-    problem = random_solvable(np.random.default_rng(30), 30)
+    """I - |K| is inverted once per analysis: the premise, the Neumann
+    factors for p = 1, 2 and inf and the series kernel read one memoised
+    inverse, so with the one of A they make two inversions, no solve and,
+    A being symmetric, no SVD (a solve, an SVD and two inversions of
+    I - |K| before)."""
+    rng = np.random.default_rng(30)
+    A = rng.normal(size=(30, 30))
+    problem = AveProblem(A + A.T + 40.0 * np.eye(30), rng.normal(size=(30, 30)), np.ones(30))
     calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda *a, **k: calls.append(1) or inv(*a, **k))
-    for p in (1, np.inf):
-        neumann = error_bound_report(problem, p).upper_factors[0]
-        assert neumann.method == "neumann" and neumann.applicable
+    for name in ("inv", "solve", "svd"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    for p in NORMS:
+        assert upper_factor(problem, "neumann", p) > 0
     componentwise_bound(problem, np.ones(30), 0.01, 2, kernel="series")
-    assert len(calls) == 2
+    assert calls == ["inv", "inv"]
 
 
 def test_unresolvable_neumann_inverse_is_inapplicable():
@@ -383,6 +391,26 @@ def test_solve_and_p1_pinf_bounds_make_no_svd(monkeypatch, form):
     picard_solve(lcp_to_ave(lcp))
     picard_solve(hlcp_to_ave(hlcp))
     assert calls == []
+
+
+@pytest.mark.parametrize("shift", (1.0, 0.5), ids=("B_is_I", "B_near_half_I"))
+def test_identity_pair_reads_the_analysis(monkeypatch, shift):
+    """A B = I report reads A's memoised singular values and the norms of
+    A -/+ I that ``lower_factor`` takes, so it makes the six singular-value
+    computations of B = 0.5 I + 1e-9 (nine before: A's singular values and
+    both norms were taken again)."""
+    rng = np.random.default_rng(33)
+    A = rng.normal(size=(50, 50))
+    A += (1.2 + np.linalg.norm(A, 2)) * np.eye(50)
+    B = np.eye(50) if shift == 1.0 else shift * np.eye(50) + 1e-9
+    problem = AveProblem(A, B, np.ones(50))
+    calls = _count_singular_value_calls(monkeypatch)
+    report = error_bound_report(problem, 2)
+    assert all(u.applicable for u in report.upper_factors)
+    assert len(calls) == 6
+    if shift == 1.0:
+        monkeypatch.undo()
+        assert (report.identity_lower, report.identity_upper) == identity_ave_bounds(A)
 
 
 def test_singular_A_is_inverted_once_per_analysis(monkeypatch):

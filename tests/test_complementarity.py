@@ -282,6 +282,10 @@ class TestRegionBounds:
             LcpPerturbFactors(beta=1.0, eta=1.0, alpha=1.0, delta=0.0)
         with pytest.raises(ValueError):
             LcpPerturbFactors(beta=-1.0, eta=0.0, alpha=1.0, delta=0.0)
+        with pytest.raises(ValueError, match="alpha"):     # alpha = beta / (1 - eta) >= beta
+            LcpPerturbFactors(beta=1.0, eta=0.5, alpha=0.5, delta=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            LcpPerturbFactors(beta=np.inf, eta=0.0, alpha=1.0, delta=np.inf)
 
     def test_region_factors_scaled_identity(self):
         facs = region_factors(1.5 * np.eye(2), eta=0.0, epsilon=0.01)
@@ -317,10 +321,18 @@ class TestRegionBounds:
         assert absolute == pytest.approx(7.0)
         assert relative == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("beta", (np.inf, 1.0))
+    def test_region_bound_infinite_alpha(self, beta):
+        # alpha**2 * 0 was NaN with zero deviations
+        facs = LcpPerturbFactors(beta=beta, eta=0.0, alpha=np.inf, delta=0.5)
+        assert lcp_region_bound(facs, 0.0, 0.0, 0.0) == (np.inf, 2.0)
+
     def test_region_bound_rejects_negative_inputs(self):
         facs = LcpPerturbFactors(beta=0.5, eta=0.0, alpha=0.5, delta=0.2)
         with pytest.raises(ValueError):
             lcp_region_bound(facs, -1.0, 0.0, 0.0)
+        with pytest.raises(ValueError):     # inf * 0 would make the bound NaN
+            lcp_region_bound(facs, np.inf, 0.0, 0.0)
 
     def test_region_bound_needs_small_delta(self):
         facs = LcpPerturbFactors(beta=0.5, eta=0.0, alpha=0.5, delta=1.5)

@@ -89,8 +89,13 @@ def _stochastic(rng, n):
     return counts / total
 
 
+def _certifies(m):
+    return numerics.contraction_inverse(m)[2]
+
+
 class TestCertifiesContraction:
-    """A True certificate proves rho < 1; below 0.999 it is always found."""
+    """A True certificate from ``contraction_inverse`` proves rho < 1; below
+    0.999 it is always found."""
 
     @staticmethod
     def _cases():
@@ -120,7 +125,7 @@ class TestCertifiesContraction:
         for m, rho in self._cases():
             # each case's rho from its construction, checked independently
             assert numerics.spectral_radius_nonneg(m) == pytest.approx(rho, abs=1e-6)
-            got = numerics.certifies_contraction(m)
+            got = _certifies(m)
             if rho >= 1.0:
                 assert got is False
             else:
@@ -130,16 +135,20 @@ class TestCertifiesContraction:
         rng = np.random.default_rng(3)
         for m in (np.eye(1), np.eye(4), _stochastic(rng, 6),
                   np.array([[0.0, 1.0], [1.0, 0.0]])):
-            assert numerics.certifies_contraction(m) is False
+            assert _certifies(m) is False
 
     def test_scalar_literals(self):
-        assert numerics.certifies_contraction(np.array([[0.999]])) is True
-        assert numerics.certifies_contraction(np.array([[1.0]])) is False
-        assert numerics.certifies_contraction(np.array([[1.25]])) is False
+        assert _certifies(np.array([[0.999]])) is True
+        assert _certifies(np.array([[1.0]])) is False
+        assert _certifies(np.array([[1.25]])) is False
+        # (I - m)^-1 = 2 and its 1-norm condition number 0.5 * 2 come along
+        inv, cond, proven = numerics.contraction_inverse(np.array([[0.5]]))
+        assert inv.tolist() == [[2.0]] and cond == 1.0 and proven is True
+        assert numerics.contraction_inverse(np.array([[1.0]]))[:2] == (None, np.inf)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            numerics.certifies_contraction(np.array([[0.5, -0.1], [0.0, 0.5]]))
+            numerics.contraction_inverse(np.array([[0.5, -0.1], [0.0, 0.5]]))
 
 
 class TestExtremeSingulars:

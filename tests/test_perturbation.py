@@ -73,10 +73,11 @@ NAN = float("nan")
     lambda: lcp_region_bound(LcpPerturbFactors(1.0, 0.5, 2.0, 0.1), NAN, 1.0, 1.0),
     lambda: LcpPerturbFactors(NAN, 0.5, 2.0, 0.1),
     lambda: LcpPerturbFactors(1.0, 0.5, 2.0, NAN),
+    lambda: LcpPerturbFactors(1.0, 0.5, NAN, 0.1),
     lambda: shifted_norm_slack(np.eye(2), NAN),
 ], ids=["Perturbation", "gen_perturbation", "ExperimentSpec", "region_factors",
         "lcp_region_bound", "LcpPerturbFactors.beta", "LcpPerturbFactors.delta",
-        "shifted_norm_slack"])
+        "LcpPerturbFactors.alpha", "shifted_norm_slack"])
 def test_nan_scales_are_rejected(call):
     # A NaN passes every ``x < 0`` guard; the guards are written ``not x >= 0``.
     with pytest.raises(ValueError):
