@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .core import (
-    TYPE_TWO, AveProblem, _sign_family, _vertex_witness, residual, sign_box_vertices)
+from .core import TYPE_TWO, AveProblem, residual, sign_box_scan, sign_box_vertices
 from .exceptions import InapplicableBoundError, SingularMatrixError
 
 NEUMANN = "neumann"
@@ -224,7 +223,7 @@ def error_interval(problem, x, p=2):
 
 def brute_force_alpha(problem, p=2):
     """Exact max ||(A - B diag(d))^-1||_p over the sign box d in [-1,1]^n
-    (type2: A - diag(d) B) from its 2**n vertices; limited to n <= 20.
+    (type2: A - diag(d) B) from its 2**n vertices; n <= ``SIGN_BOX_LIMIT``.
 
     +inf when the vertex determinants lack one strict common sign: some
     member is then singular (or too close to tell).  Otherwise, with the
@@ -233,16 +232,8 @@ def brute_force_alpha(problem, p=2):
     is quasiconvex in d_j and peaks at a vertex.
     """
     p = numerics.check_norm(p)
-    n = problem.n
-    if n > 20:
-        raise ValueError(f"brute_force_alpha is limited to n <= 20, got {n}")
-    A, B = problem.A, problem.B
-    left = problem.form == TYPE_TWO
-    vertices = sign_box_vertices(n)
-    if _vertex_witness(A, B, vertices, left) is not None:
-        return float("inf")
-    return max(float(numerics.batched_norms(np.linalg.inv(stack), p).max())
-               for _, stack in _sign_family(A, B, vertices, left))
+    return sign_box_scan(problem.A, problem.B, sign_box_vertices(problem.n),
+                         problem.form == TYPE_TWO, p)[1]
 
 
 def shifted_norm_slack(A, alpha, p=2):

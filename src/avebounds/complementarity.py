@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
-from .core import AveProblem, TYPE_ONE, _sign_family, _vertex_witness, sign_box_vertices
+from .core import AveProblem, TYPE_ONE, sign_box_scan, sign_box_vertices
 from .exceptions import InapplicableBoundError, SingularMatrixError
 from .perturbation import Perturbation, _relative_coefficient
 
@@ -120,24 +120,18 @@ def lcp_min_residual(lcp, z):
     return 0.5 * a - 0.5 * np.abs(b)
 
 
-def column_w_property(hlcp, limit=20):
+def column_w_property(hlcp):
     """Whether (M, N) has the column W-property: all 2**n column
     representatives have determinants of one strict sign, which
     characterises unique solvability of the HLCP for every q.
 
     The representatives are the vertices of the sign family of
     ``hlcp_to_ave(hlcp)``: (M+N)/2 - (N-M)/2 diag(d) takes column j from M
-    at d_j = +1 and from N at d_j = -1.  Dimensions above ``limit`` are
-    refused.
+    at d_j = +1 and from N at d_j = -1.  ValueError for n above
+    ``SIGN_BOX_LIMIT``.
     """
-    n = hlcp.n
-    if n > limit:
-        raise ValueError(
-            f"column_w_property enumerates 2**{n} representative matrices; "
-            f"raise limit (currently {limit}) explicitly if you mean it"
-        )
     ave = hlcp_to_ave(hlcp)
-    return _vertex_witness(ave.A, ave.B, sign_box_vertices(n)) is None
+    return sign_box_scan(ave.A, ave.B, sign_box_vertices(hlcp.n))[0] is None
 
 
 def hlcp_error_bounds(hlcp, p=2):
@@ -163,7 +157,8 @@ def lcp_comparison_bound(M, p=2):
         comp_inv = numerics.inverse(comp, "comparison matrix")
     except SingularMatrixError as exc:
         raise InapplicableBoundError(str(exc), condition="comparison_nonsingular") from exc
-    if np.any(comp_inv < -1e-12):
+    # Negative beyond rounding relative to the largest entry, at any scale.
+    if np.any(comp_inv < -1e-12 * np.abs(comp_inv).max()):
         raise InapplicableBoundError(
             "comparison-matrix inverse has negative entries",
             condition="comparison_inverse_nonnegative",
@@ -198,7 +193,7 @@ def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
 
 def beta_factor(M, p=2):
     """Exact max ||(I - L + L M)^-1 L||_p over diagonal L with entries
-    lam in [0,1], from the 2**n vertices lam in {0,1}^n; limited to n <= 20.
+    lam in [0,1], from the 2**n vertices lam in {0,1}^n; n <= ``SIGN_BOX_LIMIT``.
 
     I - L + L M is the left-form sign family I - diag(lam) (I - M).  When
     its vertex determinants lack one strict common sign, the LCP lacks the
@@ -210,18 +205,12 @@ def beta_factor(M, p=2):
     M = numerics.as_square(M, "M")
     p = numerics.check_norm(p)
     n = M.shape[0]
-    if n > 20:
-        raise ValueError(f"beta_factor is limited to n <= 20, got {n}")
     eye = np.eye(n)
-    vertices = (sign_box_vertices(n) + 1.0) / 2.0
-    witness = _vertex_witness(eye, eye - M, vertices, left=True)
+    witness, beta = sign_box_scan(eye, eye - M, (sign_box_vertices(n) + 1.0) / 2.0, True, p)
     if witness is not None:
         warnings.warn(f"singular member at diagonal {np.array2string(witness, precision=3)}; "
                       "the uniqueness factor is unbounded")
-        return float("inf")
-    return max(
-        float(numerics.batched_norms(np.linalg.inv(stack) * block[:, None, :], p).max())
-        for block, stack in _sign_family(eye, eye - M, vertices, left=True))
+    return beta
 
 
 @dataclass

@@ -28,6 +28,8 @@ VERDICT_FAILS = "fails_all_sufficient_conditions"
 
 # Members of the sign family stacked per batched LAPACK call.
 _SIGN_CHUNK = 4096
+# Largest n whose 2**n sign-box vertices are enumerated.
+SIGN_BOX_LIMIT = 20
 
 
 @dataclass
@@ -260,35 +262,36 @@ class SolvabilityReport:
         return self.verdict == VERDICT_PROVEN
 
 
-def _sign_family(A, B, d_values, left=False):
-    """Yield ``(block, stack)`` over chunks of the rows of ``d_values``:
-    ``stack[i]`` is A - B diag(block[i]), or A - diag(block[i]) B when
-    ``left``.  This is the one loop over members of a sign family."""
-    for start in range(0, d_values.shape[0], _SIGN_CHUNK):
-        block = d_values[start:start + _SIGN_CHUNK]
-        if left:
-            yield block, A[None, :, :] - block[:, :, None] * B[None, :, :]
-        else:
-            yield block, A[None, :, :] - B[None, :, :] * block[:, None, :]
+def sign_box_scan(A, B, vertices, left=False, p=None):
+    """One pass over the members A - B diag(d) (A - diag(d) B when
+    ``left``) at the rows d of ``vertices``; returns ``(witness, peak)``.
 
+    ``witness`` is None when every member has a determinant of one common
+    strict sign, else the first vertex that breaks it.  The determinant is
+    affine in each d_j, so one strict sign at all vertices of a box proves
+    every member of the box regular, and a sign change proves a singular
+    member.  A determinant counts as strict only when
+    |det| > n eps prod_j ||col_j||_2, a rounding-size fraction of
+    Hadamard's bound, which is scale-free.
 
-def _vertex_witness(A, B, vertices, left=False):
-    """None when every member at ``vertices`` has a determinant of one
-    common strict sign, else the first vertex that breaks it.
-
-    The determinant of A - B diag(d) is affine in each d_j, so one strict
-    sign at all vertices of a box proves every member of the box regular,
-    and a sign change proves a singular member.  A determinant counts as
-    strict only when |det| > n eps prod_j ||col_j||_2, a rounding-size
-    fraction of Hadamard's bound, which is scale-free.
+    ``peak`` is None without ``p``, +inf with a witness, and otherwise the
+    vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.  Each chunk of
+    members is built once; its inverses are formed only after its
+    determinants pass, so a witness ends the scan before they are.
     """
     n = A.shape[0]
     log_floor = math.log(n * np.finfo(float).eps)
-    # The test is homogeneous; an exact 2**k scaling keeps the norms finite.
+    # The test is homogeneous; an exact 2**k scaling keeps the norms finite,
+    # and 2**-k scales the inverse norms back exactly.
     exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
     A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
-    sign = 0.0
-    for block, stack in _sign_family(A, B, vertices, left):
+    sign, peak = 0.0, 0.0
+    for start in range(0, vertices.shape[0], _SIGN_CHUNK):
+        block = vertices[start:start + _SIGN_CHUNK]
+        if left:
+            stack = A[None, :, :] - block[:, :, None] * B[None, :, :]
+        else:
+            stack = A[None, :, :] - B[None, :, :] * block[:, None, :]
         signs, logdets = np.linalg.slogdet(stack)
         with np.errstate(divide="ignore"):      # a zero column has log norm -inf
             log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)
@@ -296,20 +299,25 @@ def _vertex_witness(A, B, vertices, left=False):
             sign = signs[0]
         bad = (signs != sign) | ~(logdets > log_hadamard + log_floor)
         if np.any(bad):
-            return block[np.argmax(bad)]
-    return None
+            return block[np.argmax(bad)], (None if p is None else float("inf"))
+        if p is not None:
+            scaled = np.linalg.inv(stack) * np.abs(block)[:, None, :]
+            peak = max(peak, float(numerics.batched_norms(scaled, p).max()))
+    return None, (None if p is None else float(np.ldexp(peak, -exponent)))
 
 
 def sign_box_vertices(n):
-    """All 2**n sign vectors in {-1, +1}**n as an array of shape (2**n, n)."""
-    if n > 25:
-        raise ValueError(f"refusing to enumerate 2**{n} sign vertices")
+    """All 2**n sign vectors in {-1, +1}**n as an array of shape (2**n, n);
+    ValueError for n above ``SIGN_BOX_LIMIT``."""
+    if n > SIGN_BOX_LIMIT:
+        raise ValueError(
+            f"refusing to enumerate 2**{n} sign vertices (limit n <= {SIGN_BOX_LIMIT})")
     counts = np.arange(2**n, dtype=np.int64)
     bits = (counts[:, None] >> np.arange(n)[None, :]) & 1
     return bits.astype(float) * 2.0 - 1.0
 
 
-def solvability_report(problem, exhaustive_limit=20):
+def solvability_report(problem):
     """Screen a problem for unique solvability.
 
     Three sufficient conditions are evaluated (mirrored for type2):
@@ -319,8 +327,8 @@ def solvability_report(problem, exhaustive_limit=20):
     * largest singular value of A^-1 B below one.
 
     Any pass proves a unique solution exists for every right-hand side
-    (``proven_unique``).  When all three fail and n <= ``exhaustive_limit``,
-    the sign family A - B diag(d) decides (see ``_vertex_witness``):
+    (``proven_unique``).  When all three fail and n <= ``SIGN_BOX_LIMIT``,
+    the sign family A - B diag(d) decides (see ``sign_box_scan``):
 
     * one strict determinant sign at every vertex d in {-1,1}^n proves no
       member of the box singular -> ``proven_unique``,
@@ -364,11 +372,11 @@ def solvability_report(problem, exhaustive_limit=20):
         return SolvabilityReport(checks, VERDICT_PROVEN)
 
     n = problem.n
-    if n > exhaustive_limit:
+    if n > SIGN_BOX_LIMIT:
         return SolvabilityReport(checks, VERDICT_FAILS)
 
-    witness = _vertex_witness(problem.A, problem.B, sign_box_vertices(n),
-                              left=problem.form == TYPE_TWO)
+    witness, _ = sign_box_scan(problem.A, problem.B, sign_box_vertices(n),
+                               left=problem.form == TYPE_TWO)
     if witness is None:
         checks.append(SolvabilityCheck(
             "sign_family_nonsingular", 1.0, 1.0, True,

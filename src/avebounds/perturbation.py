@@ -59,18 +59,17 @@ class Perturbation:
                 f"problem is {problem.n}-dimensional"
             )
 
-    def componentwise_violations(self, problem, slack=1e-12):
-        """Which parts break the envelope |d.| <= epsilon |.| (if any)."""
+    def componentwise_violations(self, problem):
+        """Which parts break the envelope |d.| <= epsilon |.| (if any); each
+        entry may exceed its bound by a few roundings, at any scale."""
         if self.epsilon is None:
             return ["epsilon is not set"]
         out = []
-        eps = self.epsilon
-        if np.any(np.abs(self.dA) > eps * np.abs(problem.A) + slack):
-            out.append("|dA| <= epsilon |A| fails")
-        if np.any(np.abs(self.dB) > eps * np.abs(problem.B) + slack):
-            out.append("|dB| <= epsilon |B| fails")
-        if np.any(np.abs(self.db) > eps * np.abs(problem.b) + slack):
-            out.append("|db| <= epsilon |b| fails")
+        scale = self.epsilon * (1.0 + 4.0 * np.finfo(float).eps)
+        for name, delta, data in (("A", self.dA, problem.A), ("B", self.dB, problem.B),
+                                  ("b", self.db, problem.b)):
+            if np.any(np.abs(delta) > scale * np.abs(data)):
+                out.append(f"|d{name}| <= epsilon |{name}| fails")
         return out
 
 

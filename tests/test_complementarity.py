@@ -152,6 +152,18 @@ class TestComparisonBound:
             lcp_comparison_bound([[0.0, 2.0], [2.0, 0.0]])
         assert exc.value.condition == "comparison_inverse_nonnegative"
 
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_nonnegativity_test_is_scale_free(self, scale):
+        # An H-matrix stays applicable and a non-H-matrix, whose comparison
+        # inverse is entrywise negative, is rejected at every scale.
+        h_matrix = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        # <M>^-1 max(D_M, I) is scale-free once the diagonal passes one.
+        assert lcp_comparison_bound(h_matrix) == pytest.approx(
+            1.0 / scale if scale < 0.5 else 2.0, rel=1e-12)
+        with pytest.raises(InapplicableBoundError) as exc:
+            lcp_comparison_bound(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert exc.value.condition == "comparison_inverse_nonnegative"
+
     def test_singular_comparison_rejected(self):
         with pytest.raises(InapplicableBoundError) as exc:
             lcp_comparison_bound(np.ones((2, 2)))

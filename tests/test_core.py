@@ -10,6 +10,7 @@ from avebounds import (
     sign_diagonal,
     solvability_report,
 )
+from avebounds import core
 from avebounds.core import (
     VERDICT_FAILS,
     VERDICT_INCONCLUSIVE,
@@ -152,10 +153,19 @@ class TestSolvabilityReport:
         assert not rep.checks[-1].passed
         assert "singular member" in rep.checks[-1].note
 
-    def test_fails_when_dimension_over_limit(self):
-        p = AveProblem(np.diag([2.0, 1.0]), np.eye(2), np.zeros(2))
-        rep = solvability_report(p, exhaustive_limit=1)
+    def test_fails_when_dimension_over_limit(self, monkeypatch):
+        # All three screens fail at n = 21 (rho = sigma = 1, gap 0), one
+        # above the sign-box limit, so no vertex is enumerated.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign box enumerated above the limit")
+
+        n = 21
+        monkeypatch.setattr(core, "sign_box_vertices", refuse)
+        monkeypatch.setattr(core, "sign_box_scan", refuse)
+        A = np.diag([2.0] + [1.0] * (n - 1))
+        rep = solvability_report(AveProblem(A, np.eye(n), np.zeros(n)))
         assert rep.verdict == VERDICT_FAILS
+        assert len(rep.checks) == 3 and not any(c.passed for c in rep.checks)
 
     def test_singular_A_is_reported_not_raised(self):
         p = AveProblem([[0.0]], [[0.0]], [0.0])

@@ -61,6 +61,17 @@ class TestPerturbation:
                              epsilon=0.1)
         assert bad_b.componentwise_violations(p0) == ["|db| <= epsilon |b| fails"]
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0])
+    def test_envelope_is_scale_free(self, scale):
+        # dA 50 times outside the envelope is a violation at any scale; data
+        # exactly on the envelope is not.
+        A = scale * np.eye(2)
+        p = AveProblem(A, 0.5 * A, scale * np.ones(2))
+        outside = Perturbation(0.5 * A, np.zeros((2, 2)), np.zeros(2), epsilon=0.01)
+        assert outside.componentwise_violations(p) == ["|dA| <= epsilon |A| fails"]
+        on = Perturbation(0.01 * p.A, 0.01 * p.B, -0.01 * p.b, epsilon=0.01)
+        assert on.componentwise_violations(p) == []
+
 
 NAN = float("nan")
 

@@ -15,9 +15,9 @@ from avebounds import (
     sign_box_vertices,
     solvability_report,
 )
-from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN
+from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN, sign_box_scan
 
-from support import regular_sign_family, sign_members
+from support import random_hplus_lcp, regular_sign_family, sign_members
 
 NORMS = (1, 2, np.inf)
 
@@ -144,3 +144,61 @@ def test_vertex_maximum_is_exact_and_dominates_interior_samples():
                 np.linalg.norm(at_vertices, ord=p, axis=(1, 2)).max(), rel=1e-12)
             worst = max(worst, np.linalg.norm(sampled, ord=p, axis=(1, 2)).max() / exact - 1.0)
     assert worst <= 1e-12, worst
+
+
+# n = 13 is the first size whose 2**n vertices span two chunks of the scan.
+CHUNKED_N = 13
+
+
+def _count_inverses(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+def test_sign_flip_between_chunks_is_found(monkeypatch):
+    # det(I - B diag(d)) = 1 - 2 d_13 is 3 on the first 4096 vertices and
+    # -1 from vertex 4096 on, so the first chunk alone looks regular.
+    n = CHUNKED_N
+    A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
+    vertices = sign_box_vertices(n)
+    witness, peak = sign_box_scan(A, B, vertices, p=2)
+    assert np.array_equal(witness, vertices[4096]) and peak == np.inf
+    calls = _count_inverses(monkeypatch)
+    assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
+    assert calls == [(4096, n, n)]
+    assert solvability_report(AveProblem(A, B, np.zeros(n))).verdict == VERDICT_INCONCLUSIVE
+
+
+def test_witness_in_first_chunk_forms_no_inverse(monkeypatch):
+    n = CHUNKED_N
+    A, B = np.eye(n), np.diag([2.0] + [0.0] * (n - 1))
+    calls = _count_inverses(monkeypatch)
+    assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
+    with pytest.warns(UserWarning):
+        assert beta_factor(np.diag([0.0] + [1.0] * (n - 1))) == np.inf
+    assert calls == []
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_chunked_vertex_maximum_matches_an_independent_one(form):
+    n = CHUNKED_N
+    rng = np.random.default_rng(13)
+    problem = regular_sign_family(rng, n, form)
+    left = form == TYPE_TWO
+    alpha_inverses = np.linalg.inv(
+        sign_members(problem.A, problem.B, sign_box_vertices(n), left))
+    M = random_hplus_lcp(rng, n).M
+    lam = (sign_box_vertices(n) + 1.0) / 2.0
+    beta_products = np.linalg.inv(sign_members(np.eye(n), np.eye(n) - M, lam, True)) \
+        * lam[:, None, :]
+    for p in NORMS:
+        assert brute_force_alpha(problem, p) == pytest.approx(
+            np.linalg.norm(alpha_inverses, ord=p, axis=(1, 2)).max(), rel=1e-12)
+        assert beta_factor(M, p) == pytest.approx(
+            np.linalg.norm(beta_products, ord=p, axis=(1, 2)).max(), rel=1e-12)
