@@ -29,7 +29,6 @@ from .core import (                                          # noqa: F401
     TYPE_ONE,
     TYPE_TWO,
     residual,
-    sign_box_vertices,
     sign_diagonal,
     solvability_report,
 )

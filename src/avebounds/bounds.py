@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .core import TYPE_TWO, AveProblem, residual, sign_box_scan, sign_box_vertices
+from .core import TYPE_TWO, AveProblem, residual, sign_box_scan
 from .exceptions import InapplicableBoundError, SingularMatrixError
 
 NEUMANN = "neumann"
@@ -232,8 +232,7 @@ def brute_force_alpha(problem, p=2):
     is quasiconvex in d_j and peaks at a vertex.
     """
     p = numerics.check_norm(p)
-    return sign_box_scan(problem.A, problem.B, sign_box_vertices(problem.n),
-                         problem.form == TYPE_TWO, p)[1]
+    return sign_box_scan(problem.A, problem.B, problem.form == TYPE_TWO, p)[1]
 
 
 def shifted_norm_slack(A, alpha, p=2):

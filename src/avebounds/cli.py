@@ -26,7 +26,7 @@ from .complementarity import (
 )
 from .core import AveProblem, TYPE_ONE, TYPE_TWO, residual
 from .exceptions import InapplicableBoundError, NonConvergenceError, SingularMatrixError
-from .harness import FORMATS, emit, reproduce_table
+from .harness import FORMATS, TableOutput, emit, reproduce_table
 from .perturbation import Perturbation, perturbation_experiment
 from .solver import SolveOptions, picard_solve
 
@@ -125,7 +125,6 @@ def _cmd_perturb(args):
     db = matrixio.load_vector(args.drhs) if args.drhs else np.zeros(problem.n)
     pert = Perturbation(dA, dB, db, epsilon=args.epsilon)
     record = perturbation_experiment(problem, pert, _options(args))
-    from .harness import TableOutput
     table = TableOutput(rows=[record], meta={"source": "files", "tool_version": __version__})
     sys.stdout.write(emit(table, args.format).decode())
     return 0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
-from .core import AveProblem, TYPE_ONE, sign_box_scan, sign_box_vertices
+from .core import AveProblem, TYPE_ONE, sign_box_scan
 from .exceptions import InapplicableBoundError, SingularMatrixError
 from .perturbation import Perturbation, _relative_coefficient
 
@@ -131,7 +131,7 @@ def column_w_property(hlcp):
     ``SIGN_BOX_LIMIT``.
     """
     ave = hlcp_to_ave(hlcp)
-    return sign_box_scan(ave.A, ave.B, sign_box_vertices(hlcp.n))[0] is None
+    return sign_box_scan(ave.A, ave.B)[0] is None
 
 
 def hlcp_error_bounds(hlcp, p=2):
@@ -204,9 +204,8 @@ def beta_factor(M, p=2):
     """
     M = numerics.as_square(M, "M")
     p = numerics.check_norm(p)
-    n = M.shape[0]
-    eye = np.eye(n)
-    witness, beta = sign_box_scan(eye, eye - M, (sign_box_vertices(n) + 1.0) / 2.0, True, p)
+    eye = np.eye(M.shape[0])
+    witness, beta = sign_box_scan(eye, eye - M, True, p, zero_one=True)
     if witness is not None:
         warnings.warn(f"singular member at diagonal {np.array2string(witness, precision=3)}; "
                       "the uniqueness factor is unbounded")

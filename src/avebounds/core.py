@@ -262,9 +262,12 @@ class SolvabilityReport:
         return self.verdict == VERDICT_PROVEN
 
 
-def sign_box_scan(A, B, vertices, left=False, p=None):
+def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     """One pass over the members A - B diag(d) (A - diag(d) B when
-    ``left``) at the rows d of ``vertices``; returns ``(witness, peak)``.
+    ``left``) at all 2**n vertices d of {-1, 1}**n ({0, 1}**n when
+    ``zero_one``); returns ``(witness, peak)``.  Vertex k has d_j = 1
+    exactly when bit j of k is set.  ValueError for n above
+    ``SIGN_BOX_LIMIT``, before anything is enumerated.
 
     ``witness`` is None when every member has a determinant of one common
     strict sign, else the first vertex that breaks it.  The determinant is
@@ -275,19 +278,25 @@ def sign_box_scan(A, B, vertices, left=False, p=None):
     Hadamard's bound, which is scale-free.
 
     ``peak`` is None without ``p``, +inf with a witness, and otherwise the
-    vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.  Each chunk of
-    members is built once; its inverses are formed only after its
+    vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.  Each chunk's
+    vertices come from its index range and its members are built once, so
+    memory is bounded by one chunk; its inverses are formed only after its
     determinants pass, so a witness ends the scan before they are.
     """
     n = A.shape[0]
+    if n > SIGN_BOX_LIMIT:
+        raise ValueError(
+            f"refusing to enumerate 2**{n} sign vertices (limit n <= {SIGN_BOX_LIMIT})")
     log_floor = math.log(n * np.finfo(float).eps)
     # The test is homogeneous; an exact 2**k scaling keeps the norms finite,
     # and 2**-k scales the inverse norms back exactly.
     exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
     A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
+    bits, low = 1 << np.arange(n), (0.0 if zero_one else -1.0)
     sign, peak = 0.0, 0.0
-    for start in range(0, vertices.shape[0], _SIGN_CHUNK):
-        block = vertices[start:start + _SIGN_CHUNK]
+    for start in range(0, 2**n, _SIGN_CHUNK):
+        index = np.arange(start, min(start + _SIGN_CHUNK, 2**n))
+        block = np.where(index[:, None] & bits, 1.0, low)
         if left:
             stack = A[None, :, :] - block[:, :, None] * B[None, :, :]
         else:
@@ -301,20 +310,11 @@ def sign_box_scan(A, B, vertices, left=False, p=None):
         if np.any(bad):
             return block[np.argmax(bad)], (None if p is None else float("inf"))
         if p is not None:
-            scaled = np.linalg.inv(stack) * np.abs(block)[:, None, :]
-            peak = max(peak, float(numerics.batched_norms(scaled, p).max()))
+            inverses = np.linalg.inv(stack)
+            if zero_one:                        # |d| = 1 at every sign vertex
+                inverses *= block[:, None, :]
+            peak = max(peak, float(numerics.batched_norms(inverses, p).max()))
     return None, (None if p is None else float(np.ldexp(peak, -exponent)))
-
-
-def sign_box_vertices(n):
-    """All 2**n sign vectors in {-1, +1}**n as an array of shape (2**n, n);
-    ValueError for n above ``SIGN_BOX_LIMIT``."""
-    if n > SIGN_BOX_LIMIT:
-        raise ValueError(
-            f"refusing to enumerate 2**{n} sign vertices (limit n <= {SIGN_BOX_LIMIT})")
-    counts = np.arange(2**n, dtype=np.int64)
-    bits = (counts[:, None] >> np.arange(n)[None, :]) & 1
-    return bits.astype(float) * 2.0 - 1.0
 
 
 def solvability_report(problem):
@@ -375,8 +375,7 @@ def solvability_report(problem):
     if n > SIGN_BOX_LIMIT:
         return SolvabilityReport(checks, VERDICT_FAILS)
 
-    witness, _ = sign_box_scan(problem.A, problem.B, sign_box_vertices(n),
-                               left=problem.form == TYPE_TWO)
+    witness, _ = sign_box_scan(problem.A, problem.B, problem.form == TYPE_TWO)
     if witness is None:
         checks.append(SolvabilityCheck(
             "sign_family_nonsingular", 1.0, 1.0, True,

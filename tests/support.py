@@ -3,9 +3,11 @@
 Everything here is deterministic given the caller's rng, so tests freeze
 behaviour by fixing their seeds.
 """
+from itertools import product
+
 import numpy as np
 
-from avebounds import AveProblem, LcpProblem, Perturbation, TYPE_ONE, sign_box_vertices
+from avebounds import AveProblem, LcpProblem, Perturbation, TYPE_ONE
 
 
 def spectral_radius(m):
@@ -65,7 +67,7 @@ def vertex_mu2(problem):
     The entries of the inverse are ratios of multilinear functions of d and
     are coordinatewise monotone between their poles, so the maximum over the
     whole box is attained at a vertex; at small n this is exact."""
-    stack = sign_members(problem.A, problem.B, sign_box_vertices(problem.n))
+    stack = sign_members(problem.A, problem.B, box_vertices(problem.n))
     return np.abs(np.linalg.inv(stack)).max(axis=0)
 
 
@@ -91,6 +93,15 @@ def regular_sign_family(rng, n, form=TYPE_ONE):
     A = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     B = A @ K if form == TYPE_ONE else K @ A
     return AveProblem(A, B, np.ones(n), form)
+
+
+def box_vertices(n, low=-1.0):
+    """All 2**n vertices of {low, 1}**n, shape (2**n, n), in the order of
+    ``core.sign_box_scan``: row k has d_j = 1 exactly when bit j of k is set.
+
+    ``product`` varies its last factor fastest, so reversing each tuple
+    makes d_0 the fastest, i.e. the lowest bit."""
+    return np.array([t[::-1] for t in product((low, 1.0), repeat=n)])
 
 
 def sign_members(A, B, d_values, left=False):

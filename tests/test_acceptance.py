@@ -67,13 +67,12 @@ from avebounds import (
     region_factors,
     reproduce_table,
     shifted_norm_slack,
-    sign_box_vertices,
     sign_diagonal,
     spectral_radius_nonneg,
     upper_factor,
 )
 from avebounds.exceptions import InapplicableBoundError
-from support import random_hplus_lcp, random_solvable
+from support import box_vertices, random_hplus_lcp, random_solvable
 
 TABLE_TOLERANCE = 1.5e-3
 
@@ -402,7 +401,7 @@ def _sweep_identity_family():
         eye = np.eye(n)
         envelope = np.linalg.norm(A + eye, 2) + np.linalg.norm(A - eye, 2)
         vertex_max = max(
-            p_norm(A - np.diag(d), 2) for d in sign_box_vertices(n)
+            p_norm(A - np.diag(d), 2) for d in box_vertices(n)
         )
         if vertex_max > envelope + 1e-9:
             viol_vertex += 1

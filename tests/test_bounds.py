@@ -15,12 +15,11 @@ from avebounds import (
     lower_factor,
     residual,
     shifted_norm_slack,
-    sign_box_vertices,
     upper_factor,
 )
 from avebounds.exceptions import InapplicableBoundError
 
-from support import random_solvable
+from support import box_vertices, random_solvable
 
 
 def two_by_two_demo():
@@ -53,7 +52,7 @@ class TestLowerFactor:
         for n in range(1, 9):
             for _ in range(3):
                 A, B = rng.normal(size=(n, n)), rng.normal(size=(n, n))
-                d = sign_box_vertices(n)
+                d = box_vertices(n)
                 if form == TYPE_TWO:
                     stack = A[None, :, :] - d[:, :, None] * B[None, :, :]
                 else:

@@ -6,7 +6,6 @@ from avebounds import (
     TYPE_ONE,
     TYPE_TWO,
     residual,
-    sign_box_vertices,
     sign_diagonal,
     solvability_report,
 )
@@ -101,18 +100,6 @@ class TestSignDiagonal:
             assert np.allclose(lhs2, rhs2, atol=1e-10)
 
 
-class TestSignBoxVertices:
-    def test_small(self):
-        v = sign_box_vertices(2)
-        assert v.shape == (4, 2)
-        assert {tuple(row) for row in v} == {
-            (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0), (1.0, 1.0)}
-
-    def test_refuses_huge(self):
-        with pytest.raises(ValueError):
-            sign_box_vertices(26)
-
-
 class TestSolvabilityReport:
     def test_proven_by_singular_value_gap(self):
         p = AveProblem(np.eye(2), [[0.9, -0.4], [0.4, 0.9]], np.zeros(2))
@@ -160,7 +147,6 @@ class TestSolvabilityReport:
             raise AssertionError("sign box enumerated above the limit")
 
         n = 21
-        monkeypatch.setattr(core, "sign_box_vertices", refuse)
         monkeypatch.setattr(core, "sign_box_scan", refuse)
         A = np.diag([2.0] + [1.0] * (n - 1))
         rep = solvability_report(AveProblem(A, np.eye(n), np.zeros(n)))

@@ -1,6 +1,8 @@
 """The sign-box kernel: regularity is decided by the vertex determinants,
 and the vertex enumerations of brute_force_alpha and beta_factor are exact
 maxima over the whole box."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,11 @@ from avebounds import (
     beta_factor,
     brute_force_alpha,
     column_w_property,
-    sign_box_vertices,
     solvability_report,
 )
 from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN, sign_box_scan
 
-from support import random_hplus_lcp, regular_sign_family, sign_members
+from support import box_vertices, random_hplus_lcp, regular_sign_family, sign_members
 
 NORMS = (1, 2, np.inf)
 
@@ -29,7 +30,7 @@ def test_regular_family_with_tiny_vertex_determinants_is_proven(form):
     # proves the whole box regular.
     n = 12
     problem = regular_sign_family(np.random.default_rng(4), n, form)
-    dets = np.linalg.det(sign_members(problem.A, problem.B, sign_box_vertices(n),
+    dets = np.linalg.det(sign_members(problem.A, problem.B, box_vertices(n),
                                       left=form == TYPE_TWO))
     scale = max(np.linalg.norm(problem.A, np.inf), np.linalg.norm(problem.B, np.inf), 1.0)
     assert np.all(dets > 0)
@@ -73,7 +74,7 @@ def test_mixed_vertex_signs_give_infinite_alpha(seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
     B = rng.standard_normal((n, n))
-    dets = np.linalg.det(sign_members(A, B, sign_box_vertices(n)))
+    dets = np.linalg.det(sign_members(A, B, box_vertices(n)))
     assert dets.min() < 0.0 < dets.max()
     problem = AveProblem(A, B, np.zeros(n))
     assert brute_force_alpha(problem) == np.inf
@@ -118,12 +119,12 @@ def test_vertex_maximum_is_exact_and_dominates_interior_samples():
             form = (TYPE_ONE, TYPE_TWO)[families // 2 % 2]
             A = rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
             B = rng.uniform(0.1, 1.5) * rng.standard_normal((n, n))
-            vertices, interior = sign_box_vertices(n), rng.uniform(-1.0, 1.0, (2000, n))
+            vertices, interior = box_vertices(n), rng.uniform(-1.0, 1.0, (2000, n))
             left, scaled = form == TYPE_TWO, False
         else:
             M = rng.standard_normal((n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
             A, B = np.eye(n), np.eye(n) - M
-            vertices = (sign_box_vertices(n) + 1.0) / 2.0
+            vertices = box_vertices(n, low=0.0)
             interior = rng.uniform(0.0, 1.0, (2000, n))
             left, scaled = True, True
 
@@ -166,9 +167,8 @@ def test_sign_flip_between_chunks_is_found(monkeypatch):
     # -1 from vertex 4096 on, so the first chunk alone looks regular.
     n = CHUNKED_N
     A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
-    vertices = sign_box_vertices(n)
-    witness, peak = sign_box_scan(A, B, vertices, p=2)
-    assert np.array_equal(witness, vertices[4096]) and peak == np.inf
+    witness, peak = sign_box_scan(A, B, p=2)
+    assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0]) and peak == np.inf
     calls = _count_inverses(monkeypatch)
     assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
     assert calls == [(4096, n, n)]
@@ -192,9 +192,9 @@ def test_chunked_vertex_maximum_matches_an_independent_one(form):
     problem = regular_sign_family(rng, n, form)
     left = form == TYPE_TWO
     alpha_inverses = np.linalg.inv(
-        sign_members(problem.A, problem.B, sign_box_vertices(n), left))
+        sign_members(problem.A, problem.B, box_vertices(n), left))
     M = random_hplus_lcp(rng, n).M
-    lam = (sign_box_vertices(n) + 1.0) / 2.0
+    lam = box_vertices(n, low=0.0)
     beta_products = np.linalg.inv(sign_members(np.eye(n), np.eye(n) - M, lam, True)) \
         * lam[:, None, :]
     for p in NORMS:
@@ -202,3 +202,35 @@ def test_chunked_vertex_maximum_matches_an_independent_one(form):
             np.linalg.norm(alpha_inverses, ord=p, axis=(1, 2)).max(), rel=1e-12)
         assert beta_factor(M, p) == pytest.approx(
             np.linalg.norm(beta_products, ord=p, axis=(1, 2)).max(), rel=1e-12)
+
+
+def test_limit_is_checked_before_anything_is_enumerated(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sign box enumerated above the limit")
+
+    monkeypatch.setattr(np.linalg, "slogdet", refuse)
+    n = 21
+    M = random_hplus_lcp(np.random.default_rng(21), n).M
+    calls = (
+        lambda: brute_force_alpha(AveProblem(M, np.eye(n), np.zeros(n))),
+        lambda: beta_factor(M),
+        lambda: column_w_property(HlcpProblem(M, np.eye(n), np.ones(n))),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="limit n <= 20"):
+            call()
+
+
+def test_memory_is_bounded_by_one_chunk():
+    # The peak covers the chunk's vertex matrices and LAPACK's copies of
+    # them; a 2**n x n vertex array alone would take 17.8 MB at n = 17.
+    n = 17
+    M = random_hplus_lcp(np.random.default_rng(17), n).M
+    hlcp = HlcpProblem(M, np.eye(n), np.ones(n))
+    tracemalloc.start()
+    try:
+        assert column_w_property(hlcp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 4096 * n**2 * 8, peak
