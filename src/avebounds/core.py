@@ -90,14 +90,13 @@ class ProblemAnalysis:
 
     K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
     factorization of A: the solver, K, the Neumann factor and the kernels
-    all read it.  The one inverse of I - |K| proves the premise
+    all read it.  The one inverse of I - |K| decides the premise
     rho(|K|) < 1 (a Collatz-Wielandt certificate) and serves every Neumann
     factor and the series kernel.  Both are gated on their own 1-norm
     condition number (``numerics.gated_inverse``), not on singular values.
     K is not kept; one matrix product rebuilds it when a new quantity needs
-    it.  rho(|K|) itself comes from ``eigvals`` only when the certificate
-    fails or ``solvability_report`` asks for the number.  A per-analysis
-    lock makes concurrent callers compute each quantity once.
+    it.  No bound computes rho(|K|) itself.  A per-analysis lock makes
+    concurrent callers compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -140,42 +139,33 @@ class ProblemAnalysis:
         A_inv = self.inverse()
         return self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
 
-    def spectral_radius(self):
-        """Spectral radius of |K|; A must have passed the gate."""
-        return self.memoised(
-            "rho", lambda: numerics.spectral_radius_nonneg(np.abs(self._ratio())))
-
     def ratio_norm(self):
         """Largest singular value of K; A must have passed the gate."""
         return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio(), 2))
 
-    def _contraction(self):
-        """The memoised ``numerics.contraction_inverse(|K|)``;
-        InapplicableBoundError unless A is regular and rho(|K|) < 1.
-
-        Its Collatz-Wielandt certificate decides; rho(|K|) from ``eigvals``
-        is computed only when the certificate fails."""
+    def _core_inverse(self):
+        """(I - |K|)^-1, read-only; InapplicableBoundError unless A and then
+        the memoised inverse of I - |K| pass the gate of ``numerics.inverse``,
+        and its Collatz-Wielandt certificate proves rho(|K|) < 1
+        (``numerics.contraction_inverse``).  A singular I - |K| fails the
+        certificate: 1 is then an eigenvalue of |K|."""
         try:
             self.inverse()
         except SingularMatrixError as exc:
             raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
-        core = self.memoised("core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
-        if core[2] or self.spectral_radius() < 1.0:
-            return core
-        raise InapplicableBoundError(
-            "spectral radius of the absolute iteration matrix is "
-            f"{self.spectral_radius():.6g} >= 1",
-            condition="spectral_radius",
-        )
-
-    def _core_inverse(self):
-        """(I - |K|)^-1, read-only, after the premise of ``_contraction`` and
-        the gate of ``numerics.inverse`` pass; I - |K| is inverted once."""
-        inv, cond, _ = self._contraction()
-        try:
-            numerics.require_regular(cond, "I - |K|")
-        except SingularMatrixError as exc:
-            raise InapplicableBoundError(str(exc), condition="invertible_I_minus_K") from exc
+        inv, cond, proven = self.memoised(
+            "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
+        if inv is not None:
+            try:
+                numerics.require_regular(cond, "I - |K|")
+            except SingularMatrixError as exc:
+                raise InapplicableBoundError(
+                    str(exc), condition="invertible_I_minus_K") from exc
+        if not proven:
+            raise InapplicableBoundError(
+                "spectral radius of the absolute iteration matrix is not proven below 1",
+                condition="spectral_radius",
+            )
         return inv
 
     def neumann_factor(self, p):
@@ -195,10 +185,8 @@ class ProblemAnalysis:
             raise ValueError(f"unknown kernel {kernel!r}; use 'damped' or 'series'")
 
         def compute():
-            if kernel == "series":
-                core = self._core_inverse()
-            else:
-                self._contraction()
+            core = self._core_inverse()     # both kernels need the premise
+            if kernel == "damped":
                 core = np.eye(self.A.shape[0]) - np.abs(self._ratio())
             A_inv = np.abs(self.inverse())
             return A_inv @ core if self.form == TYPE_TWO else core @ A_inv
@@ -357,7 +345,7 @@ def solvability_report(problem):
         checks.append(SolvabilityCheck(
             "largest_singular_ratio", math.inf, 1.0, False, "A is numerically singular"))
     else:
-        rho = analysis.spectral_radius()
+        rho = numerics.spectral_radius_nonneg(np.abs(analysis._ratio()))
         checks.append(SolvabilityCheck(
             "spectral_radius", rho, 1.0, rho < 1.0,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",

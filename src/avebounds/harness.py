@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import operator
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -196,7 +195,6 @@ def run_experiment(spec):
         "sizes": list(spec.sizes),
         "epsilons": list(spec.epsilons),
         "norm": 2,      # every table quantity is a 2-norm
-        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "tool_version": __version__,
     })
     for (size, eps), outcome in zip(jobs, outcomes):

@@ -204,8 +204,9 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="damped"):
       damped kernel entrywise and majorises every member of the sign
       family |(A - B diag(d))^-1|, giving the conservative guarantee.
 
-    Requires the spectral radius of M below one and the denominator
-    positive; both are reported as inapplicable when violated.
+    Both kernels require rho(M) < 1, proven on the gated inverse of I - M,
+    and the denominator positive; each is reported as inapplicable when
+    it fails.
     """
     p = numerics.check_norm(p)
     if not epsilon >= 0:

@@ -241,9 +241,13 @@ def _gate_outcomes(problem):
     return [_outcome(call) for call in calls]
 
 
-def test_certified_gate_agrees_with_eigvals_away_from_one(monkeypatch):
+def _no_eigvals(*args, **kwargs):
+    raise AssertionError("np.linalg.eigvals ran")
+
+
+def test_certificate_alone_decides_away_from_one(monkeypatch):
     """The Collatz-Wielandt certificate decides the contraction premise as
-    rho(|K|) from ``eigvals`` does wherever |rho - 1| > 1e-9."""
+    rho(|K|) does wherever |rho - 1| > 1e-9, and no eigensolve runs."""
     rng = np.random.default_rng(20241018)
     problems = []
     for form in (TYPE_ONE, TYPE_TWO):
@@ -259,16 +263,47 @@ def test_certified_gate_agrees_with_eigvals_away_from_one(monkeypatch):
         rho = numerics.spectral_radius_nonneg(_abs_ratio(problem.A, problem.B, problem.form))
         if abs(rho - 1.0) <= 1e-9:
             continue
-        got = _gate_outcomes(_fresh(problem))
         with monkeypatch.context() as patch:
-            patch.setattr(numerics, "contraction_inverse",
-                          lambda m, f=numerics.contraction_inverse: f(m)[:2] + (False,))
-            want = _gate_outcomes(_fresh(problem))
-        _assert_same(got, want)
-        conditions = {w[2] for w in want if isinstance(w, tuple)}
+            patch.setattr(np.linalg, "eigvals", _no_eigvals)
+            got = _gate_outcomes(_fresh(problem))
+        conditions = {g[2] for g in got if isinstance(g, tuple)}
         assert conditions == (set() if rho < 1.0 else {"spectral_radius"})
         checked += 1
     assert checked >= 80
+
+
+def test_unsolvable_instance_fails_the_premise_without_eigensolve(monkeypatch):
+    # K = A^-1 B = 1.25 H with H >= 0 row-stochastic, so rho(|K|) = 1.25:
+    # every bound that needs rho(|K|) < 1 says so without an eigensolve,
+    # and only the solvability screen computes the number.
+    rng = np.random.default_rng(20241017)
+    n = 40
+    A = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    H = np.abs(rng.standard_normal((n, n)))
+    H /= H.sum(axis=1, keepdims=True)
+    c = np.abs(rng.standard_normal(n)) + 0.1
+    problem = AveProblem(A, A @ (1.25 * H), A @ c)
+    pert = Perturbation(1e-6 * problem.A, 1e-6 * problem.B, 1e-6 * problem.b)
+    not_proven = "neumann: spectral radius of the absolute iteration matrix is not proven below 1"
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", _no_eigvals)
+        for p in NORMS:
+            with pytest.raises(InapplicableBoundError) as exc:
+                upper_factor(problem, "neumann", p)
+            assert exc.value.condition == "spectral_radius"
+            assert "not proven" in str(exc.value)
+            with pytest.raises(InapplicableBoundError) as exc:
+                error_interval(problem, c + 1e-3, p)
+            assert not_proven in str(exc.value)
+            report = general_relative_bound(problem, pert, p=p)
+            assert report.tau is None and not_proven in report.notes
+        for kernel in ("damped", "series"):
+            with pytest.raises(InapplicableBoundError) as exc:
+                componentwise_bound(problem, c, 1e-6, 2, kernel=kernel)
+            assert exc.value.condition == "spectral_radius"
+    checks = {check.name: check for check in solvability_report(problem).checks}
+    assert checks["spectral_radius"].value == pytest.approx(1.25, abs=1e-9)
+    assert not checks["spectral_radius"].passed
 
 
 def test_table_three_makes_no_eigensolve(monkeypatch):
@@ -347,7 +382,8 @@ def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
 
 def test_unresolvable_neumann_inverse_is_inapplicable():
     # rho(|K|) = 0 since B is strictly upper triangular, so the contraction
-    # premise holds, but cond(I - |K|) ~ 1e18 fails the conditioning gate.
+    # premise holds, but cond(I - |K|) ~ 1e18 fails the conditioning gate,
+    # which both componentwise kernels pass through.
     n = 60
     B = np.triu(np.random.default_rng(0).uniform(0.0, 5.0, (n, n)), 1)
     problem = AveProblem(np.eye(n), B, np.ones(n))
@@ -358,9 +394,10 @@ def test_unresolvable_neumann_inverse_is_inapplicable():
         with pytest.raises(InapplicableBoundError) as exc:
             upper_factor(problem, "neumann", p)
         assert exc.value.condition == "invertible_I_minus_K"
-    with pytest.raises(InapplicableBoundError) as exc:
-        componentwise_bound(problem, np.ones(n), 0.01, 2, kernel="series")
-    assert exc.value.condition == "invertible_I_minus_K"
+    for kernel in ("damped", "series"):
+        with pytest.raises(InapplicableBoundError) as exc:
+            componentwise_bound(problem, np.ones(n), 0.01, 2, kernel=kernel)
+        assert exc.value.condition == "invertible_I_minus_K"
 
 
 def _count_singular_value_calls(monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -258,3 +259,12 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit(synthetic_table(), "yaml")
+
+    def test_json_table_is_byte_reproducible(self, monkeypatch):
+        # The clock moves between the two runs; the bytes do not.
+        ticks = iter(range(1_700_000_000, 1_800_000_000, 3600))
+        gmtime = time.gmtime
+        monkeypatch.setattr(time, "gmtime", lambda *args: gmtime(next(ticks)))
+        first = emit(reproduce_table(1), "json")
+        second = emit(reproduce_table(1), "json")
+        assert first == second
