@@ -34,18 +34,6 @@ _NORMS = {"1": 1, "2": 2, "inf": np.inf}
 _FORMS = {"1": TYPE_ONE, "2": TYPE_TWO}
 
 
-def _common(parser):
-    parser.add_argument("--format", choices=FORMATS, default="markdown",
-                        help="output format (default markdown)")
-
-
-def _solver_args(parser):
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="solver step tolerance (default 1e-6)")
-    parser.add_argument("--max-iter", type=int, default=10000,
-                        help="solver iteration cap (default 10000)")
-
-
 def _load_problem(args):
     A = matrixio.load_matrix(args.a)
     B = matrixio.load_matrix(args.b) if args.b else np.zeros_like(A)
@@ -130,50 +118,43 @@ def _cmd_perturb(args):
     return 0
 
 
-def _print_complementarity(args, result, sol, label, residual):
-    """Print a recovered (z, w) pair with the sup norm of ``residual``
-    under ``label`` ("min_residual" or "feasibility")."""
+def _solve_complementarity(args, ave, convention, label, residual_of):
+    """Solve the AVE form ``ave`` of an LCP or HLCP and print the recovered
+    (z, w) pair with the sup norm of ``residual_of(z, w)`` under ``label``
+    ("min_residual" or "feasibility")."""
+    result = picard_solve(ave, _options(args))
+    if not result.converged:
+        print("solver did not converge", file=sys.stderr)
+        return 3
+    sol = recover_solution(result.x, convention)
+    sup = float(np.max(np.abs(residual_of(sol.z, sol.w))))
     if args.format == "json":
         print(json.dumps({
             "z": sol.z.tolist(),
             "w": sol.w.tolist(),
             "complementarity_gap": sol.complementarity_gap,
-            f"{label}_inf": float(np.max(np.abs(residual))),
+            f"{label}_inf": sup,
             "iterations": result.iterations,
         }, indent=2))
     else:
         _print_vector("z", sol.z)
         _print_vector("w", sol.w)
         print(f"complementarity gap: {sol.complementarity_gap:.6e}")
-        print(f"{label.replace('_', '-')} sup norm: {np.max(np.abs(residual)):.6e}")
+        print(f"{label.replace('_', '-')} sup norm: {sup:.6e}")
+    return 0
 
 
 def _cmd_lcp(args):
     lcp = LcpProblem(matrixio.load_matrix(args.m), matrixio.load_vector(args.q))
-    result = picard_solve(lcp_to_ave(lcp), _options(args))
-    if not result.converged:
-        print("solver did not converge", file=sys.stderr)
-        return 3
-    sol = recover_solution(result.x, SHIFTED)
-    _print_complementarity(args, result, sol, "min_residual",
-                           lcp_min_residual(lcp, sol.z))
-    return 0
+    return _solve_complementarity(args, lcp_to_ave(lcp), SHIFTED, "min_residual",
+                                  lambda z, w: lcp_min_residual(lcp, z))
 
 
 def _cmd_hlcp(args):
-    hlcp = HlcpProblem(
-        matrixio.load_matrix(args.m),
-        matrixio.load_matrix(args.n_mat),
-        matrixio.load_vector(args.q),
-    )
-    result = picard_solve(hlcp_to_ave(hlcp), _options(args))
-    if not result.converged:
-        print("solver did not converge", file=sys.stderr)
-        return 3
-    sol = recover_solution(result.x, HALVED)
-    _print_complementarity(args, result, sol, "feasibility",
-                           hlcp.M @ sol.z - hlcp.N @ sol.w - hlcp.q)
-    return 0
+    hlcp = HlcpProblem(matrixio.load_matrix(args.m), matrixio.load_matrix(args.n_mat),
+                       matrixio.load_vector(args.q))
+    return _solve_complementarity(args, hlcp_to_ave(hlcp), HALVED, "feasibility",
+                                  lambda z, w: hlcp.M @ z - hlcp.N @ w - hlcp.q)
 
 
 def _cmd_reproduce(args):
@@ -190,58 +171,58 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"avebounds {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve an AVE from Matrix Market files")
-    p.add_argument("--a", required=True, help="matrix A (.mtx)")
-    p.add_argument("--b", help="matrix B (.mtx); defaults to zero")
+    ave = argparse.ArgumentParser(add_help=False)
+    ave.add_argument("--a", required=True, help="matrix A (.mtx)")
+    ave.add_argument("--b", help="matrix B (.mtx); defaults to zero")
+    ave.add_argument("--form", choices=sorted(_FORMS), default="1")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--m", required=True, help="matrix M (.mtx)")
+    pair.add_argument("--q", required=True, help="vector q (.mtx)")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--tol", type=float, default=1e-6,
+                        help="solver step tolerance (default 1e-6)")
+    solver.add_argument("--max-iter", type=int, default=10000,
+                        help="solver iteration cap (default 10000)")
+    document = argparse.ArgumentParser(add_help=False)
+    document.add_argument("--format", choices=("text", "json"), default="text",
+                          help="output format (default text)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=FORMATS, default="markdown",
+                       help="output format (default markdown)")
+
+    p = sub.add_parser("solve", parents=[ave, solver, document],
+                       help="solve an AVE from Matrix Market files")
     p.add_argument("--rhs", help="right-hand side vector (.mtx); defaults to zero")
-    p.add_argument("--form", choices=sorted(_FORMS), default="1")
-    _common(p)
-    _solver_args(p)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("bounds", help="residual error-bound factors")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", help="matrix B (.mtx); defaults to zero")
+    p = sub.add_parser("bounds", parents=[ave, document], help="residual error-bound factors")
     p.add_argument("--rhs", help="right-hand side (.mtx); required with --at")
     p.add_argument("--at", help="evaluate the error interval at this point (.mtx)")
-    p.add_argument("--form", choices=sorted(_FORMS), default="1")
     p.add_argument("--norm", choices=sorted(_NORMS), default="2",
                    help="norm for bound computations (default 2)")
-    _common(p)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("perturb", help="perturbation experiment from files")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b")
+    p = sub.add_parser("perturb", parents=[ave, solver, table],
+                       help="perturbation experiment from files")
     p.add_argument("--rhs", required=True)
     p.add_argument("--da", help="perturbation of A (.mtx)")
     p.add_argument("--db", help="perturbation of B (.mtx)")
     p.add_argument("--drhs", help="perturbation of the right-hand side (.mtx)")
     p.add_argument("--epsilon", type=float, help="componentwise scale for the delta bound")
-    p.add_argument("--form", choices=sorted(_FORMS), default="1")
-    _common(p)
-    _solver_args(p)
     p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("lcp", help="solve an LCP through its AVE form")
-    p.add_argument("--m", required=True)
-    p.add_argument("--q", required=True)
-    _common(p)
-    _solver_args(p)
+    p = sub.add_parser("lcp", parents=[pair, solver, document],
+                       help="solve an LCP through its AVE form")
     p.set_defaults(func=_cmd_lcp)
 
-    p = sub.add_parser("hlcp", help="solve a horizontal LCP through its AVE form")
-    p.add_argument("--m", required=True)
+    p = sub.add_parser("hlcp", parents=[pair, solver, document],
+                       help="solve a horizontal LCP through its AVE form")
     p.add_argument("--n-mat", required=True, help="matrix N (.mtx)")
-    p.add_argument("--q", required=True)
-    _common(p)
-    _solver_args(p)
     p.set_defaults(func=_cmd_hlcp)
 
-    p = sub.add_parser("reproduce", help="re-run a built-in benchmark table")
+    p = sub.add_parser("reproduce", parents=[solver, table],
+                       help="re-run a built-in benchmark table")
     p.add_argument("--table", type=int, choices=[1, 2, 3, 4], required=True)
-    _common(p)
-    _solver_args(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -31,9 +31,7 @@ class LcpProblem:
 
     def __post_init__(self):
         self.M = numerics.as_square(self.M, "M")
-        self.q = numerics.as_vector(self.q, "q")
-        if self.q.shape[0] != self.M.shape[0]:
-            raise ValueError(f"q has length {self.q.shape[0]}, expected {self.M.shape[0]}")
+        self.q = numerics.as_vector(self.q, "q", self.n)
 
     @property
     def n(self):
@@ -48,12 +46,8 @@ class HlcpProblem:
 
     def __post_init__(self):
         self.M = numerics.as_square(self.M, "M")
-        self.N = numerics.as_square(self.N, "N")
-        self.q = numerics.as_vector(self.q, "q")
-        if self.N.shape != self.M.shape:
-            raise ValueError("M and N must have the same shape")
-        if self.q.shape[0] != self.M.shape[0]:
-            raise ValueError(f"q has length {self.q.shape[0]}, expected {self.M.shape[0]}")
+        self.N = numerics.as_square(self.N, "N", self.n)
+        self.q = numerics.as_vector(self.q, "q", self.n)
 
     @property
     def n(self):
@@ -111,9 +105,7 @@ def lcp_min_residual(lcp, z):
 
     Zero exactly at solutions; at z = 0 it reduces to min(0, q).
     """
-    z = numerics.as_vector(z, "z")
-    if z.shape[0] != lcp.n:
-        raise ValueError(f"z has length {z.shape[0]}, expected {lcp.n}")
+    z = numerics.as_vector(z, "z", lcp.n)
     eye = np.eye(lcp.n)
     a = (lcp.M + eye) @ z + lcp.q
     b = (lcp.M - eye) @ z + lcp.q
@@ -168,23 +160,24 @@ def lcp_comparison_bound(M, p=2):
 
 
 def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
-    """Relative solution-perturbation bound for an HLCP: the AVE bound of
-    ``general_relative_bound`` applied to ``hlcp_to_ave(hlcp)``.
+    """Relative solution-perturbation bound for an HLCP, stated through
+    ``hlcp_to_ave(hlcp)``.
 
-    The bound is ``factor * w`` with ``factor`` an upper-factor estimate
-    for the perturbed AVE pair ((M+N+dM+dN)/2, (N-M+dN-dM)/2) and
+    The bound is ``factor * w`` with ``factor`` the ``upper_factor`` of
+    the perturbed AVE pair ((M+N+dM+dN)/2, (N-M+dN-dM)/2) and
 
         w = (||dq||/||q||) (||M+N|| + ||M-N||)/2 + (||dM+dN|| + ||dM-dN||)/2
 
     the relative coefficient of the AVE perturbation dA = (dM+dN)/2,
-    dB = (dN-dM)/2.
+    dB = (dN-dM)/2.  For neumann and norm_ratio this is the tau or nu of
+    ``general_relative_bound``.  For singular_gap it is not upsilon:
+    ``upper_factor`` takes the certified full singular-value gap, where
+    upsilon takes the gap of truncated spectra, an estimate.
     """
     p = numerics.check_norm(p)
-    dM = numerics.as_square(dM, "dM")
-    dN = numerics.as_square(dN, "dN")
-    dq = numerics.as_vector(dq, "dq")
-    if dM.shape != hlcp.M.shape or dN.shape != hlcp.M.shape or dq.shape[0] != hlcp.n:
-        raise ValueError("perturbation blocks have inconsistent shapes")
+    dM = numerics.as_square(dM, "dM", hlcp.n)
+    dN = numerics.as_square(dN, "dN", hlcp.n)
+    dq = numerics.as_vector(dq, "dq", hlcp.n)
     ave = hlcp_to_ave(hlcp)
     pert = Perturbation((dM + dN) / 2.0, (dN - dM) / 2.0, dq)
     w = _relative_coefficient(ave, pert, p)

@@ -43,16 +43,8 @@ class AveProblem:
 
     def __post_init__(self):
         self.A = numerics.as_square(self.A, "A")
-        self.B = numerics.as_square(self.B, "B")
-        self.b = numerics.as_vector(self.b, "b")
-        if self.B.shape != self.A.shape:
-            raise ValueError(
-                f"A and B must have the same shape, got {self.A.shape} vs {self.B.shape}"
-            )
-        if self.b.shape[0] != self.A.shape[0]:
-            raise ValueError(
-                f"b has length {self.b.shape[0]}, expected {self.A.shape[0]}"
-            )
+        self.B = numerics.as_square(self.B, "B", self.n)
+        self.b = numerics.as_vector(self.b, "b", self.n)
         if self.form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
 
@@ -201,9 +193,7 @@ class ProblemAnalysis:
 def residual(problem, x):
     """Natural residual of ``x``: ``A x - B|x| - b`` (type1) or
     ``A x - |B x| - b`` (type2)."""
-    x = numerics.as_vector(x, "x")
-    if x.shape[0] != problem.n:
-        raise ValueError(f"x has length {x.shape[0]}, expected {problem.n}")
+    x = numerics.as_vector(x, "x", problem.n)
     if problem.form == TYPE_ONE:
         return problem.A @ x - problem.B @ np.abs(x) - problem.b
     return problem.A @ x - np.abs(problem.B @ x) - problem.b
@@ -218,9 +208,7 @@ def sign_diagonal(a, b):
     residuals into a single linear map.
     """
     a = numerics.as_vector(a, "a")
-    b = numerics.as_vector(b, "b")
-    if a.shape != b.shape:
-        raise ValueError("sign_diagonal: vectors must have the same length")
+    b = numerics.as_vector(b, "b", a.shape[0])
     d = np.zeros_like(a)
     diff = a - b
     nz = diff != 0

@@ -123,8 +123,13 @@ class ExperimentSpec:
             raise ValueError(message) from None
         if not self.sizes or any(s < 1 for s in self.sizes):
             raise ValueError(message)
-        if not self.epsilons or not all(e > 0 for e in self.epsilons):
-            raise ValueError("epsilons must be a non-empty list of positive numbers")
+        try:
+            valid = bool(self.epsilons) and all(0 < e < np.inf for e in self.epsilons)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError("epsilons must be a non-empty list of finite positive numbers, "
+                             f"got {self.epsilons!r}")
 
 
 @dataclass

@@ -25,8 +25,9 @@ SUPPORTED_NORMS = (1, 2, np.inf)
 _RCOND_FLOOR = 1e-14
 
 
-def as_vector(v, name="vector"):
-    """Coerce ``v`` to a finite 1-d float array or raise ValueError."""
+def as_vector(v, name="vector", n=None):
+    """Coerce ``v`` to a finite 1-d float array, of length ``n`` if given,
+    or raise ValueError."""
     arr = np.asarray(v, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -34,6 +35,8 @@ def as_vector(v, name="vector"):
         raise ValueError(f"{name}: expected a 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: entries must be finite")
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {n}")
     return arr
 
 
@@ -47,10 +50,13 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-def as_square(m, name="matrix"):
+def as_square(m, name="matrix", n=None):
+    """``as_matrix``, square, and n x n if ``n`` is given."""
     arr = as_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    if n is not None and arr.shape[0] != n:
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({n}, {n})")
     return arr
 
 

@@ -45,10 +45,8 @@ class Perturbation:
 
     def __post_init__(self):
         self.dA = numerics.as_square(self.dA, "dA")
-        self.dB = numerics.as_square(self.dB, "dB")
-        self.db = numerics.as_vector(self.db, "db")
-        if self.dB.shape != self.dA.shape or self.db.shape[0] != self.dA.shape[0]:
-            raise ValueError("perturbation blocks have inconsistent shapes")
+        self.dB = numerics.as_square(self.dB, "dB", self.dA.shape[0])
+        self.db = numerics.as_vector(self.db, "db", self.dA.shape[0])
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
 
@@ -121,9 +119,7 @@ def rhs_only_bound(problem, db, method=NEUMANN, p=2):
     with c any applicable upper factor of the *unperturbed* problem.
     """
     p = numerics.check_norm(p)
-    db = numerics.as_vector(db, "db")
-    if db.shape[0] != problem.n:
-        raise ValueError(f"db has length {db.shape[0]}, expected {problem.n}")
+    db = numerics.as_vector(db, "db", problem.n)
     scale = _rhs_term(problem, db, p)
     return upper_factor(problem, method, p) * scale
 
@@ -211,9 +207,7 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="damped"):
     p = numerics.check_norm(p)
     if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
-    x_star = numerics.as_vector(x_star, "x_star")
-    if x_star.shape[0] != problem.n:
-        raise ValueError(f"x_star has length {x_star.shape[0]}, expected {problem.n}")
+    x_star = numerics.as_vector(x_star, "x_star", problem.n)
     norm_x = numerics.p_norm(x_star, p)
     if norm_x == 0:
         raise ValueError("relative bounds are undefined for x* = 0")
@@ -243,11 +237,14 @@ def classical_linear_bounds(A, dA, b, db, x_star, epsilon, p=2):
     cross-check the reductions.
     """
     p = numerics.check_norm(p)
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be nonnegative")
     A = numerics.as_square(A, "A")
-    dA = numerics.as_square(dA, "dA")
-    b = numerics.as_vector(b, "b")
-    db = numerics.as_vector(db, "db")
-    x_star = numerics.as_vector(x_star, "x_star")
+    n = A.shape[0]
+    dA = numerics.as_square(dA, "dA", n)
+    b = numerics.as_vector(b, "b", n)
+    db = numerics.as_vector(db, "db", n)
+    x_star = numerics.as_vector(x_star, "x_star", n)
     norm_b = numerics.p_norm(b, p)
     norm_x = numerics.p_norm(x_star, p)
     if norm_b == 0 or norm_x == 0:

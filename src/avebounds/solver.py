@@ -71,9 +71,7 @@ def picard_solve(problem, options=None):
     if opts.initial is None:
         x = np.zeros(problem.n)
     else:
-        x = numerics.as_vector(opts.initial, "initial").copy()
-        if x.shape[0] != problem.n:
-            raise ValueError(f"initial guess has length {x.shape[0]}, expected {problem.n}")
+        x = numerics.as_vector(opts.initial, "initial guess", problem.n).copy()
 
     type_one = problem.form == TYPE_ONE
     step = np.inf

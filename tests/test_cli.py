@@ -164,6 +164,24 @@ class TestHlcpCommand:
         assert doc["w"][0] == pytest.approx(0.0, abs=1e-5)
         assert doc["feasibility_inf"] < 1e-5
 
+    def test_text_output(self, mtx, capsys):
+        code = main(["hlcp", "--m", mtx("m", [[2.0]]), "--n-mat", mtx("n", [[1.0]]),
+                     "--q", mtx("q", [3.0]), "--tol", "1e-12"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("z: [1.5]\nw: [0]\n")
+        assert "complementarity gap:" in out
+        assert "feasibility sup norm:" in out
+
+    def test_nonconvergence_exit_code(self, mtx, capsys):
+        # AVE form -x + 2|x| = -1: the Picard iterates 1, 3, 7, ... diverge.
+        code = main(["hlcp", "--m", mtx("m", [[1.0]]), "--n-mat", mtx("n", [[-3.0]]),
+                     "--q", mtx("q", [-1.0]), "--max-iter", "30"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "solver did not converge" in captured.err
+
 
 class TestReproduceCommand:
     def test_table_one_csv(self, capsys):
@@ -206,3 +224,35 @@ class TestTopLevel:
             main(argv + ["--norm", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --norm" in capsys.readouterr().err
+
+
+_DOCUMENT_ARGV = {
+    "solve": ["solve", "--a", "a.mtx"],
+    "bounds": ["bounds", "--a", "a.mtx"],
+    "lcp": ["lcp", "--m", "m.mtx", "--q", "q.mtx"],
+    "hlcp": ["hlcp", "--m", "m.mtx", "--n-mat", "n.mtx", "--q", "q.mtx"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown"])
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_ARGV))
+def test_document_commands_reject_table_formats(command, fmt, capsys):
+    # These commands print a document, not a table: csv and markdown would
+    # print the same text, so they are not accepted.
+    with pytest.raises(SystemExit) as exc:
+        main(_DOCUMENT_ARGV[command] + ["--format", fmt])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_document_commands_accept_text_format(mtx, capsys):
+    a, b, rhs = mtx("a", [[2.0]]), mtx("b", [[1.0]]), mtx("rhs", [3.0])
+    m, n, q = mtx("m", [[2.0]]), mtx("n", [[1.0]]), mtx("q", [3.0])
+    for argv in (["solve", "--a", a, "--b", b, "--rhs", rhs],
+                 ["bounds", "--a", a, "--b", b],
+                 ["lcp", "--m", m, "--q", q],
+                 ["hlcp", "--m", m, "--n-mat", n, "--q", q]):
+        assert main(argv + ["--format", "text"]) == 0
+        text = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text

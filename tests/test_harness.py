@@ -103,8 +103,9 @@ class TestExperimentSpec:
         for sizes in ([2.5], [3.0], [3, 4.5], ["3"], [None]):
             with pytest.raises(ValueError, match="sizes"):
                 ExperimentSpec("lattice", sizes, [0.01])
-        with pytest.raises(ValueError, match="epsilons"):
-            ExperimentSpec("tridiag", [3], [])
+        for epsilons in ([], ["0.1"], [None], [np.inf], [0.01, np.inf]):
+            with pytest.raises(ValueError, match="epsilons"):
+                ExperimentSpec("tridiag", [3], epsilons)
         assert ExperimentSpec("tridiag", [np.int64(3)], [0.1]).sizes == [3]
 
 

@@ -3,7 +3,22 @@ import warnings
 import numpy as np
 import pytest
 
-from avebounds import numerics
+from avebounds import (
+    AveProblem,
+    HlcpProblem,
+    LcpProblem,
+    Perturbation,
+    SolveOptions,
+    classical_linear_bounds,
+    componentwise_bound,
+    hlcp_perturb_bound,
+    lcp_min_residual,
+    numerics,
+    picard_solve,
+    residual,
+    rhs_only_bound,
+    sign_diagonal,
+)
 from avebounds.exceptions import SingularMatrixError
 
 
@@ -404,3 +419,43 @@ class TestShapeHelpers:
     def test_positive_part(self):
         v = np.array([1.5, -2.0, 0.0])
         assert np.array_equal(numerics.positive_part(v), [1.5, 0.0, 0.0])
+
+
+_I2, _I3, _ONE2, _ONE3 = np.eye(2), np.eye(3), np.ones(2), np.ones(3)
+_AVE = AveProblem(2.0 * _I2, _I2, _ONE2)
+_LCP = LcpProblem(_I2, _ONE2)
+_HLCP = HlcpProblem(2.0 * _I2, _I2, _ONE2)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("B", lambda: AveProblem(_I2, _I3, _ONE2)),
+    ("b", lambda: AveProblem(_I2, _I2, _ONE3)),
+    ("x", lambda: residual(_AVE, _ONE3)),
+    ("b", lambda: sign_diagonal(_ONE2, _ONE3)),
+    ("initial guess", lambda: picard_solve(_AVE, SolveOptions(initial=_ONE3))),
+    ("db", lambda: rhs_only_bound(_AVE, _ONE3)),
+    ("x_star", lambda: componentwise_bound(_AVE, _ONE3, 0.01)),
+    ("dB", lambda: Perturbation(_I2, _I3, _ONE2)),
+    ("db", lambda: Perturbation(_I2, _I2, _ONE3)),
+    ("q", lambda: LcpProblem(_I2, _ONE3)),
+    ("N", lambda: HlcpProblem(_I2, _I3, _ONE2)),
+    ("q", lambda: HlcpProblem(_I2, _I2, _ONE3)),
+    ("z", lambda: lcp_min_residual(_LCP, _ONE3)),
+    ("dM", lambda: hlcp_perturb_bound(_HLCP, _I3, _I2, _ONE2)),
+    ("dN", lambda: hlcp_perturb_bound(_HLCP, _I2, _I3, _ONE2)),
+    ("dq", lambda: hlcp_perturb_bound(_HLCP, _I2, _I2, _ONE3)),
+    ("dA", lambda: classical_linear_bounds(_I2, _I3, _ONE2, _ONE2, _ONE2, 0.01)),
+    ("b", lambda: classical_linear_bounds(_I2, _I2, _ONE3, _ONE2, _ONE2, 0.01)),
+    ("db", lambda: classical_linear_bounds(_I2, _I2, _ONE2, _ONE3, _ONE2, 0.01)),
+    ("x_star", lambda: classical_linear_bounds(_I2, _I2, _ONE2, _ONE2, _ONE3, 0.01)),
+], ids=["AveProblem.B", "AveProblem.b", "residual", "sign_diagonal", "picard_solve",
+        "rhs_only_bound", "componentwise_bound", "Perturbation.dB", "Perturbation.db",
+        "LcpProblem.q", "HlcpProblem.N", "HlcpProblem.q", "lcp_min_residual",
+        "hlcp_perturb_bound.dM", "hlcp_perturb_bound.dN", "hlcp_perturb_bound.dq",
+        "classical_linear_bounds.dA", "classical_linear_bounds.b",
+        "classical_linear_bounds.db", "classical_linear_bounds.x_star"])
+def test_wrong_size_names_the_argument(name, call):
+    # Every size rule is stated once, by as_vector / as_square at the boundary.
+    wrong = r"(length 3, expected 2|shape \(3, 3\), expected \(2, 2\))"
+    with pytest.raises(ValueError, match=rf"^{name} has {wrong}$"):
+        call()

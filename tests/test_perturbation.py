@@ -86,9 +86,11 @@ NAN = float("nan")
     lambda: LcpPerturbFactors(1.0, 0.5, 2.0, NAN),
     lambda: LcpPerturbFactors(1.0, 0.5, NAN, 0.1),
     lambda: shifted_norm_slack(np.eye(2), NAN),
+    lambda: classical_linear_bounds(np.eye(2), np.zeros((2, 2)), np.ones(2), np.zeros(2),
+                                    np.ones(2), NAN),
 ], ids=["Perturbation", "gen_perturbation", "ExperimentSpec", "region_factors",
         "lcp_region_bound", "LcpPerturbFactors.beta", "LcpPerturbFactors.delta",
-        "LcpPerturbFactors.alpha", "shifted_norm_slack"])
+        "LcpPerturbFactors.alpha", "shifted_norm_slack", "classical_linear_bounds"])
 def test_nan_scales_are_rejected(call):
     # A NaN passes every ``x < 0`` guard; the guards are written ``not x >= 0``.
     with pytest.raises(ValueError):
@@ -305,6 +307,12 @@ class TestClassicalLinearBounds:
             classical_linear_bounds([[1.0]], [[0.0]], [0.0], [0.0], [1.0], 0.1)
         with pytest.raises(ValueError):
             classical_linear_bounds([[1.0]], [[0.0]], [1.0], [0.0], [0.0], 0.1)
+
+    def test_rejects_negative_scale(self):
+        # Without the guard, eps = -0.5 gave a negative componentwise bound.
+        A = np.array([[2.0, 1.0], [0.5, 3.0]])
+        with pytest.raises(ValueError, match="epsilon"):
+            classical_linear_bounds(A, 0.01 * A, np.ones(2), np.zeros(2), np.ones(2), -0.5)
 
 
 class TestPerturbationExperiment:
