@@ -32,7 +32,12 @@ from .core import (                                          # noqa: F401
     sign_diagonal,
     solvability_report,
 )
-from .solver import SolveOptions, SolveResult, picard_solve  # noqa: F401
+from .solver import (                                        # noqa: F401
+    SolveOptions,
+    SolveResult,
+    picard_solve,
+    sign_accord_solve,
+)
 from .bounds import (                                        # noqa: F401
     ErrorBoundReport,
     ErrorInterval,

@@ -28,7 +28,7 @@ from .core import AveProblem, TYPE_ONE, TYPE_TWO, residual
 from .exceptions import InapplicableBoundError, NonConvergenceError, SingularMatrixError
 from .harness import FORMATS, TableOutput, emit, reproduce_table
 from .perturbation import Perturbation, perturbation_experiment
-from .solver import SolveOptions, picard_solve
+from .solver import SolveOptions, sign_accord_solve
 
 _NORMS = {"1": 1, "2": 2, "inf": np.inf}
 _FORMS = {"1": TYPE_ONE, "2": TYPE_TWO}
@@ -51,10 +51,11 @@ def _print_vector(name, v):
 
 def _cmd_solve(args):
     problem = _load_problem(args)
-    result = picard_solve(problem, _options(args))
+    result = sign_accord_solve(problem, _options(args))
     if args.format == "json":
         print(json.dumps({
             "x": result.x.tolist(),
+            "method": result.method,
             "iterations": result.iterations,
             "converged": result.converged,
             "final_step_norm": result.final_step_norm,
@@ -62,6 +63,7 @@ def _cmd_solve(args):
         }, indent=2))
     else:
         _print_vector("x", result.x)
+        print(f"method: {result.method}")
         print(f"iterations: {result.iterations}")
         print(f"converged: {result.converged}")
         print(f"final residual norm: {result.final_residual_norm:.6e}")
@@ -108,7 +110,9 @@ def _cmd_bounds(args):
 
 def _cmd_perturb(args):
     problem = _load_problem(args)
-    dA = matrixio.load_matrix(args.da) if args.da else np.zeros_like(problem.A)
+    dA = np.zeros_like(problem.A)
+    if args.da:     # checked before dB defaults to its size, so a wrong dA is named
+        dA = numerics.as_square(matrixio.load_matrix(args.da), "dA", problem.n)
     dB = matrixio.load_matrix(args.db) if args.db else np.zeros_like(problem.B)
     db = matrixio.load_vector(args.drhs) if args.drhs else np.zeros(problem.n)
     pert = Perturbation(dA, dB, db, epsilon=args.epsilon)
@@ -122,7 +126,7 @@ def _solve_complementarity(args, ave, convention, label, residual_of):
     """Solve the AVE form ``ave`` of an LCP or HLCP and print the recovered
     (z, w) pair with the sup norm of ``residual_of(z, w)`` under ``label``
     ("min_residual" or "feasibility")."""
-    result = picard_solve(ave, _options(args))
+    result = sign_accord_solve(ave, _options(args))
     if not result.converged:
         print("solver did not converge", file=sys.stderr)
         return 3
@@ -180,7 +184,7 @@ def build_parser():
     pair.add_argument("--q", required=True, help="vector q (.mtx)")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--tol", type=float, default=1e-6,
-                        help="solver step tolerance (default 1e-6)")
+                        help="step tolerance of the Picard fallback (default 1e-6)")
     solver.add_argument("--max-iter", type=int, default=10000,
                         help="solver iteration cap (default 10000)")
     document = argparse.ArgumentParser(add_help=False)

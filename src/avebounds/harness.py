@@ -26,7 +26,7 @@ from . import __version__
 from .complementarity import LcpProblem, lcp_to_ave
 from .exceptions import AveBoundsError
 from .perturbation import Perturbation, perturbation_experiment
-from .solver import picard_solve
+from .solver import sign_accord_solve
 
 FAMILIES = ("tridiag", "lattice")
 FORMATS = ("csv", "json", "markdown")
@@ -157,20 +157,25 @@ def run_experiment(spec):
 
     Rows come back ordered by (size, epsilon).  A failing cell (solver or
     bound trouble) is recorded in ``failures`` instead of aborting the
-    rest of the grid.  Each base problem is solved once, before the cells
-    of its size start.  Cells run on a thread pool sized by the
-    AVE_BOUNDS_THREADS environment variable (0 or unset = one per CPU, up
-    to the number of cells).
+    rest of the grid.  Each base problem is solved once, by
+    ``sign_accord_solve``, before the cells of its size start; so are the
+    2-norms of the size's unit perturbation, which every cell scales.
+    Cells run on a thread pool sized by the AVE_BOUNDS_THREADS environment
+    variable (0 or unset = one per CPU, up to the number of cells).
     """
     problems = {}
     bases = {}
+    units = {}
     for size in spec.sizes:
         lcp = gen_problem(spec.family, size)
         problems[size] = lcp_to_ave(lcp)
         try:
-            bases[size] = picard_solve(problems[size], spec.options)
+            bases[size] = sign_accord_solve(problems[size], spec.options)
         except (AveBoundsError, ValueError) as exc:
             bases[size] = exc
+        units[size] = gen_perturbation(spec.family, problems[size].n, 1.0)
+        for name in ("dA", "dB"):
+            units[size].norm(name, 2)
 
     jobs = [(size, eps) for size in spec.sizes for eps in spec.epsilons]
 
@@ -179,7 +184,7 @@ def run_experiment(spec):
         problem, base = problems[size], bases[size]
         if isinstance(base, Exception):
             return base     # every cell of this size fails with the base error
-        pert = gen_perturbation(spec.family, problem.n, eps)
+        pert = units[size].scaled(eps)
         return perturbation_experiment(problem, pert, spec.options, base=base)
 
     def guarded(job):

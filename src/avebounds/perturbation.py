@@ -14,7 +14,7 @@ import numpy as np
 from . import numerics
 from .bounds import METHODS, NEUMANN, NORM_RATIO, SINGULAR_GAP, _checked_norm, upper_factor
 from .exceptions import InapplicableBoundError, NonConvergenceError
-from .solver import picard_solve
+from .solver import sign_accord_solve
 
 # The singular-value gap used for the grid experiments is probed across the
 # six dominant singular values of each matrix (largest of the left set
@@ -51,11 +51,28 @@ class Perturbation:
             raise ValueError("epsilon must be nonnegative")
 
     def validate_dims(self, problem):
-        if self.dA.shape != problem.A.shape:
-            raise ValueError(
-                f"perturbation is {self.dA.shape[0]}-dimensional, "
-                f"problem is {problem.n}-dimensional"
-            )
+        numerics.as_square(self.dA, "dA", problem.n)
+
+    def norm(self, name, p):
+        """Induced p-norm (p already checked) of ``"dA"`` or ``"dB"``, taken
+        once per array: it is taken again when the array is reassigned.
+        Editing an array in place after the first use leaves it stale."""
+        array = getattr(self, name)
+        memo = self.__dict__.setdefault("_norms", {})
+        hit = memo.get((name, p))
+        if hit is None or hit[0] is not array:
+            hit = memo[(name, p)] = (array, numerics.p_norm(array, p))
+        return hit[1]
+
+    def scaled(self, epsilon):
+        """This perturbation times ``epsilon`` (its ``epsilon`` field set to
+        it), carrying epsilon times every norm taken so far.  Induced norms
+        are homogeneous, so a family of scales pays for each norm once."""
+        out = Perturbation(epsilon * self.dA, epsilon * self.dB, epsilon * self.db,
+                           epsilon=epsilon)
+        out._norms = {key: (getattr(out, key[0]), epsilon * self.norm(*key))
+                      for key in self.__dict__.get("_norms", {})}
+        return out
 
     def componentwise_violations(self, problem):
         """Which parts break the envelope |d.| <= epsilon |.| (if any); each
@@ -107,8 +124,7 @@ def _rhs_term(problem, db, p):
 def _relative_coefficient(problem, pert, p):
     """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
     in the perturbation scale."""
-    return (_rhs_term(problem, pert.db, p)
-            + numerics.p_norm(pert.dA, p) + numerics.p_norm(pert.dB, p))
+    return _rhs_term(problem, pert.db, p) + pert.norm("dA", p) + pert.norm("dB", p)
 
 
 def rhs_only_bound(problem, db, method=NEUMANN, p=2):
@@ -291,18 +307,20 @@ def perturbation_experiment(problem, pert, options=None, *, base=None):
     """Solve the problem and its perturbation, then record the observed
     relative error r next to every bound that applies.
 
-    ``base`` is the result of ``picard_solve(problem, options)`` when the
-    caller already has it (one base solve shared by many perturbations);
-    the problem is solved here otherwise.  Bounds whose hypotheses fail are
-    recorded as None.  Solver failure on either problem raises
-    NonConvergenceError since r would be undefined.
+    Both problems are solved by ``sign_accord_solve``, so r compares two
+    solutions exact up to rounding, not two iterates stopped at a step
+    tolerance.  ``base`` is the result of ``sign_accord_solve(problem,
+    options)`` when the caller already has it (one base solve shared by
+    many perturbations); the problem is solved here otherwise.  Bounds
+    whose hypotheses fail are recorded as None.  Solver failure on either
+    problem raises NonConvergenceError since r would be undefined.
     """
     pert.validate_dims(problem)
     if base is None:
-        base = picard_solve(problem, options)
+        base = sign_accord_solve(problem, options)
     _require_converged(base, "base")
     perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
-    shifted = _require_converged(picard_solve(perturbed, options), "perturbed")
+    shifted = _require_converged(sign_accord_solve(perturbed, options), "perturbed")
     norm_x = float(np.linalg.norm(base.x))
     if norm_x == 0:
         raise ValueError("relative error is undefined for x* = 0")

@@ -1,4 +1,5 @@
-"""Fixed-point reference solver for absolute value equations.
+"""Solvers for absolute value equations: a fixed-point reference solver
+and an exact sign-accord solve.
 
 The iteration is the classic Picard scheme
 
@@ -16,11 +17,17 @@ solution by cond(A)^2 eps.  It converges linearly whenever the relevant
 contraction condition holds (for instance ||A^-1||_2 ||B||_2 < 1); it is
 deliberately simple because the package needs a reproducible reference
 solution, not speed records.
+
+``sign_accord_solve`` uses that an AVE is linear once the sign pattern of
+x (type2: of B x) is known, and solves for the pattern instead
+(Mangasarian, Optim. Lett. 3 (2009) 101-108; Rohn, Electron. J. Linear
+Algebra 18 (2009) 589-599).  When the patterns cycle it finishes with the
+Picard iteration.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,8 +37,18 @@ from .core import TYPE_ONE, residual
 
 @dataclass
 class SolveOptions:
-    initial: np.ndarray | None = None   # default: zero vector
-    tolerance: float = 1e-6             # stop when ||x_{k+1} - x_k||_2 < tolerance
+    """Start, stopping rule and budget of a solve.
+
+    ``picard_solve`` starts from ``initial`` (default: the zero vector)
+    and stops when ``||x_{k+1} - x_k||_2 < tolerance``.
+    ``sign_accord_solve`` starts from ``initial`` (default: A^-1 b) and
+    stops when the sign pattern of a linear solve agrees with its result;
+    ``tolerance`` applies only to its Picard fallback.  ``max_iterations``
+    caps the iterations of either, a linear solve counting as one.
+    """
+
+    initial: np.ndarray | None = None
+    tolerance: float = 1e-6
     max_iterations: int = 10000
 
     def __post_init__(self):
@@ -53,6 +70,7 @@ class SolveResult:
     final_step_norm: float
     final_residual_norm: float
     converged: bool
+    method: str = "picard"      # the iteration that produced x: "picard" or "sign_accord"
 
 
 def picard_solve(problem, options=None):
@@ -93,3 +111,60 @@ def picard_solve(problem, options=None):
                 break
         res_norm = float(np.linalg.norm(residual(problem, x)))
     return SolveResult(x, iterations, step, res_norm, converged)
+
+
+def sign_accord_solve(problem, options=None):
+    """Solve ``problem`` exactly for its sign pattern, with ``picard_solve``
+    as the fallback.
+
+    From x = A^-1 b (the memoised inverse; one iteration), or from
+    ``options.initial`` (no iteration), each step takes s = +1 where
+    x >= 0 (type2: B x >= 0) and -1 elsewhere, and solves
+    (A - B diag(s)) x = b (type2: (A - diag(s) B) x = b) by LU.  A finite
+    x with s x >= 0 (type2: s (B x) >= 0) has |x| = diag(s) x, so it
+    solves the AVE up to the rounding of that one solve, and the result is
+    ``converged`` with ``method="sign_accord"``.
+
+    A repeated pattern, a singular or non-finite solve ends the loop.  The
+    last x then warm-starts ``picard_solve`` with the rest of the
+    iteration budget, and its result (``method="picard"``) counts the
+    linear solves in ``iterations``.  The fallback is not gated on the
+    contraction premise: the loop can cycle on problems where Picard
+    converges.  A spent budget gives ``converged=False``; a numerically
+    singular A is an error (SingularMatrixError), as for ``picard_solve``.
+    """
+    opts = options or SolveOptions()
+    A, B, b = problem.A, problem.B, problem.b
+    A_inv = problem.analysis.inverse("sign_accord_solve: A")
+    if opts.initial is None:
+        x, iterations = A_inv @ b, 1
+    else:
+        x, iterations = numerics.as_vector(opts.initial, "initial guess", problem.n), 0
+
+    type_one = problem.form == TYPE_ONE
+    step, converged, seen = np.inf, False, set()
+    while iterations < opts.max_iterations:
+        s = np.where((x if type_one else B @ x) >= 0, 1.0, -1.0)
+        pattern = s.tobytes()
+        if pattern in seen:
+            break
+        seen.add(pattern)
+        try:
+            x_next = np.linalg.solve(A - B * s if type_one else A - s[:, None] * B, b)
+        except np.linalg.LinAlgError:
+            break
+        iterations += 1
+        if not np.all(np.isfinite(x_next)):
+            break
+        step = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if np.all(s * (x if type_one else B @ x) >= 0):
+            converged = True
+            break
+
+    if not converged and iterations < opts.max_iterations:
+        fallback = picard_solve(problem, SolveOptions(
+            initial=x, tolerance=opts.tolerance, max_iterations=opts.max_iterations - iterations))
+        return replace(fallback, iterations=fallback.iterations + iterations)
+    res_norm = float(np.linalg.norm(residual(problem, x)))
+    return SolveResult(x, iterations, step, res_norm, converged, "sign_accord")

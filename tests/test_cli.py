@@ -29,6 +29,7 @@ class TestSolveCommand:
         assert code == 0
         assert "converged: True" in out
         assert "x: [3]" in out
+        assert "method: sign_accord" in out
 
     def test_json_output(self, mtx, capsys):
         code = main(["solve", "--a", mtx("a", [[2.0]]), "--b", mtx("b", [[1.0]]),
@@ -36,7 +37,8 @@ class TestSolveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["converged"] is True
-        assert doc["x"][0] == pytest.approx(3.0, abs=1e-5)
+        assert doc["x"] == [3.0]            # one exact solve for the sign pattern
+        assert doc["method"] == "sign_accord"
 
     def test_nonconvergence_exit_code(self, mtx, capsys):
         code = main(["solve", "--a", mtx("a", [[1.0]]), "--b", mtx("b", [[2.0]]),
@@ -135,6 +137,12 @@ class TestPerturbCommand:
         cells = lines[1].split(",")
         assert float(cells[0]) == 1
         assert float(cells[2]) > 0       # observed relative error
+
+    def test_wrong_size_da_is_named(self, mtx, capsys):
+        code = main(["perturb", "--a", mtx("a", 4.0 * np.eye(4)), "--rhs", mtx("rhs", np.ones(4)),
+                     "--da", mtx("da", [[0.01]])])
+        assert code == 1
+        assert "dA has shape (1, 1), expected (4, 4)" in capsys.readouterr().err
 
 
 class TestLcpCommand:

@@ -125,23 +125,23 @@ class TestRunExperiment:
         assert len(out.rows) == 1
         row = out.rows[0]
         assert row.n == 30
-        assert row.r == pytest.approx(0.00404409909738796, rel=1e-9)
+        assert row.r == pytest.approx(0.00404409757057314, rel=1e-9)
         assert row.w == pytest.approx(0.0842454140387942, rel=1e-9)
         assert row.tau == pytest.approx(0.284482587726688, rel=1e-9)
         assert row.upsilon == pytest.approx(0.0464549117216513, rel=1e-9)
         assert row.nu == pytest.approx(0.110368928442537, rel=1e-9)
-        assert row.delta == pytest.approx(0.00479050251950588, rel=1e-9)
+        assert row.delta == pytest.approx(0.00479050252994868, rel=1e-9)
 
     def test_frozen_cell_lattice(self):
         out = run_experiment(ExperimentSpec("lattice", [15], [0.02]))
         row = out.rows[0]
         assert row.n == 225
-        assert row.r == pytest.approx(0.00557714980855405, rel=1e-9)
+        assert row.r == pytest.approx(0.00557712782466274, rel=1e-9)
         assert row.w == pytest.approx(0.194879436921469, rel=1e-9)
         assert row.tau == pytest.approx(0.517668284669825, rel=1e-9)
         assert row.upsilon == pytest.approx(0.083881899337899, rel=1e-9)
         assert row.nu == pytest.approx(0.346545833775648, rel=1e-9)
-        assert row.delta == pytest.approx(0.0110835359155269, rel=1e-9)
+        assert row.delta == pytest.approx(0.0110835359685794, rel=1e-9)
 
     def test_failures_recorded_not_raised(self):
         # One iteration cannot reach the step tolerance from a zero start,

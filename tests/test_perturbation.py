@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avebounds import (
+    BENCH_EPSILONS,
     AveProblem,
     ExperimentSpec,
     LcpPerturbFactors,
@@ -20,6 +21,7 @@ from avebounds import (
     shifted_norm_slack,
     upper_factor,
 )
+from avebounds import numerics
 from avebounds.exceptions import InapplicableBoundError, NonConvergenceError
 from avebounds.harness import gen_perturbation, gen_problem
 from avebounds.complementarity import lcp_to_ave
@@ -44,8 +46,40 @@ class TestPerturbation:
     def test_validate_dims(self):
         p = AveProblem(np.eye(3), np.zeros((3, 3)), np.ones(3))
         pert = Perturbation(np.eye(2), np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dA has shape \(2, 2\), expected \(3, 3\)"):
             pert.validate_dims(p)
+
+    def test_norms_are_taken_once_per_array(self, monkeypatch):
+        pert = Perturbation(np.diag([3.0, -4.0]), np.eye(2), np.ones(2))
+        calls = []
+        real = numerics.p_norm
+        monkeypatch.setattr(numerics, "p_norm", lambda a, p=2: calls.append(p) or real(a, p))
+        assert pert.norm("dA", 2) == pert.norm("dA", 2) == 4.0
+        assert pert.norm("dA", 1) == 4.0
+        assert calls == [2, 1]
+        pert.dA = np.diag([5.0, 1.0])       # a new array is measured again
+        assert pert.norm("dA", 2) == 5.0
+        assert calls == [2, 1, 2]
+
+    def test_scaled_carries_its_norms(self, monkeypatch):
+        # The harness takes the unit perturbation's norms once per size and
+        # scales them per cell: the data and w are bit-identical to a
+        # perturbation built at each epsilon.
+        problem = lcp_to_ave(gen_problem("lattice", 4))
+        unit = gen_perturbation("lattice", 16, 1.0)
+        norms = [unit.norm(name, 2) for name in ("dA", "dB")]
+        for eps in BENCH_EPSILONS:
+            fresh = gen_perturbation("lattice", 16, eps)
+            w = general_relative_bound(problem, fresh).w
+            with monkeypatch.context() as m:
+                m.setattr(numerics, "p_norm", lambda a, p=2: pytest.fail("norm taken again"))
+                scaled = unit.scaled(eps)
+                assert [scaled.norm(name, 2) for name in ("dA", "dB")] == [
+                    eps * value for value in norms]
+            assert scaled.epsilon == eps
+            for name in ("dA", "dB", "db"):
+                assert np.array_equal(getattr(scaled, name), getattr(fresh, name))
+            assert general_relative_bound(problem, scaled).w == w
 
     def test_envelope_violations(self):
         p = AveProblem([[2.0]], [[1.0]], [3.0])
@@ -321,23 +355,23 @@ class TestPerturbationExperiment:
         rec = perturbation_experiment(problem, pert)
         assert rec.n == 30
         assert rec.epsilon == 0.01
-        assert rec.r == pytest.approx(0.00404409909738796, rel=1e-9)
+        assert rec.r == pytest.approx(0.00404409757057314, rel=1e-9)
         assert rec.w == pytest.approx(0.0842454140387942, rel=1e-9)
         assert rec.tau == pytest.approx(0.284482587726688, rel=1e-9)
         assert rec.upsilon == pytest.approx(0.0464549117216513, rel=1e-9)
         assert rec.nu == pytest.approx(0.110368928442537, rel=1e-9)
-        assert rec.delta == pytest.approx(0.00479050251950588, rel=1e-9)
+        assert rec.delta == pytest.approx(0.00479050252994868, rel=1e-9)
 
     def test_frozen_cell_table_two(self):
         problem = lcp_to_ave(gen_problem("tridiag", 40))
         pert = gen_perturbation("tridiag", 40, 0.015)
         rec = perturbation_experiment(problem, pert)
-        assert rec.r == pytest.approx(0.00612131319617695, rel=1e-9)
+        assert rec.r == pytest.approx(0.00612131216558119, rel=1e-9)
         assert rec.w == pytest.approx(0.126499317001939, rel=1e-9)
         assert rec.tau == pytest.approx(0.428150650528705, rel=1e-9)
         assert rec.upsilon == pytest.approx(0.0703803207135216, rel=1e-9)
         assert rec.nu == pytest.approx(0.166309351286499, rel=1e-9)
-        assert rec.delta == pytest.approx(0.00691503191675214, rel=1e-9)
+        assert rec.delta == pytest.approx(0.00691503192953177, rel=1e-9)
 
     def test_delta_needs_epsilon(self):
         p = AveProblem([[2.0]], [[1.0]], [3.0])

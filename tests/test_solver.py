@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from avebounds import AveProblem, SolveOptions, TYPE_ONE, TYPE_TWO, picard_solve, residual
-from avebounds.exceptions import SingularMatrixError
+from avebounds import (
+    AveProblem,
+    LcpProblem,
+    SolveOptions,
+    TYPE_ONE,
+    TYPE_TWO,
+    lcp_to_ave,
+    picard_solve,
+    residual,
+    sign_accord_solve,
+    upper_factor,
+)
+from avebounds.exceptions import InapplicableBoundError, SingularMatrixError
 
 from support import random_solvable
 
@@ -56,16 +67,9 @@ class TestPicardSolve:
         assert res.iterations < SolveOptions().max_iterations
 
     def test_frozen_seed_unsolvable_instance(self):
-        # K = A^-1 B = 1.25 H with H >= 0 row-stochastic and A^-1 b > 0: the
-        # iterates stay positive and grow like 1.25**k, and no solution
-        # exists.  This raised numpy's ValueError once the iterates overflowed.
-        rng = np.random.default_rng(20241017)
-        n = 40
-        A = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
-        H = np.abs(rng.standard_normal((n, n)))
-        H /= H.sum(axis=1, keepdims=True)
-        c = np.abs(rng.standard_normal(n)) + 0.1
-        res = picard_solve(AveProblem(A, A @ (1.25 * H), A @ c))
+        # The iterates stay positive and grow like 1.25**k.  This raised
+        # numpy's ValueError once the iterates overflowed.
+        res = picard_solve(unsolvable_instance())
         assert not res.converged
         assert res.final_step_norm == np.inf
         assert np.all(np.isfinite(res.x))
@@ -111,17 +115,117 @@ class TestPicardSolve:
         # the fixed point by up to cond(A)^2 eps (errors 6e-3 to 9e-2 for
         # type2 here).  The residual-correction form stays near 1e-8, as an
         # LU solve per iteration does.
-        n = 40
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            A = U @ np.diag(np.logspace(0, -9, n)) @ V.T
-            H = np.abs(rng.normal(size=(n, n)))
-            H /= H.sum(axis=1, keepdims=True)
-            B = 0.5 * (A @ H if form == TYPE_ONE else H @ A)
-            x_star = rng.normal(size=n) / np.sqrt(n)
-            b = A @ x_star - (B @ np.abs(x_star) if form == TYPE_ONE else np.abs(B @ x_star))
-            res = picard_solve(AveProblem(A, B, b, form), SolveOptions(tolerance=1e-8))
+        for problem, x_star in ill_conditioned_family(form):
+            res = picard_solve(problem, SolveOptions(tolerance=1e-8))
             assert res.converged
             assert np.linalg.norm(res.x - x_star) <= 1e-6 * np.linalg.norm(x_star)
+
+
+def ill_conditioned_family(form):
+    """Six planted pairs (problem, x*) with cond(A) = 1e9 and rho(|K|) = 0.5."""
+    n = 40
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = U @ np.diag(np.logspace(0, -9, n)) @ V.T
+        H = np.abs(rng.normal(size=(n, n)))
+        H /= H.sum(axis=1, keepdims=True)
+        B = 0.5 * (A @ H if form == TYPE_ONE else H @ A)
+        x_star = rng.normal(size=n) / np.sqrt(n)
+        b = A @ x_star - (B @ np.abs(x_star) if form == TYPE_ONE else np.abs(B @ x_star))
+        yield AveProblem(A, B, b, form), x_star
+
+
+def unsolvable_instance():
+    """K = A^-1 B = 1.25 H with H >= 0 row-stochastic and A^-1 b > 0: no
+    solution exists, and the Picard iterates grow like 1.25**k."""
+    rng = np.random.default_rng(20241017)
+    n = 40
+    A = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+    H = np.abs(rng.standard_normal((n, n)))
+    H /= H.sum(axis=1, keepdims=True)
+    c = np.abs(rng.standard_normal(n)) + 0.1
+    return AveProblem(A, A @ (1.25 * H), A @ c)
+
+
+class TestSignAccordSolve:
+    REFERENCE = SolveOptions(tolerance=1e-13)
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_random_instances_are_solved_exactly(self, form):
+        # One start plus at most three LU solves, and the answer of a Picard
+        # run to a step of 1e-13.
+        rng = np.random.default_rng(20261018)
+        for n in range(2, 40):
+            problem = random_solvable(rng, n, rho_cap=0.95, form=form)
+            res = sign_accord_solve(problem)
+            assert res.converged and res.method == "sign_accord"
+            assert res.iterations <= 4
+            reference = picard_solve(problem, self.REFERENCE).x
+            assert np.linalg.norm(res.x - reference) <= 1e-12 * np.linalg.norm(reference)
+            assert res.final_residual_norm == np.linalg.norm(residual(problem, res.x))
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_accurate_with_ill_conditioned_A(self, form):
+        for problem, x_star in ill_conditioned_family(form):
+            res = sign_accord_solve(problem)
+            assert res.converged and res.method == "sign_accord"
+            assert np.linalg.norm(res.x - x_star) <= 1e-6 * np.linalg.norm(x_star)
+
+    def test_start_counts_as_a_solve(self):
+        # 2x - |x| = 3: A^-1 b = 1.5 has the sign of the solution, so one LU
+        # solve with s = +1 gives x = 3.  From the solution itself the
+        # start is free.  One iteration leaves no room for the LU solve.
+        problem = AveProblem([[2.0]], [[1.0]], [3.0])
+        res = sign_accord_solve(problem)
+        assert (res.converged, res.iterations, res.method) == (True, 2, "sign_accord")
+        assert res.x[0] == 3.0 and res.final_residual_norm == 0.0
+        res = sign_accord_solve(problem, SolveOptions(initial=[3.0]))
+        assert (res.converged, res.iterations, res.final_step_norm) == (True, 1, 0.0)
+        res = sign_accord_solve(problem, SolveOptions(max_iterations=1))
+        assert (res.converged, res.iterations, res.method) == (False, 1, "sign_accord")
+        assert res.x[0] == 1.5
+
+    def test_cycle_falls_back_to_picard(self):
+        # A frozen LCP with a positive-definite symmetric part on which the
+        # sign patterns cycle.  The contraction premise is not proven here,
+        # yet Picard converges (||K||_2 = 0.96), so the fallback is ungated.
+        rng = np.random.default_rng(2103)
+        n = int(rng.integers(2, 7))
+        G = rng.normal(size=(n, n))
+        S = rng.normal(size=(n, n))
+        M = G @ G.T / n + 0.1 * np.eye(n) + S - S.T
+        problem = lcp_to_ave(LcpProblem(M, rng.normal(size=n)))
+        assert n == 4 and np.linalg.eigvalsh(M + M.T).min() > 0
+        with pytest.raises(InapplicableBoundError):
+            upper_factor(problem, "neumann", 2)
+        res = sign_accord_solve(problem, self.REFERENCE)
+        reference = picard_solve(problem, self.REFERENCE)
+        assert res.converged and res.method == "picard"
+        assert np.linalg.norm(res.x - reference.x) <= 1e-12 * np.linalg.norm(reference.x)
+
+    @pytest.mark.parametrize("problem", [
+        AveProblem([[1.0]], [[2.0]], [1.0]),
+        unsolvable_instance(),
+    ], ids=["x-2|x|=1", "1.25H"])
+    def test_unsolvable_is_an_outcome(self, problem):
+        res = sign_accord_solve(problem)
+        assert not res.converged and res.method == "picard"
+        assert np.all(np.isfinite(res.x))
+        assert res.iterations < SolveOptions().max_iterations
+
+    def test_budget_counts_the_fallback(self):
+        res = sign_accord_solve(AveProblem([[1.0]], [[2.0]], [1.0]),
+                                SolveOptions(max_iterations=30))
+        assert not res.converged and res.iterations == 30
+
+    def test_singular_A_raises(self):
+        p = AveProblem(np.zeros((2, 2)), np.eye(2), np.ones(2))
+        with pytest.raises(SingularMatrixError):
+            sign_accord_solve(p)
+
+    def test_bad_initial_length(self):
+        p = AveProblem(np.eye(2), np.zeros((2, 2)), np.ones(2))
+        with pytest.raises(ValueError, match="initial guess has length 3"):
+            sign_accord_solve(p, SolveOptions(initial=[1.0, 2.0, 3.0]))
