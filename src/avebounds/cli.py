@@ -162,7 +162,7 @@ def _cmd_hlcp(args):
 
 
 def _cmd_reproduce(args):
-    table = reproduce_table(args.table, _options(args))
+    table = reproduce_table(args.table)
     sys.stdout.write(emit(table, args.format).decode())
     return 0 if not table.failures else 3
 
@@ -224,7 +224,7 @@ def build_parser():
     p.add_argument("--n-mat", required=True, help="matrix N (.mtx)")
     p.set_defaults(func=_cmd_hlcp)
 
-    p = sub.add_parser("reproduce", parents=[solver, table],
+    p = sub.add_parser("reproduce", parents=[table],
                        help="re-run a built-in benchmark table")
     p.add_argument("--table", type=int, choices=[1, 2, 3, 4], required=True)
     p.set_defaults(func=_cmd_reproduce)

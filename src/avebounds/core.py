@@ -72,8 +72,10 @@ class AveProblem:
         return state
 
     def perturbed(self, dA, dB, db):
-        """Return a new problem with the same form and shifted data."""
-        return AveProblem(self.A + dA, self.B + dB, self.b + db, self.form)
+        """A new problem of the same form, shifted by deltas of its size."""
+        n, square = self.n, numerics.as_square
+        return AveProblem(self.A + square(dA, "dA", n), self.B + square(dB, "dB", n),
+                          self.b + numerics.as_vector(db, "db", n), self.form)
 
 
 class ProblemAnalysis:
@@ -238,6 +240,11 @@ class SolvabilityReport:
         return self.verdict == VERDICT_PROVEN
 
 
+def sign_member(A, B, d, left=False):
+    """A - B diag(d) (A - diag(d) B when ``left``), per leading index of d."""
+    return A - d[..., :, None] * B if left else A - B * d[..., None, :]
+
+
 def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     """One pass over the members A - B diag(d) (A - diag(d) B when
     ``left``) at all 2**n vertices d of {-1, 1}**n ({0, 1}**n when
@@ -273,10 +280,7 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     for start in range(0, 2**n, _SIGN_CHUNK):
         index = np.arange(start, min(start + _SIGN_CHUNK, 2**n))
         block = np.where(index[:, None] & bits, 1.0, low)
-        if left:
-            stack = A[None, :, :] - block[:, :, None] * B[None, :, :]
-        else:
-            stack = A[None, :, :] - B[None, :, :] * block[:, None, :]
+        stack = sign_member(A, B, block, left)
         signs, logdets = np.linalg.slogdet(stack)
         with np.errstate(divide="ignore"):      # a zero column has log norm -inf
             log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)

@@ -8,9 +8,9 @@ Two LCP families are built in:
   tridiag(-1, 4, -1) blocks on the diagonal, -I off it, plus 4 I, and q
   chosen so the known alternating vector (1, 2, 1, 2, ...) solves the LCP.
 
-Each family carries a matching structured perturbation scaled by epsilon.
-The four built-in benchmark tables run these families at fixed sizes over
-a fixed epsilon grid.
+Each family also has a unit structured perturbation, which a table cell
+scales by epsilon.  The four built-in benchmark tables run these families
+at fixed sizes over a fixed epsilon grid.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ from .exceptions import AveBoundsError
 from .perturbation import Perturbation, perturbation_experiment
 from .solver import sign_accord_solve
 
-FAMILIES = ("tridiag", "lattice")
 FORMATS = ("csv", "json", "markdown")
 
 #: table id -> (family, size parameter).  For the lattice family the size
@@ -49,9 +48,8 @@ def tridiagonal(n, sub, diag, sup):
     if n < 1:
         raise ValueError("n must be at least 1")
     out = np.diag(np.full(n, float(diag)))
-    if n > 1:
-        out += np.diag(np.full(n - 1, float(sub)), -1)
-        out += np.diag(np.full(n - 1, float(sup)), 1)
+    out += np.diag(np.full(n - 1, float(sub)), -1)
+    out += np.diag(np.full(n - 1, float(sup)), 1)
     return out
 
 
@@ -65,45 +63,40 @@ def gen_lattice_lcp(m):
     """Five-point lattice family on an m x m grid (dimension n = m**2)."""
     if m < 2:
         raise ValueError("lattice family needs m >= 2")
-    n = m * m
-    S = tridiagonal(m, -1, 4, -1)
-    M = np.zeros((n, n))
-    for i in range(m):
-        lo, hi = i * m, (i + 1) * m
-        M[lo:hi, lo:hi] = S
-        if i + 1 < m:
-            M[lo:hi, hi:hi + m] = -np.eye(m)
-            M[hi:hi + m, lo:hi] = -np.eye(m)
+    n, eye = m * m, np.eye(m)
+    M = np.kron(eye, tridiagonal(m, -1, 4, -1)) - np.kron(tridiagonal(m, 1, 0, 1), eye)
     M += 4.0 * np.eye(n)
     z_star = np.tile([1.0, 2.0], n // 2 + 1)[:n]
     return LcpProblem(M, -M @ z_star)
 
 
+#: family -> (LCP generator, (sub, diag, sup) bands of dA, bands of dB).
+FAMILIES = {
+    "tridiag": (gen_tridiag_lcp, (1, 2, -1), (1, 1, 1)),
+    "lattice": (gen_lattice_lcp, (-1, 2, -1), (1, -1, 1)),
+}
+
+
+def _family(name):
+    if isinstance(name, str) and name in FAMILIES:
+        return FAMILIES[name]
+    raise ValueError(f"unknown family {name!r}; use one of {tuple(FAMILIES)}")
+
+
 def gen_problem(family, size):
-    if family == "tridiag":
-        return gen_tridiag_lcp(size)
-    if family == "lattice":
-        return gen_lattice_lcp(size)
-    raise ValueError(f"unknown family {family!r}; use one of {FAMILIES}")
+    return _family(family)[0](size)
 
 
 def gen_perturbation(family, n, epsilon):
-    """The structured perturbation each family pairs with, at scale epsilon.
+    """The family's unit perturbation (dA, dB from its bands, db = ones)
+    times epsilon, by ``Perturbation.scaled``.
 
     These act on the AVE-form matrices (A, B) of the transformed LCP, not
     on M itself.
     """
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
-    if family == "tridiag":
-        dA = epsilon * tridiagonal(n, 1, 2, -1)
-        dB = epsilon * tridiagonal(n, 1, 1, 1)
-    elif family == "lattice":
-        dA = epsilon * tridiagonal(n, -1, 2, -1)
-        dB = epsilon * tridiagonal(n, 1, -1, 1)
-    else:
-        raise ValueError(f"unknown family {family!r}; use one of {FAMILIES}")
-    return Perturbation(dA, dB, epsilon * np.ones(n), epsilon=epsilon)
+    _, da_bands, db_bands = _family(family)
+    unit = Perturbation(tridiagonal(n, *da_bands), tridiagonal(n, *db_bands), np.ones(n))
+    return unit.scaled(epsilon)
 
 
 @dataclass
@@ -111,17 +104,15 @@ class ExperimentSpec:
     family: str
     sizes: list
     epsilons: list
-    options: object = None          # SolveOptions or None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; use one of {FAMILIES}")
-        message = f"sizes must be a non-empty list of positive integers, got {self.sizes!r}"
+        _family(self.family)
+        message = f"sizes must be a non-empty list of integers >= 2, got {self.sizes!r}"
         try:
             self.sizes = [operator.index(s) for s in self.sizes]
         except TypeError:
             raise ValueError(message) from None
-        if not self.sizes or any(s < 1 for s in self.sizes):
+        if not self.sizes or any(s < 2 for s in self.sizes):
             raise ValueError(message)
         try:
             valid = bool(self.epsilons) and all(0 < e < np.inf for e in self.epsilons)
@@ -157,20 +148,19 @@ def run_experiment(spec):
 
     Rows come back ordered by (size, epsilon).  A failing cell (solver or
     bound trouble) is recorded in ``failures`` instead of aborting the
-    rest of the grid.  Each base problem is solved once, by
-    ``sign_accord_solve``, before the cells of its size start; so are the
-    2-norms of the size's unit perturbation, which every cell scales.
-    Cells run on a thread pool sized by the AVE_BOUNDS_THREADS environment
-    variable (0 or unset = one per CPU, up to the number of cells).
+    rest of the grid.  Each size solves its base problem once, by
+    ``sign_accord_solve`` (a failure fails every cell of the size), and
+    takes the 2-norms of its unit perturbation once; each cell is one
+    ``Perturbation.scaled`` of that unit.  Cells run on a thread pool sized
+    by AVE_BOUNDS_THREADS (0 or unset = one per CPU, up to the cell count).
     """
     problems = {}
     bases = {}
     units = {}
     for size in spec.sizes:
-        lcp = gen_problem(spec.family, size)
-        problems[size] = lcp_to_ave(lcp)
+        problems[size] = lcp_to_ave(gen_problem(spec.family, size))
         try:
-            bases[size] = sign_accord_solve(problems[size], spec.options)
+            bases[size] = sign_accord_solve(problems[size])
         except (AveBoundsError, ValueError) as exc:
             bases[size] = exc
         units[size] = gen_perturbation(spec.family, problems[size].n, 1.0)
@@ -185,7 +175,7 @@ def run_experiment(spec):
         if isinstance(base, Exception):
             return base     # every cell of this size fails with the base error
         pert = units[size].scaled(eps)
-        return perturbation_experiment(problem, pert, spec.options, base=base)
+        return perturbation_experiment(problem, pert, base=base)
 
     def guarded(job):
         try:
@@ -215,12 +205,12 @@ def run_experiment(spec):
     return out
 
 
-def reproduce_table(table, options=None):
+def reproduce_table(table):
     """Run one of the built-in benchmark tables (1-4)."""
     if table not in BENCH_TABLES:
         raise ValueError(f"table must be one of {sorted(BENCH_TABLES)}, got {table!r}")
     family, size = BENCH_TABLES[table]
-    spec = ExperimentSpec(family, [size], list(BENCH_EPSILONS), options=options)
+    spec = ExperimentSpec(family, [size], list(BENCH_EPSILONS))
     out = run_experiment(spec)
     out.meta["table"] = table
     return out

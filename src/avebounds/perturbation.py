@@ -50,9 +50,6 @@ class Perturbation:
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
 
-    def validate_dims(self, problem):
-        numerics.as_square(self.dA, "dA", problem.n)
-
     def norm(self, name, p):
         """Induced p-norm (p already checked) of ``"dA"`` or ``"dB"``, taken
         once per array: it is taken again when the array is reassigned.
@@ -68,6 +65,8 @@ class Perturbation:
         """This perturbation times ``epsilon`` (its ``epsilon`` field set to
         it), carrying epsilon times every norm taken so far.  Induced norms
         are homogeneous, so a family of scales pays for each norm once."""
+        if not epsilon >= 0:
+            raise ValueError("epsilon must be nonnegative")
         out = Perturbation(epsilon * self.dA, epsilon * self.dB, epsilon * self.db,
                            epsilon=epsilon)
         out._norms = {key: (getattr(out, key[0]), epsilon * self.norm(*key))
@@ -171,7 +170,6 @@ def general_relative_bound(problem, pert, method=None, p=2):
     not apply.
     """
     p = numerics.check_norm(p)
-    pert.validate_dims(problem)
     return _relative_bound(problem, pert, problem.perturbed(pert.dA, pert.dB, pert.db),
                            method, p)
 
@@ -315,16 +313,15 @@ def perturbation_experiment(problem, pert, options=None, *, base=None):
     whose hypotheses fail are recorded as None.  Solver failure on either
     problem raises NonConvergenceError since r would be undefined.
     """
-    pert.validate_dims(problem)
+    perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
     if base is None:
         base = sign_accord_solve(problem, options)
     _require_converged(base, "base")
-    perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
     shifted = _require_converged(sign_accord_solve(perturbed, options), "perturbed")
-    norm_x = float(np.linalg.norm(base.x))
+    norm_x = numerics.p_norm(base.x, 2)
     if norm_x == 0:
         raise ValueError("relative error is undefined for x* = 0")
-    r = float(np.linalg.norm(base.x - shifted.x)) / norm_x
+    r = numerics.p_norm(base.x - shifted.x, 2) / norm_x
 
     report = _relative_bound(problem, pert, perturbed, None, 2)
     delta = None

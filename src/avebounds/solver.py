@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import numerics
-from .core import TYPE_ONE, residual
+from .core import TYPE_ONE, residual, sign_member
 
 
 @dataclass
@@ -150,7 +150,7 @@ def sign_accord_solve(problem, options=None):
             break
         seen.add(pattern)
         try:
-            x_next = np.linalg.solve(A - B * s if type_one else A - s[:, None] * B, b)
+            x_next = np.linalg.solve(sign_member(A, B, s, not type_one), b)
         except np.linalg.LinAlgError:
             break
         iterations += 1

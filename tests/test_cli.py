@@ -206,6 +206,16 @@ class TestReproduceCommand:
         with pytest.raises(SystemExit):
             main(["reproduce", "--table", "9"])
 
+    @pytest.mark.parametrize("flag", [["--tol", "1e-8"], ["--max-iter", "5"]],
+                             ids=lambda flag: flag[0])
+    def test_takes_no_solver_settings(self, flag, capsys):
+        # Every table problem is solved by its first sign pattern, so the
+        # settings of the Picard fallback would be ignored: not accepted.
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--table", "1"] + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_version_flag(self, capsys):

@@ -36,6 +36,17 @@ class TestAveProblem:
         assert np.array_equal(p.A, np.eye(2))
 
 
+    def test_perturbed_rejects_mis_sized_deltas(self):
+        # A 1 x 1 dA or a scalar db would broadcast over the whole problem.
+        p = AveProblem(4 * np.eye(3), np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match=r"dA has shape \(1, 1\), expected \(3, 3\)"):
+            p.perturbed(np.ones((1, 1)), np.zeros((3, 3)), np.zeros(3))
+        with pytest.raises(ValueError, match="dB: expected a non-empty 2-d matrix"):
+            p.perturbed(np.zeros((3, 3)), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="db has length 1, expected 3"):
+            p.perturbed(np.zeros((3, 3)), np.zeros((3, 3)), 0.5)
+
+
 class TestResidual:
     def test_scalar_type1(self):
         p = AveProblem([[2.0]], [[1.0]], [3.0])

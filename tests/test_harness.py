@@ -22,6 +22,7 @@ from avebounds.harness import (
     tridiagonal,
 )
 from avebounds.perturbation import ExperimentRecord, perturbation_experiment
+from avebounds.solver import sign_accord_solve
 
 
 class TestGenerators:
@@ -98,6 +99,9 @@ class TestExperimentSpec:
             ExperimentSpec("tridiag", [], [0.1])
         with pytest.raises(ValueError):
             ExperimentSpec("tridiag", [0], [0.1])
+        for family in ("tridiag", "lattice"):       # both families need size >= 2
+            with pytest.raises(ValueError, match="sizes"):
+                ExperimentSpec(family, [1, 3], [0.01])
         with pytest.raises(ValueError):
             ExperimentSpec("tridiag", [3], [0.0])
         for sizes in ([2.5], [3.0], [3, 4.5], ["3"], [None]):
@@ -143,12 +147,13 @@ class TestRunExperiment:
         assert row.nu == pytest.approx(0.346545833775648, rel=1e-9)
         assert row.delta == pytest.approx(0.0110835359685794, rel=1e-9)
 
-    def test_failures_recorded_not_raised(self):
-        # One iteration cannot reach the step tolerance from a zero start,
-        # so every cell lands in failures and the grid still completes.
-        spec = ExperimentSpec("tridiag", [3], [0.01, 0.02],
-                              options=SolveOptions(max_iterations=1))
-        out = run_experiment(spec)
+    def test_failures_recorded_not_raised(self, monkeypatch):
+        # A one-iteration budget ends the base solve at its start A^-1 b,
+        # unconverged, so every cell lands in failures and the grid still
+        # completes.
+        monkeypatch.setattr(harness, "sign_accord_solve", lambda problem: sign_accord_solve(
+            problem, SolveOptions(max_iterations=1)))
+        out = run_experiment(ExperimentSpec("tridiag", [3], [0.01, 0.02]))
         assert out.rows == []
         assert len(out.failures) == 2
         n, eps, message = out.failures[0]
@@ -164,22 +169,24 @@ class TestRunExperiment:
     def test_base_failure_fails_every_cell_of_its_size(self, monkeypatch, M, options):
         # The base problem is solved once per size; when that solve fails,
         # each cell of the size still fails with the message the unshared
-        # per-cell path gives.
+        # per-cell path gives.  The table path takes no solver settings, so
+        # the last two cases set them on its base solve of size 3.
         bad = LcpProblem(M, -np.ones(3))
         real = harness.gen_problem
         monkeypatch.setattr(harness, "gen_problem",
                             lambda family, size: bad if size == 3 else real(family, size))
+
+        def base_solve(problem):
+            return sign_accord_solve(problem, options if problem.n == 3 else None)
+        monkeypatch.setattr(harness, "sign_accord_solve", base_solve)
         with pytest.raises((AveBoundsError, ValueError)) as direct:
-            perturbation_experiment(lcp_to_ave(bad), gen_perturbation("tridiag", 3, 0.01),
-                                    options)
-        out = run_experiment(ExperimentSpec("tridiag", [3, 4], [0.01, 0.02],
-                                            options=options))
-        failed = [(n, eps) for n, eps, _ in out.failures]
-        assert failed[:2] == [(3, 0.01), (3, 0.02)]
-        assert all(msg == str(direct.value) for n, _, msg in out.failures if n == 3)
-        if options is None:
-            assert failed == [(3, 0.01), (3, 0.02)]
-            assert [(r.n, r.epsilon) for r in out.rows] == [(4, 0.01), (4, 0.02)]
+            problem = lcp_to_ave(bad)
+            perturbation_experiment(problem, gen_perturbation("tridiag", 3, 0.01),
+                                    base=base_solve(problem))
+        out = run_experiment(ExperimentSpec("tridiag", [3, 4], [0.01, 0.02]))
+        assert [(n, eps) for n, eps, _ in out.failures] == [(3, 0.01), (3, 0.02)]
+        assert all(msg == str(direct.value) for _, _, msg in out.failures)
+        assert [(r.n, r.epsilon) for r in out.rows] == [(4, 0.01), (4, 0.02)]
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
         spec = ExperimentSpec("tridiag", [4, 6], [0.01, 0.03])
@@ -202,6 +209,21 @@ class TestRunExperiment:
             run_experiment(spec)
         monkeypatch.setenv("AVE_BOUNDS_THREADS", "")   # falls back to auto
         assert len(run_experiment(spec).rows) == 1
+
+
+def test_first_sign_pattern_solves_every_family_problem():
+    # The table path takes no solver settings because none reach its solves:
+    # every base problem and every perturbed problem at the table epsilons
+    # is solved by the first LU solve, from the sign pattern of A^-1 b.
+    for family, sizes in (("tridiag", range(2, 41)), ("lattice", range(2, 9))):
+        for size in sizes:
+            problem = lcp_to_ave(gen_problem(family, size))
+            problems = [problem] + [
+                problem.perturbed(pert.dA, pert.dB, pert.db)
+                for pert in (gen_perturbation(family, problem.n, eps) for eps in BENCH_EPSILONS)]
+            for ave in problems:
+                result = sign_accord_solve(ave)
+                assert (result.method, result.iterations) == ("sign_accord", 2), (family, size)
 
 
 class TestReproduceTable:

@@ -44,6 +44,12 @@ class TestPNorm:
         assert numerics.p_norm(v, 2) == pytest.approx(5.0)
         assert numerics.p_norm(v, np.inf) == pytest.approx(4.0)
 
+    def test_vector_two_norm_neither_overflows_nor_underflows(self):
+        for scale in (1e-200, 1.0, 1e200):
+            assert numerics.p_norm([3 * scale, -4 * scale], 2) == pytest.approx(
+                5 * scale, rel=1e-15)
+        assert numerics.p_norm([0.0, 0.0], 2) == 0.0
+
     def test_matrix_operator_norms(self):
         m = np.array([[1.0, -2.0], [3.0, 4.0]])
         # max column sum / max row sum

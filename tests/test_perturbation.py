@@ -12,6 +12,7 @@ from avebounds import (
     SolveOptions,
     classical_linear_bounds,
     componentwise_bound,
+    error_interval,
     general_relative_bound,
     lcp_region_bound,
     perturbation_experiment,
@@ -19,6 +20,7 @@ from avebounds import (
     region_factors,
     rhs_only_bound,
     shifted_norm_slack,
+    sign_accord_solve,
     upper_factor,
 )
 from avebounds import numerics
@@ -44,10 +46,13 @@ class TestPerturbation:
             Perturbation(np.eye(2), np.eye(2), np.zeros(2), epsilon=-0.1)
 
     def test_validate_dims(self):
+        # The perturbed problem is built first, so the size error comes
+        # before any solve or bound.
         p = AveProblem(np.eye(3), np.zeros((3, 3)), np.ones(3))
         pert = Perturbation(np.eye(2), np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError, match=r"dA has shape \(2, 2\), expected \(3, 3\)"):
-            pert.validate_dims(p)
+        for call in (general_relative_bound, perturbation_experiment):
+            with pytest.raises(ValueError, match=r"dA has shape \(2, 2\), expected \(3, 3\)"):
+                call(p, pert)
 
     def test_norms_are_taken_once_per_array(self, monkeypatch):
         pert = Perturbation(np.diag([3.0, -4.0]), np.eye(2), np.ones(2))
@@ -129,6 +134,23 @@ def test_nan_scales_are_rejected(call):
     # A NaN passes every ``x < 0`` guard; the guards are written ``not x >= 0``.
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_bounds_do_not_depend_on_the_scale_of_b(scale):
+    # Scaling b, db, x* and the trial point by s leaves the relative bounds
+    # alone and scales the error interval by s, also where squaring an
+    # entry overflows (s = 1e200) or underflows (s = 1e-200).
+    def at(s):
+        problem = AveProblem([[4.0, 1.0], [0.0, 3.0]], 0.5 * np.eye(2), s * np.array([1.0, -2.0]))
+        x_star = s * sign_accord_solve(AveProblem(problem.A, problem.B, [1.0, -2.0])).x
+        interval = error_interval(problem, s * np.ones(2), p=2)
+        return (rhs_only_bound(problem, 1e-3 * s * np.ones(2)),
+                componentwise_bound(problem, x_star, 1e-3),
+                interval.residual_norm / s, interval.lower / s, interval.upper / s)
+    want = at(1.0)
+    assert want[:2] == pytest.approx((0.0012855040024356797, 0.002079730549043646), rel=1e-12)
+    assert at(scale) == pytest.approx(want, rel=1e-12)
 
 
 class TestRhsOnlyBound:
