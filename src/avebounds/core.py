@@ -88,9 +88,9 @@ class ProblemAnalysis:
     rho(|K|) < 1 (a Collatz-Wielandt certificate) and serves every Neumann
     factor and the series kernel.  Both are gated on their own 1-norm
     condition number (``numerics.gated_inverse``), not on singular values.
-    K is not kept; one matrix product rebuilds it when a new quantity needs
-    it.  No bound computes rho(|K|) itself.  A per-analysis lock makes
-    concurrent callers compute each quantity once.
+    K is formed once, by one matrix product, and kept read-only.  No bound
+    computes rho(|K|) itself.  A per-analysis lock makes concurrent callers
+    compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -129,9 +129,11 @@ class ProblemAnalysis:
         return inv
 
     def _ratio(self):
-        """A fresh K; A must have passed the gate."""
-        A_inv = self.inverse()
-        return self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
+        """K, read-only; A must have passed the gate."""
+        def compute():
+            A_inv = self.inverse()
+            return self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
+        return self.memoised("K", compute)
 
     def ratio_norm(self):
         """Largest singular value of K; A must have passed the gate."""

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import json
 import operator
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,16 +129,9 @@ class TableOutput:
 
 
 def _thread_count(n_jobs):
-    raw = os.environ.get("AVE_BOUNDS_THREADS", "0").strip() or "0"
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise ValueError(f"AVE_BOUNDS_THREADS must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise ValueError("AVE_BOUNDS_THREADS must be >= 0")
-    if requested == 0:
-        return max(1, min(n_jobs, os.cpu_count() or 1))
-    return requested
+    """1: the cells run on the calling thread.  ``perfbench/worker.py``
+    records this value with its timings."""
+    return 1
 
 
 def run_experiment(spec):
@@ -151,45 +142,9 @@ def run_experiment(spec):
     rest of the grid.  Each size solves its base problem once, by
     ``sign_accord_solve`` (a failure fails every cell of the size), and
     takes the 2-norms of its unit perturbation once; each cell is one
-    ``Perturbation.scaled`` of that unit.  Cells run on a thread pool sized
-    by AVE_BOUNDS_THREADS (0 or unset = one per CPU, up to the cell count).
+    ``Perturbation.scaled`` of that unit.  Cells run in order on the
+    calling thread; OpenBLAS threads inside each call.
     """
-    problems = {}
-    bases = {}
-    units = {}
-    for size in spec.sizes:
-        problems[size] = lcp_to_ave(gen_problem(spec.family, size))
-        try:
-            bases[size] = sign_accord_solve(problems[size])
-        except (AveBoundsError, ValueError) as exc:
-            bases[size] = exc
-        units[size] = gen_perturbation(spec.family, problems[size].n, 1.0)
-        for name in ("dA", "dB"):
-            units[size].norm(name, 2)
-
-    jobs = [(size, eps) for size in spec.sizes for eps in spec.epsilons]
-
-    def cell(job):
-        size, eps = job
-        problem, base = problems[size], bases[size]
-        if isinstance(base, Exception):
-            return base     # every cell of this size fails with the base error
-        pert = units[size].scaled(eps)
-        return perturbation_experiment(problem, pert, base=base)
-
-    def guarded(job):
-        try:
-            return cell(job)
-        except (AveBoundsError, ValueError) as exc:
-            return exc
-
-    workers = _thread_count(len(jobs))
-    if workers == 1 or len(jobs) == 1:
-        outcomes = [guarded(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, jobs))
-
     out = TableOutput(meta={
         "family": spec.family,
         "sizes": list(spec.sizes),
@@ -197,11 +152,23 @@ def run_experiment(spec):
         "norm": 2,      # every table quantity is a 2-norm
         "tool_version": __version__,
     })
-    for (size, eps), outcome in zip(jobs, outcomes):
-        if isinstance(outcome, Exception):
-            out.failures.append((problems[size].n, eps, str(outcome)))
-        else:
-            out.rows.append(outcome)
+    for size in spec.sizes:
+        problem = lcp_to_ave(gen_problem(spec.family, size))
+        try:
+            base = sign_accord_solve(problem)
+        except (AveBoundsError, ValueError) as exc:
+            base = exc
+        unit = gen_perturbation(spec.family, problem.n, 1.0)
+        for name in ("dA", "dB"):
+            unit.norm(name, 2)
+        for eps in spec.epsilons:
+            if isinstance(base, Exception):     # every cell of this size fails with it
+                out.failures.append((problem.n, eps, str(base)))
+                continue
+            try:
+                out.rows.append(perturbation_experiment(problem, unit.scaled(eps), base=base))
+            except (AveBoundsError, ValueError) as exc:
+                out.failures.append((problem.n, eps, str(exc)))
     return out
 
 

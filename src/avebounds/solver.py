@@ -73,6 +73,12 @@ class SolveResult:
     method: str = "picard"      # the iteration that produced x: "picard" or "sign_accord"
 
 
+def _norm(v):
+    """Scaled 2-norm of ``v`` (``numerics.p_norm``); inf when ``v`` or its
+    norm overflows (callers silence the overflow)."""
+    return numerics.p_norm(v, 2) if np.all(np.isfinite(v)) else np.inf
+
+
 def picard_solve(problem, options=None):
     """Run the fixed-point iteration on ``problem``.
 
@@ -109,7 +115,7 @@ def picard_solve(problem, options=None):
             if step < opts.tolerance:
                 converged = True
                 break
-        res_norm = float(np.linalg.norm(residual(problem, x)))
+        res_norm = _norm(residual(problem, x))
     return SolveResult(x, iterations, step, res_norm, converged)
 
 
@@ -156,7 +162,8 @@ def sign_accord_solve(problem, options=None):
         iterations += 1
         if not np.all(np.isfinite(x_next)):
             break
-        step = float(np.linalg.norm(x_next - x))
+        with np.errstate(over="ignore"):
+            step = _norm(x_next - x)
         x = x_next
         if np.all(s * (x if type_one else B @ x) >= 0):
             converged = True
@@ -166,5 +173,6 @@ def sign_accord_solve(problem, options=None):
         fallback = picard_solve(problem, SolveOptions(
             initial=x, tolerance=opts.tolerance, max_iterations=opts.max_iterations - iterations))
         return replace(fallback, iterations=fallback.iterations + iterations)
-    res_norm = float(np.linalg.norm(residual(problem, x)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_norm = _norm(residual(problem, x))
     return SolveResult(x, iterations, step, res_norm, converged, "sign_accord")

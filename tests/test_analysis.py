@@ -387,6 +387,33 @@ def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
     assert calls == ["inv", "inv"]
 
 
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_ratio_is_formed_once_per_analysis(monkeypatch, form):
+    """The 2-norm report and the solvability screen read one memoised,
+    read-only K: one product of A^-1 with B (three before: the Neumann
+    core, ``ratio_norm`` and the spectral-radius screen each formed K)."""
+    problem = random_solvable(np.random.default_rng(34), 30, form=form)
+    analysis = problem.analysis
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other is analysis.B)
+            return np.matmul(self, other)
+
+        def __rmatmul__(self, other):
+            products.append(other is analysis.B)
+            return np.matmul(other, self)
+
+    inverse = analysis.inverse
+    monkeypatch.setattr(analysis, "inverse", lambda *a: inverse(*a).view(Counted))
+    assert error_bound_report(problem, 2).best_upper() is not None
+    assert solvability_report(problem).proven
+    assert products.count(True) == 1
+    K = analysis._ratio()
+    assert K is analysis._ratio() and not K.flags.writeable
+
+
 def test_unresolvable_neumann_inverse_is_inapplicable():
     # rho(|K|) = 0 since B is strictly upper triangular, so the contraction
     # premise holds, but cond(I - |K|) ~ 1e18 fails the conditioning gate,

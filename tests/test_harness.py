@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 
 import numpy as np
@@ -188,27 +189,21 @@ class TestRunExperiment:
         assert all(msg == str(direct.value) for _, _, msg in out.failures)
         assert [(r.n, r.epsilon) for r in out.rows] == [(4, 0.01), (4, 0.02)]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        spec = ExperimentSpec("tridiag", [4, 6], [0.01, 0.03])
-        monkeypatch.setenv("AVE_BOUNDS_THREADS", "1")
-        serial = run_experiment(spec)
-        monkeypatch.setenv("AVE_BOUNDS_THREADS", "3")
-        threaded = run_experiment(spec)
-        assert len(serial.rows) == len(threaded.rows) == 4
-        for a, b in zip(serial.rows, threaded.rows):
-            for f in ("n", "epsilon", "r", "w", "tau", "upsilon", "nu", "delta"):
-                assert getattr(a, f) == getattr(b, f)
+    def test_cells_run_serially_on_the_calling_thread(self, monkeypatch):
+        # The cells run in (size, epsilon) order on the caller's thread,
+        # and the benchmark's environment record reads one worker.
+        cells = []
+        real = harness.perturbation_experiment
 
-    def test_thread_env_validation(self, monkeypatch):
-        spec = ExperimentSpec("tridiag", [3], [0.01])
-        monkeypatch.setenv("AVE_BOUNDS_THREADS", "two")
-        with pytest.raises(ValueError):
-            run_experiment(spec)
-        monkeypatch.setenv("AVE_BOUNDS_THREADS", "-1")
-        with pytest.raises(ValueError):
-            run_experiment(spec)
-        monkeypatch.setenv("AVE_BOUNDS_THREADS", "")   # falls back to auto
-        assert len(run_experiment(spec).rows) == 1
+        def recorded(problem, pert, base):
+            cells.append((threading.get_ident(), problem.n, pert.epsilon))
+            return real(problem, pert, base=base)
+        monkeypatch.setattr(harness, "perturbation_experiment", recorded)
+        out = run_experiment(ExperimentSpec("tridiag", [5, 3], [0.03, 0.01, 0.02]))
+        grid = [(n, eps) for n in (5, 3) for eps in (0.03, 0.01, 0.02)]
+        assert cells == [(threading.get_ident(), n, eps) for n, eps in grid]
+        assert [(r.n, r.epsilon) for r in out.rows] == grid
+        assert harness._thread_count(len(grid)) == 1
 
 
 def test_first_sign_pattern_solves_every_family_problem():

@@ -220,6 +220,26 @@ class TestSignAccordSolve:
                                 SolveOptions(max_iterations=30))
         assert not res.converged and res.iterations == 30
 
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_norms_are_scale_free(self, scale):
+        # The step and residual norms scale with b: squaring the entries of
+        # a vector near 1e200 (1e-200) would give inf (0).
+        A, B = np.array([[4.0, 1.0], [0.0, 3.0]]), 0.5 * np.eye(2)
+        unit = sign_accord_solve(AveProblem(A, B, [1.0, -2.0]))
+        res = sign_accord_solve(AveProblem(A, B, scale * np.array([1.0, -2.0])))
+        assert res.converged and res.method == "sign_accord"
+        assert res.x == pytest.approx(scale * unit.x, rel=1e-14)
+        assert res.final_step_norm == pytest.approx(scale * unit.final_step_norm, rel=1e-12)
+        assert 0.0 < res.final_step_norm < np.inf
+        assert res.final_residual_norm <= 1e-14 * scale
+
+    def test_overflowing_residual_norm_is_infinite(self):
+        # x = 1.5e308 solves 2x - |x| = 1.5e308, but A x overflows.
+        res = sign_accord_solve(AveProblem(2.0 * np.eye(2), np.eye(2), [1.5e308, 1.5e308]))
+        assert res.converged and np.array_equal(res.x, [1.5e308, 1.5e308])
+        assert np.isfinite(res.final_step_norm)
+        assert res.final_residual_norm == np.inf
+
     def test_singular_A_raises(self):
         p = AveProblem(np.zeros((2, 2)), np.eye(2), np.ones(2))
         with pytest.raises(SingularMatrixError):
