@@ -26,8 +26,18 @@ VERDICT_PROVEN = "proven_unique"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_FAILS = "fails_all_sufficient_conditions"
 
-# Members of the sign family stacked per batched LAPACK call.
+# Members per batched LAPACK call on the direct scan, the arbiter of the
+# sign-box walk; one chunk bounds that scan's memory.
 _SIGN_CHUNK = 4096
+# The Gray-code walk of the sign box hands the call to the direct scan on a
+# flip ratio |r| <= _FLIP_GUARD, on a walked |det| within a factor
+# _NEAR_FLOOR of the floor, or when a batch rebuilt every _ANCHOR_STEPS
+# steps differs from its walked inverses by more than _ANCHOR_RTOL.
+_FLIP_GUARD = 1e-8
+_NEAR_FLOOR = 2.0**10
+_ANCHOR_STEPS = 64
+_ANCHOR_RTOL = 1e-10
+_EPS = np.finfo(float).eps
 # Largest n whose 2**n sign-box vertices are enumerated.
 SIGN_BOX_LIMIT = 20
 
@@ -247,6 +257,164 @@ def sign_member(A, B, d, left=False):
     return A - d[..., :, None] * B if left else A - B * d[..., None, :]
 
 
+def flip_update(inverses, B, j, delta, left=False, guard=0.0):
+    """Move d_j by ``delta`` in every member of a batch, given the batch's
+    inverses (shape (k, n, n)); returns the determinant ratios r (shape (k,)).
+
+    The member A - B diag(d) changes by -delta b_j e_j^T (b_j column j of
+    B); A - diag(d) B (``left``) by -delta e_j b_j^T (b_j row j of B).  So
+    det(new) = r det(old) with r = 1 - delta (L^-1 b_j)_j (left:
+    1 - delta (b_j^T L^-1)_j), and Sherman-Morrison updates each inverse in
+    O(n^2).  The inverses are updated in place only when every |r| exceeds
+    ``guard``; otherwise they are left as they were.
+    """
+    if left:
+        u = inverses[:, :, j].copy()        # L^-1 e_j
+        w = B[j] @ inverses                 # b_j^T L^-1
+        ratio = 1.0 - delta * w[:, j]
+    else:
+        u = inverses @ B[:, j]              # L^-1 b_j
+        w = inverses[:, j, :].copy()        # e_j^T L^-1
+        ratio = 1.0 - delta * u[:, j]
+    if np.abs(ratio).min() > guard:
+        u *= (delta / ratio)[:, None]
+        inverses += u[:, :, None] * w[:, None, :]
+    return ratio
+
+
+def _vertex_check(A, B, index, left, low, sign):
+    """``(block, stack, signs, logdets, bad)`` for the vertices ``index``
+    (bit j of k set means d_j = 1, else ``low``) and their members.
+
+    ``bad`` marks a vertex whose determinant sign is not ``sign`` (the sign
+    of vertex 0, read from ``signs[0]`` when ``sign`` is 0) or whose
+    |det| is at most n eps prod_j ||col_j||_2."""
+    n = A.shape[0]
+    block = np.where(index[:, None] & (1 << np.arange(n)), 1.0, low)
+    stack = sign_member(A, B, block, left)
+    signs, logdets = np.linalg.slogdet(stack)
+    with np.errstate(divide="ignore"):      # a zero column has log norm -inf
+        log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)
+    sign = sign or signs[0]
+    bad = (signs != sign) | ~(logdets > log_hadamard + math.log(n * _EPS))
+    return block, stack, signs, logdets, bad
+
+
+def _scaled(inverses, d, zero_one):
+    """L^-1 diag(|d|) for a batch of inverses and their vertices."""
+    return inverses * d[:, None, :] if zero_one else inverses  # |d| = 1 on {-1, 1}**n
+
+
+def _two_norm_bound(stack):
+    """Upper bounds on the 2-norms of a stack of square matrices, within a
+    factor n**(1/16) of them: with G = X^T X, ||X||_2^16 = lambda_max(G)^8
+    <= ||G^8||_F.  Each X is scaled by its largest entry first, so G^8
+    neither overflows nor loses its largest eigenvalue to underflow."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    scaled = stack / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    gram = scaled.transpose(0, 2, 1) @ scaled
+    for _ in range(3):
+        gram = gram @ gram
+    return scale * np.linalg.norm(gram, axis=(1, 2)) ** (1.0 / 16.0)
+
+
+def _direct_scan(A, B, left, p, zero_one):
+    """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair, from
+    chunks of ``_SIGN_CHUNK`` members in bit order, each built, tested and
+    inverted directly; the arbiter of ``_gray_walk``."""
+    n, low = A.shape[0], (0.0 if zero_one else -1.0)
+    sign, peak = 0.0, 0.0
+    for start in range(0, 2**n, _SIGN_CHUNK):
+        index = np.arange(start, min(start + _SIGN_CHUNK, 2**n))
+        block, stack, signs, _, bad = _vertex_check(A, B, index, left, low, sign)
+        sign = sign or signs[0]
+        if np.any(bad):
+            return block[np.argmax(bad)], math.inf
+        if p is not None:
+            members = _scaled(np.linalg.inv(stack), block, zero_one)
+            peak = max(peak, float(numerics.batched_norms(members, p).max()))
+    return None, peak
+
+
+def _gray_walk(A, B, left, p, zero_one):
+    """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair, or None
+    when the walk cannot vouch for it and the direct scan must decide.
+
+    The 2**h vertices of the low h = n // 2 bits (the first in bit order)
+    are built and tested directly, and inverted once they pass; a witness
+    among them is the direct scan's.  The other bits are walked in
+    Gray-code order, each step one ``flip_update`` of the whole batch,
+    with signs and log-determinants carried by the ratios and the
+    Hadamard bound recomputed.  Every ``_ANCHOR_STEPS`` steps and at the
+    end the batch is rebuilt, tested and inverted directly, and the walk
+    goes on from there.  It hands over on any vertex failing its tests, a
+    walked |det| within ``_NEAR_FLOOR`` of the floor, a ratio |r| at most
+    ``_FLIP_GUARD``, or walked inverses more than ``_ANCHOR_RTOL`` (max
+    entry, relative) from the rebuilt ones.
+
+    The peak is the largest walked norm; at p = 2 only members whose
+    ``_two_norm_bound`` can top it get an eigensolve.  Its value is read
+    again from a direct inverse at the vertex that attains it.
+    """
+    n, low = A.shape[0], (0.0 if zero_one else -1.0)
+    h = n // 2
+    index = np.arange(2**h)
+    block, stack, signs, logdets, bad = _vertex_check(A, B, index, left, low, 0.0)
+    if np.any(bad):
+        return block[np.argmax(bad)], math.inf
+    sign, inverses = signs[0], None
+    # Entry (i, k) of a member moves with d_k (d_i when left): the squared
+    # column norms split into a per-member part over the low bits and a
+    # part over the walked bits, shared by the batch.
+    upper = np.arange(n) >= h
+    upper = upper[:, None] if left else upper[None, :]
+    low_squares = (stack**2 * ~upper).sum(axis=1)
+    log_floor = math.log(n * _EPS * _NEAR_FLOOR)
+    peak, top, gray, steps = 0.0, block[0].copy(), 0, 2**(n - h)
+    for step in range(steps):
+        if step:
+            bit = (step & -step).bit_length() - 1
+            gray ^= 1 << bit
+            j, value = h + bit, (1.0 if gray >> bit & 1 else low)
+            ratio = flip_update(inverses, B, j, value - block[0, j], left, _FLIP_GUARD)
+            if np.abs(ratio).min() <= _FLIP_GUARD:
+                return None
+            block[:, j] = value
+        if step % _ANCHOR_STEPS == 0 or step == steps - 1:
+            if step:
+                _, stack, signs, logdets, bad = _vertex_check(
+                    A, B, index + (gray << h), left, low, sign)
+                if np.any(bad):
+                    return None
+            walked_inverses, inverses = inverses, np.linalg.inv(stack)
+            if walked_inverses is not None and np.any(
+                    np.abs(walked_inverses - inverses).max(axis=(1, 2))
+                    > _ANCHOR_RTOL * np.abs(inverses).max(axis=(1, 2))):
+                return None
+        else:
+            signs = signs * np.sign(ratio)
+            logdets = logdets + np.log(np.abs(ratio))
+            upper_squares = (sign_member(A, B, block[0], left)**2 * upper).sum(axis=0)
+            with np.errstate(divide="ignore"):
+                log_hadamard = 0.5 * np.log(low_squares + upper_squares).sum(axis=1)
+            if np.any((signs != sign) | ~(logdets > log_hadamard + log_floor)):
+                return None
+        if p is not None:
+            members, vertices = _scaled(inverses, block, zero_one), block
+            if p == 2:                      # an eigensolve only where it can top the peak
+                can_top = _two_norm_bound(members) * (1.0 + 1e-10) > peak
+                members, vertices = members[can_top], block[can_top]
+            if len(vertices):
+                norms = numerics.batched_norms(members, p)
+                k = np.argmax(norms)
+                if norms[k] > peak:
+                    peak, top = norms[k], vertices[k].copy()
+    if p is None:
+        return None, 0.0
+    member = _scaled(np.linalg.inv(sign_member(A, B, top, left))[None], top[None], zero_one)
+    return None, float(numerics.batched_norms(member, p)[0])
+
+
 def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     """One pass over the members A - B diag(d) (A - diag(d) B when
     ``left``) at all 2**n vertices d of {-1, 1}**n ({0, 1}**n when
@@ -255,48 +423,38 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     ``SIGN_BOX_LIMIT``, before anything is enumerated.
 
     ``witness`` is None when every member has a determinant of one common
-    strict sign, else the first vertex that breaks it.  The determinant is
-    affine in each d_j, so one strict sign at all vertices of a box proves
-    every member of the box regular, and a sign change proves a singular
-    member.  A determinant counts as strict only when
+    strict sign, else the first vertex in bit order that breaks it.  The
+    determinant is affine in each d_j, so one strict sign at all vertices
+    of a box proves every member of the box regular, and a sign change
+    proves a singular member.  A determinant counts as strict only when
     |det| > n eps prod_j ||col_j||_2, a rounding-size fraction of
     Hadamard's bound, which is scale-free.
 
     ``peak`` is None without ``p``, +inf with a witness, and otherwise the
-    vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.  Each chunk's
-    vertices come from its index range and its members are built once, so
-    memory is bounded by one chunk; its inverses are formed only after its
-    determinants pass, so a witness ends the scan before they are.
+    vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.
+
+    The vertices are walked in Gray-code order with rank-one updates
+    (``_gray_walk``), holding one batch of 2**(n // 2) members and their
+    inverses.  Whenever the walk cannot vouch for its answer (a vertex
+    failing the tests, a small flip ratio, drift from a rebuilt batch) the
+    whole call goes to the direct scan, which builds, tests and inverts
+    chunks of ``_SIGN_CHUNK`` members in bit order and inverts a chunk
+    only after its determinants pass.  So the witness is always the first
+    in bit order, and the verdict is the direct scan's.  A witness among
+    the first 2**(n // 2) vertices ends the call before any inverse is
+    formed.  Memory is bounded by one batch, or by one chunk on the
+    direct scan.
     """
     n = A.shape[0]
     if n > SIGN_BOX_LIMIT:
         raise ValueError(
             f"refusing to enumerate 2**{n} sign vertices (limit n <= {SIGN_BOX_LIMIT})")
-    log_floor = math.log(n * np.finfo(float).eps)
     # The test is homogeneous; an exact 2**k scaling keeps the norms finite,
     # and 2**-k scales the inverse norms back exactly.
     exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
     A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
-    bits, low = 1 << np.arange(n), (0.0 if zero_one else -1.0)
-    sign, peak = 0.0, 0.0
-    for start in range(0, 2**n, _SIGN_CHUNK):
-        index = np.arange(start, min(start + _SIGN_CHUNK, 2**n))
-        block = np.where(index[:, None] & bits, 1.0, low)
-        stack = sign_member(A, B, block, left)
-        signs, logdets = np.linalg.slogdet(stack)
-        with np.errstate(divide="ignore"):      # a zero column has log norm -inf
-            log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)
-        if sign == 0.0:
-            sign = signs[0]
-        bad = (signs != sign) | ~(logdets > log_hadamard + log_floor)
-        if np.any(bad):
-            return block[np.argmax(bad)], (None if p is None else float("inf"))
-        if p is not None:
-            inverses = np.linalg.inv(stack)
-            if zero_one:                        # |d| = 1 at every sign vertex
-                inverses *= block[:, None, :]
-            peak = max(peak, float(numerics.batched_norms(inverses, p).max()))
-    return None, (None if p is None else float(np.ldexp(peak, -exponent)))
+    witness, peak = _gray_walk(A, B, left, p, zero_one) or _direct_scan(A, B, left, p, zero_one)
+    return witness, (None if p is None else float(np.ldexp(peak, -exponent)))
 
 
 def solvability_report(problem):

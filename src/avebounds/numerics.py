@@ -77,19 +77,21 @@ def p_norm(obj, p=2):
     silently computing a non-operator norm.  Matrices go through
     ``batched_norms``.  A vector's 2-norm is taken of v / 2**k, 2**k near
     max |v_i|: an exact scaling, so entries near 1e200 or 1e-200 neither
-    overflow nor underflow when squared.
+    overflow nor underflow when squared.  Any norm above the float range is
+    inf, without a warning.
     """
     p = check_norm(p)
     arr = np.asarray(obj, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("p_norm: entries must be finite")
-    if arr.ndim == 1 and p == 2:
-        exponent = np.frexp(np.abs(arr).max(initial=0.0))[1]
-        return float(np.ldexp(np.linalg.norm(np.ldexp(arr, -exponent)), exponent))
-    if arr.ndim == 1:
-        return float(np.linalg.norm(arr, p))
-    if arr.ndim == 2:
-        return float(batched_norms(arr[None], p)[0])
+    with np.errstate(over="ignore"):
+        if arr.ndim == 1 and p == 2:
+            exponent = np.frexp(np.abs(arr).max(initial=0.0))[1]
+            return float(np.ldexp(np.linalg.norm(np.ldexp(arr, -exponent)), exponent))
+        if arr.ndim == 1:
+            return float(np.linalg.norm(arr, p))
+        if arr.ndim == 2:
+            return float(batched_norms(arr[None], p)[0])
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
 
 

@@ -74,8 +74,9 @@ class SolveResult:
 
 
 def _norm(v):
-    """Scaled 2-norm of ``v`` (``numerics.p_norm``); inf when ``v`` or its
-    norm overflows (callers silence the overflow)."""
+    """Scaled 2-norm of ``v`` (``numerics.p_norm``); inf when ``v`` is not
+    finite or its norm exceeds the float range.  Callers silence overflow
+    in forming ``v``."""
     return numerics.p_norm(v, 2) if np.all(np.isfinite(v)) else np.inf
 
 

@@ -50,6 +50,20 @@ class TestPNorm:
                 5 * scale, rel=1e-15)
         assert numerics.p_norm([0.0, 0.0], 2) == 0.0
 
+    @pytest.mark.parametrize("obj, p, expect", [
+        ([1.5e308, 1.5e308], 1, np.inf),
+        ([1.5e308, 1.5e308], 2, np.inf),
+        ([1.5e308, 1.5e308], np.inf, 1.5e308),
+        ([[1.5e308, 1.5e308]], 1, 1.5e308),
+        ([[1.5e308, 1.5e308]], 2, np.inf),
+        ([[1.5e308, 1.5e308]], np.inf, np.inf),
+        ([[1.5e308, -1.5e308], [1.5e308, 1.5e308]], 2, np.inf),
+    ])
+    def test_norm_above_the_float_range_is_inf_without_a_warning(self, obj, p, expect):
+        # The suite turns RuntimeWarning into an error, so an overflow
+        # warning would fail this.
+        assert numerics.p_norm(obj, p) == expect
+
     def test_matrix_operator_norms(self):
         m = np.array([[1.0, -2.0], [3.0, 4.0]])
         # max column sum / max row sum

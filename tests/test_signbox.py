@@ -16,7 +16,8 @@ from avebounds import (
     column_w_property,
     solvability_report,
 )
-from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN, sign_box_scan
+from avebounds import core
+from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN, flip_update, sign_box_scan
 
 from support import box_vertices, random_hplus_lcp, regular_sign_family, sign_members
 
@@ -171,7 +172,10 @@ def test_sign_flip_between_chunks_is_found(monkeypatch):
     assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0]) and peak == np.inf
     calls = _count_inverses(monkeypatch)
     assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
-    assert calls == [(4096, n, n)]
+    # The walk inverts its batch of the low n // 2 bits and meets the sign
+    # change when it flips d_13; the direct scan then inverts its first
+    # chunk and stops in the second.
+    assert calls == [(2 ** (n // 2), n, n), (4096, n, n)]
     assert solvability_report(AveProblem(A, B, np.zeros(n))).verdict == VERDICT_INCONCLUSIVE
 
 
@@ -234,3 +238,172 @@ def test_memory_is_bounded_by_one_chunk():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 4096 * n**2 * 8, peak
+
+
+def _enumerated(A, B, left=False, p=None, zero_one=False):
+    """``sign_box_scan``'s answer from every vertex at once, in bit order:
+    the first vertex whose determinant differs in sign from vertex 0's or
+    is at most n eps times Hadamard's bound, else the largest norm."""
+    n = A.shape[0]
+    vertices = box_vertices(n, low=0.0 if zero_one else -1.0)
+    stacks = sign_members(A, B, vertices, left)
+    dets = np.linalg.det(stacks)
+    hadamard = np.prod(np.linalg.norm(stacks, axis=1), axis=1)
+    floor = n * np.finfo(float).eps * hadamard
+    bad = (np.sign(dets) != np.sign(dets[0])) | (np.abs(dets) <= floor)
+    if bad.any():
+        return vertices[np.argmax(bad)], (None if p is None else np.inf)
+    if p is None:
+        return None, None
+    inverses = np.linalg.inv(stacks)
+    if zero_one:
+        inverses = inverses * vertices[:, None, :]
+    return None, np.linalg.norm(inverses, ord=p, axis=(1, 2)).max()
+
+
+def _count_direct_scans(monkeypatch):
+    calls = []
+    direct = core._direct_scan
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return direct(*args)
+    monkeypatch.setattr(core, "_direct_scan", counted)
+    return calls
+
+
+def _assert_same_answer(got, expect):
+    (witness, peak), (expect_witness, expect_peak) = got, expect
+    if expect_witness is None:
+        assert witness is None
+    else:
+        assert np.array_equal(witness, expect_witness)
+    if expect_peak is None or expect_peak == np.inf:
+        assert peak == expect_peak
+    else:
+        assert peak == pytest.approx(expect_peak, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 14))
+def test_walk_matches_an_independent_enumeration(n, monkeypatch):
+    # Regular pairs of both forms and the {0, 1} box of beta_factor: the
+    # walk alone answers, and matches the enumeration in every norm.
+    rng = np.random.default_rng(1000 + n)
+    M = random_hplus_lcp(rng, n).M
+    cases = [(regular_sign_family(rng, n, form), form == TYPE_TWO, False)
+             for form in (TYPE_ONE, TYPE_TWO)]
+    cases.append((AveProblem(np.eye(n), np.eye(n) - M, np.zeros(n)), True, True))
+    direct = _count_direct_scans(monkeypatch)
+    for problem, left, zero_one in cases:
+        for p in (None, 1, 2, np.inf):
+            expect = _enumerated(problem.A, problem.B, left, p, zero_one)
+            assert expect[0] is None
+            _assert_same_answer(sign_box_scan(problem.A, problem.B, left, p, zero_one), expect)
+    assert direct == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_walk_witness_is_the_first_in_bit_order(seed):
+    # Random pairs whose box holds singular members: the witness is the
+    # enumeration's, wherever the walk met its first failing vertex.
+    rng = np.random.default_rng(seed)
+    for n in range(2, 12):
+        A = rng.standard_normal((n, n)) + rng.uniform(0.0, 2.0 * np.sqrt(n)) * np.eye(n)
+        B = rng.standard_normal((n, n))
+        for left in (False, True):
+            for zero_one in (False, True):
+                expect = _enumerated(A, B, left, 2, zero_one)
+                _assert_same_answer(sign_box_scan(A, B, left, 2, zero_one), expect)
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_singular_vertex_met_mid_walk_gives_the_first_in_bit_order(form, monkeypatch):
+    # det(A - B diag(d)) = det(A) (1 - 2 d_{n-1}), type2 alike: every vertex
+    # with d_{n-1} = 1 is singular-signed.  In Gray-code order over the
+    # walked upper bits the first such vertex also has d_{n-2} = 1; in bit
+    # order the first has d_{n-2} = -1.
+    n = 10
+    rng = np.random.default_rng(7)
+    A = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+    scale = np.diag([0.0] * (n - 1) + [2.0])
+    left = form == TYPE_TWO
+    B = scale @ A if left else A @ scale
+    direct = _count_direct_scans(monkeypatch)
+    witness, peak = sign_box_scan(A, B, left, np.inf)
+    assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0]) and peak == np.inf
+    assert direct == [n]
+    _assert_same_answer((witness, peak), _enumerated(A, B, left, np.inf))
+
+
+def _nearly_dependent_pair(n, epsilons):
+    """Type-1 pair with A - B diag(d) = I except for its last columns: the
+    column n-1-i is e_i + eps_i e_{n-1-i} at d_{n-1-i} = 1 and e_{n-1-i} at
+    d_{n-1-i} = -1.  So the determinant is the product of the eps_i whose
+    d is 1, with Hadamard's bound near 1, and every determinant is
+    positive."""
+    A, B = np.eye(n), np.zeros((n, n))
+    for i, eps in enumerate(epsilons):
+        j = n - 1 - i
+        at_one, at_minus_one = np.eye(n)[i] + eps * np.eye(n)[j], np.eye(n)[j]
+        A[:, j], B[:, j] = (at_one + at_minus_one) / 2, (at_minus_one - at_one) / 2
+    return A, B
+
+
+@pytest.mark.parametrize("epsilons", [
+    [1e-10],            # a flip ratio of 1e-10: below the guard, above the floor
+    [1e-7, 1e-7],       # ratios of 1e-7, but |det| = 1e-14 is near the floor
+])
+def test_ill_conditioned_or_near_floor_pair_takes_the_direct_scan(epsilons, monkeypatch):
+    # The walk hands over at the step that first sets d_{n-1}, the middle
+    # of the Gray-code walk over the upper n - n // 2 bits, and the direct
+    # scan gives the enumeration's answer.
+    n = 12
+    A, B = _nearly_dependent_pair(n, epsilons)
+    direct, flips = _count_direct_scans(monkeypatch), []
+    monkeypatch.setattr(core, "flip_update", lambda *args: flips.append(args[3]) or flip_update(*args))
+    for p in (None, 1, 2, np.inf):
+        expect = _enumerated(A, B, False, p)
+        assert expect[0] is None
+        _assert_same_answer(sign_box_scan(A, B, False, p), expect)
+        assert direct == [n] and len(flips) == 2 ** (n - n // 2 - 1)
+        direct.clear(), flips.clear()
+
+
+@pytest.mark.parametrize("left", [False, True])
+@pytest.mark.parametrize("zero_one", [False, True])
+def test_flip_update_matches_direct_inverses(left, zero_one):
+    # One flip of d_j on a batch: the ratios are the determinant ratios and
+    # the updated inverses are those of the flipped members.
+    n, j = 6, 4
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+    B = rng.standard_normal((n, n))
+    low = 0.0 if zero_one else -1.0
+    before = box_vertices(n, low)[:8]
+    after = before.copy()
+    after[:, j] = 1.0
+    inverses = np.linalg.inv(sign_members(A, B, before, left))
+    ratio = flip_update(inverses, B, j, 1.0 - low, left)
+    old, new = (sign_members(A, B, d, left) for d in (before, after))
+    assert np.allclose(ratio, np.linalg.det(new) / np.linalg.det(old), rtol=1e-12)
+    direct = np.linalg.inv(new)
+    assert np.abs(inverses - direct).max() <= 1e-12 * np.abs(direct).max()
+    # Below the guard the batch is left as it was.
+    kept = inverses.copy()
+    flip_update(inverses, B, j, low - 1.0, left, guard=np.inf)
+    assert np.array_equal(inverses, kept)
+
+
+def test_two_norm_bound_brackets_the_norm():
+    # Upper bounds within n**(1/16) of the 2-norm, also for rank-one,
+    # zero and badly scaled members.
+    rng = np.random.default_rng(16)
+    n = 9
+    stack = rng.standard_normal((40, n, n)) * np.logspace(-150, 150, 40)[:, None, None]
+    stack[0] = 0.0
+    stack[1] = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    exact = np.linalg.norm(stack, ord=2, axis=(1, 2))
+    bound = core._two_norm_bound(stack)
+    assert bound[0] == 0.0
+    assert np.all(bound[1:] >= exact[1:] * (1 - 1e-13))
+    assert np.all(bound[1:] <= exact[1:] * n ** (1 / 16) * (1 + 1e-13))
