@@ -257,7 +257,7 @@ def sign_member(A, B, d, left=False):
     return A - d[..., :, None] * B if left else A - B * d[..., None, :]
 
 
-def flip_update(inverses, B, j, delta, left=False, guard=0.0):
+def flip_update(inverses, B, j, delta, left=False):
     """Move d_j by ``delta`` in every member of a batch, given the batch's
     inverses (shape (k, n, n)); returns the determinant ratios r (shape (k,)).
 
@@ -266,7 +266,7 @@ def flip_update(inverses, B, j, delta, left=False, guard=0.0):
     det(new) = r det(old) with r = 1 - delta (L^-1 b_j)_j (left:
     1 - delta (b_j^T L^-1)_j), and Sherman-Morrison updates each inverse in
     O(n^2).  The inverses are updated in place only when every |r| exceeds
-    ``guard``; otherwise they are left as they were.
+    ``_FLIP_GUARD``; otherwise they are left as they were.
     """
     if left:
         u = inverses[:, :, j].copy()        # L^-1 e_j
@@ -276,7 +276,7 @@ def flip_update(inverses, B, j, delta, left=False, guard=0.0):
         u = inverses @ B[:, j]              # L^-1 b_j
         w = inverses[:, j, :].copy()        # e_j^T L^-1
         ratio = 1.0 - delta * u[:, j]
-    if np.abs(ratio).min() > guard:
+    if np.abs(ratio).min() > _FLIP_GUARD:
         u *= (delta / ratio)[:, None]
         inverses += u[:, :, None] * w[:, None, :]
     return ratio
@@ -310,8 +310,7 @@ def _two_norm_bound(stack):
     factor n**(1/16) of them: with G = X^T X, ||X||_2^16 = lambda_max(G)^8
     <= ||G^8||_F.  Each X is scaled by its largest entry first, so G^8
     neither overflows nor loses its largest eigenvalue to underflow."""
-    scale = np.abs(stack).max(axis=(1, 2))
-    scaled = stack / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    scale, scaled = numerics.scaled_by_largest_entry(stack)
     gram = scaled.transpose(0, 2, 1) @ scaled
     for _ in range(3):
         gram = gram @ gram
@@ -376,7 +375,7 @@ def _gray_walk(A, B, left, p, zero_one):
             bit = (step & -step).bit_length() - 1
             gray ^= 1 << bit
             j, value = h + bit, (1.0 if gray >> bit & 1 else low)
-            ratio = flip_update(inverses, B, j, value - block[0, j], left, _FLIP_GUARD)
+            ratio = flip_update(inverses, B, j, value - block[0, j], left)
             if np.abs(ratio).min() <= _FLIP_GUARD:
                 return None
             block[:, j] = value

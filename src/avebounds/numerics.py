@@ -95,6 +95,13 @@ def p_norm(obj, p=2):
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
 
 
+def scaled_by_largest_entry(stack):
+    """``(s, stack / s)`` with ``s`` the largest |entry| of each matrix in a
+    stack of shape (k, m, n); a zero matrix is divided by 1."""
+    s = np.abs(stack).max(axis=(1, 2))
+    return s, stack / np.where(s > 0.0, s, 1.0)[:, None, None]
+
+
 def batched_norms(stack, p):
     """Induced p-norms of every matrix in a stack of shape (k, m, n).
 
@@ -110,8 +117,7 @@ def batched_norms(stack, p):
         return np.abs(stack).sum(axis=1).max(axis=1)
     if p != 2:
         return np.abs(stack).sum(axis=2).max(axis=1)
-    s = np.abs(stack).max(axis=(1, 2))
-    scaled = stack / np.where(s > 0.0, s, 1.0)[:, None, None]
+    s, scaled = scaled_by_largest_entry(stack)
     flipped = scaled.transpose(0, 2, 1)
     if stack.shape[1] == stack.shape[2] and np.array_equal(scaled, flipped):
         lam = np.linalg.eigvalsh(scaled)

@@ -388,10 +388,43 @@ def test_flip_update_matches_direct_inverses(left, zero_one):
     assert np.allclose(ratio, np.linalg.det(new) / np.linalg.det(old), rtol=1e-12)
     direct = np.linalg.inv(new)
     assert np.abs(inverses - direct).max() <= 1e-12 * np.abs(direct).max()
-    # Below the guard the batch is left as it was.
-    kept = inverses.copy()
-    flip_update(inverses, B, j, low - 1.0, left, guard=np.inf)
-    assert np.array_equal(inverses, kept)
+
+
+@pytest.mark.parametrize("left", [False, True])
+def test_flip_to_a_singular_member_leaves_the_batch_as_it_was(left):
+    # A - B diag(d) = I at d = (-1, -1) and diag(0, 1) at d = (1, -1): the
+    # ratio is exactly 0, and the inverses are not divided by it.
+    A, B = 0.5 * np.eye(2), 0.5 * np.eye(2)
+    inverses = np.eye(2)[None].copy()
+    ratio = flip_update(inverses, B, 0, 2.0, left)
+    assert np.array_equal(ratio, [0.0])
+    assert np.array_equal(inverses, np.eye(2)[None])
+    members = sign_members(A, B, np.array([[-1.0, -1.0], [1.0, -1.0]]), left)
+    assert np.array_equal(members, [np.eye(2), np.diag([0.0, 1.0])])
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_drift_from_the_rebuilt_batch_takes_the_direct_scan(form, monkeypatch):
+    # Every flip also scales the walked inverses by 1 + 1e-9: the
+    # determinant signs and the floor test still pass, but at the final
+    # re-anchor the walked inverses are about 6e-8 (relative) from the
+    # rebuilt ones, so the direct scan decides.
+    n = 12
+    problem = regular_sign_family(np.random.default_rng(12), n, form)
+    left = form == TYPE_TWO
+
+    def drifting(inverses, *args):
+        ratio = flip_update(inverses, *args)
+        inverses *= 1.0 + 1e-9
+        return ratio
+    direct = _count_direct_scans(monkeypatch)
+    monkeypatch.setattr(core, "flip_update", drifting)
+    for p in (None, 2):
+        expect = _enumerated(problem.A, problem.B, left, p)
+        assert expect[0] is None
+        _assert_same_answer(sign_box_scan(problem.A, problem.B, left, p), expect)
+        assert direct == [n]
+        direct.clear()
 
 
 def test_two_norm_bound_brackets_the_norm():
