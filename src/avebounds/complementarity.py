@@ -129,8 +129,10 @@ def column_w_property(hlcp):
 def hlcp_error_bounds(hlcp, p=2):
     """Error-bound report for the AVE equivalent of an HLCP.
 
-    The report's lower factor works out to max(||M||_p, ||N||_p) since the
-    transform's matrices sum/difference back to M and N.
+    The transform's A - B and A + B are M and N, so at p = 1 and 2 the
+    report's lower factor works out to max(||M||_p, ||N||_p).  At p = inf
+    it is ||max(|M|, |N|)||_inf, the max taken entry by entry, since
+    (|A + B| + |A - B|) / 2 = max(|M|, |N|); it can exceed both norms.
     """
     return error_bound_report(hlcp_to_ave(hlcp), p)
 

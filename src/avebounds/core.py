@@ -459,10 +459,13 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
 def solvability_report(problem):
     """Screen a problem for unique solvability.
 
-    Three sufficient conditions are evaluated (mirrored for type2):
+    Three sufficient conditions are evaluated, in the order of
+    ``report.checks`` (mirrored for type2):
 
-    * spectral radius of |A^-1 B| below one,
     * smallest singular value of A above the largest of B,
+    * spectral radius of |A^-1 B| below one: the value is the upper end of
+      a closed Collatz-Wielandt bracket, or ``eigvals`` where it does not
+      close (``numerics.spectral_radius_nonneg``), so a pass is a proof,
     * largest singular value of A^-1 B below one.
 
     Any pass proves a unique solution exists for every right-hand side

@@ -145,16 +145,57 @@ def extreme_singulars(m):
     return float(s[-1]), float(s[0])
 
 
-def spectral_radius_nonneg(m):
-    """Spectral radius of an entrywise nonnegative square matrix.
+def collatz_wielandt(y, my):
+    """``(lo, hi)`` with lo <= rho(m) <= hi, for an entrywise nonnegative
+    n x n m, a vector y > 0 and ``my`` the computed product ``m @ y``.
 
-    Restricting to nonnegative matrices keeps the result real and lets the
-    Perron-Frobenius guarantees apply; a negative entry means the caller
-    picked the wrong quantity, so it is rejected.
+    The Collatz-Wielandt bracket is ``[min_i (m y)_i / y_i, max_i (m y)_i /
+    y_i]``; it holds for any y > 0, whatever y is.  Its ends are moved out by
+    ``2 n eps``, which covers the rounding of a sum of n nonnegative
+    products in any order, plus ``2 eps`` for the division and the
+    inflation itself.  A product that underflows is not covered, so
+    ``spectral_radius_nonneg`` keeps ``my`` above ``n * tiny``.
+    """
+    margin = (2 * y.shape[0] + 2) * np.finfo(float).eps
+    ratio = my / y
+    return float(ratio.min() * (1.0 - margin)), float(ratio.max() * (1.0 + margin))
+
+
+# Power steps and relative width of the bracket that ``spectral_radius_nonneg``
+# accepts before it falls back to ``eigvals``.
+_POWER_STEPS = 64
+_BRACKET_RTOL = 1e-12
+
+
+def spectral_radius_nonneg(m):
+    """Spectral radius of an entrywise nonnegative square matrix, never
+    below the true one.
+
+    Normalised power steps ``y <- m y / max(m y)`` from ``y = 1`` close the
+    Collatz-Wielandt bracket of ``collatz_wielandt``; once its relative
+    width is at most 1e-12 the upper end is returned, so ``value < 1``
+    proves rho(m) < 1.  On a positive m with a gap below its Perron root
+    that takes a few dozen matrix-vector products.  When the bracket has
+    not closed after 64 products, or ``m y`` stops being positive (a zero
+    row, or a reducible, periodic or defective m), the value comes from a
+    dense ``eigvals`` instead.  A negative entry means the caller picked
+    the wrong quantity, so it is rejected.
     """
     arr = as_square(m)
     if np.any(arr < 0):
         raise ValueError("spectral_radius_nonneg: matrix has negative entries")
+    n = arr.shape[0]
+    y = np.ones(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_POWER_STEPS):
+            my = arr @ y
+            # below n * tiny an underflowed product could exceed the margin
+            if not my.min() > n * np.finfo(float).tiny:
+                break
+            lo, hi = collatz_wielandt(y, my)
+            if hi - lo <= _BRACKET_RTOL * lo:    # False on inf or nan
+                return hi
+            y = my / my.max()
     return float(np.max(np.abs(np.linalg.eigvals(arr))))
 
 
@@ -162,11 +203,9 @@ def contraction_inverse(m):
     """``(inv, cond, proven)`` for an entrywise nonnegative square m.
 
     ``inv, cond`` are ``gated_inverse(I - m)``.  ``proven`` is True only if
-    rho(m) < 1 is proven: ``y = inv 1`` with ``y > 0`` and ``m y < y``
-    entrywise is a Collatz-Wielandt certificate, rho(m) <= max_i
-    (m y)_i / y_i < 1, whatever the accuracy of ``inv``.  ``m y`` is
-    inflated by ``2 n eps`` first, which covers the rounding of a sum of n
-    nonnegative products in any order.  False means "not proven": some m
+    rho(m) < 1 is proven: ``y = inv 1`` with ``y > 0`` and the upper end of
+    ``collatz_wielandt(y, m y)`` below 1 is a Collatz-Wielandt certificate,
+    whatever the accuracy of ``inv``.  False means "not proven": some m
     with rho(m) < 1 give it too, near rho = 1 or when (I - m)^-1 is too
     large for y to be resolved (a strongly non-normal m).
     """
@@ -177,8 +216,7 @@ def contraction_inverse(m):
     inv, cond = gated_inverse(np.eye(n) - arr)
     y = np.zeros(n) if inv is None else inv.sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        return inv, cond, bool(np.all(y > 0)
-                               and np.all(arr @ y * (1.0 + 2 * n * np.finfo(float).eps) < y))
+        return inv, cond, bool(np.all(y > 0) and collatz_wielandt(y, arr @ y)[1] < 1.0)
 
 
 def inverse(m, name="matrix"):

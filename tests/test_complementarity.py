@@ -136,6 +136,21 @@ class TestHlcpErrorBounds:
             1.2807764064044151, abs=1e-10)
         assert rep.best_upper() == pytest.approx(1.2807764064044151, abs=1e-10)
 
+    def test_lower_factor_in_each_norm(self):
+        # max(||M||_p, ||N||_p) at p = 1 and 2; at p = inf the norm of the
+        # entrywise max(|M|, |N|), which here tops both norms (7.977 > 7.148).
+        rng = np.random.default_rng(3)
+        M, N = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
+        hlcp = HlcpProblem(M, N, np.ones(5))
+        for p in (1, 2):
+            want = max(np.linalg.norm(M, p), np.linalg.norm(N, p))
+            assert hlcp_error_bounds(hlcp, p).lower_factor == pytest.approx(want, rel=1e-12)
+        want = np.linalg.norm(np.maximum(np.abs(M), np.abs(N)), np.inf)
+        assert want == pytest.approx(7.977197632684146, rel=1e-12)
+        assert max(np.linalg.norm(M, np.inf), np.linalg.norm(N, np.inf)) == pytest.approx(
+            7.147838081636433, rel=1e-12)
+        assert hlcp_error_bounds(hlcp, np.inf).lower_factor == pytest.approx(want, rel=1e-12)
+
 
 class TestComparisonBound:
     def test_demo_matrix_is_two_in_every_norm(self):

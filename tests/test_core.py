@@ -16,6 +16,12 @@ from avebounds.core import (
     VERDICT_PROVEN,
 )
 
+from support import random_solvable, spectral_radius
+
+
+def _no_eigvals(*args, **kwargs):
+    raise AssertionError("np.linalg.eigvals ran")
+
 
 class TestAveProblem:
     def test_validation(self):
@@ -131,6 +137,31 @@ class TestSolvabilityReport:
         assert by_name["spectral_radius"].value == pytest.approx(0.8, abs=1e-12)
         assert not by_name["singular_value_gap"].passed
         assert not by_name["largest_singular_ratio"].passed
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_dense_radius_without_eigensolve(self, form, monkeypatch):
+        # rho(|K|) in (0.3, 0.9) on random dense pairs, and 1.25 on a pair
+        # with K = 1.25 H, H >= 0 row-stochastic: the reported radius is the
+        # oracle's, and no eigvals runs
+        rng = np.random.default_rng(20261018)
+        problems = [random_solvable(rng, n, form=form) for n in (40, 160, 400)]
+        n = 40
+        A = 3.0 * np.eye(n) + rng.standard_normal((n, n)) / np.sqrt(n)
+        H = np.abs(rng.standard_normal((n, n)))
+        H /= H.sum(axis=1, keepdims=True)
+        B = A @ (1.25 * H) if form == TYPE_ONE else 1.25 * H @ A
+        problems.append(AveProblem(A, B, np.ones(n), form))
+        for problem in problems:
+            A_inv = np.linalg.inv(problem.A)
+            K = A_inv @ problem.B if form == TYPE_ONE else problem.B @ A_inv
+            want = spectral_radius(np.abs(K))
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvals", _no_eigvals)
+                radius = {c.name: c for c in solvability_report(problem).checks}[
+                    "spectral_radius"]
+            assert radius.value == pytest.approx(want, rel=1e-10)
+            assert radius.passed == (want < 1.0)
+        assert radius.value == pytest.approx(1.25, rel=1e-10) and not radius.passed
 
     def test_proven_when_family_regular(self):
         # All three sufficient conditions fail, yet every A - B diag(d) with

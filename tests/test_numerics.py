@@ -21,6 +21,8 @@ from avebounds import (
 )
 from avebounds.exceptions import SingularMatrixError
 
+from support import spectral_radius
+
 
 class TestCheckNorm:
     def test_accepts_supported(self):
@@ -305,7 +307,85 @@ class TestSymmetricRoute:
             assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    """The shapes passed to ``np.linalg.eigvals``, which still runs."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return calls
+
+
+def _random_abs_ratio(rng, n):
+    """|A^-1 B| of a random dense pair: entrywise positive, and its row sums
+    are not constant, so the bracket at y = 1 is not already closed."""
+    A = rng.normal(size=(n, n)) + rng.uniform(0.5, 3.0) * np.sqrt(n) * np.eye(n)
+    return np.abs(np.linalg.solve(A, rng.normal(size=(n, n))))
+
+
 class TestSpectralRadius:
+    """The value is the upper end of a closed Collatz-Wielandt bracket, or
+    the ``eigvals`` value when the bracket does not close."""
+
+    @staticmethod
+    def _check(m, calls):
+        """Compare with the ``eigvals`` oracle; True if the bracket closed."""
+        want = spectral_radius(m)
+        calls.clear()
+        got = numerics.spectral_radius_nonneg(m)
+        assert got >= want * (1.0 - 1e-13)
+        if calls:
+            assert calls == [m.shape] and got == want
+        else:
+            assert got - want <= 1e-12 * want
+        return not calls
+
+    def test_exact_cases_never_below_the_radius(self, eigvals_calls):
+        closed = [self._check(m, eigvals_calls)
+                  for m, _ in TestCertifiesContraction._cases()]
+        # the scaled stochastic cases close at y = 1; zero rows, nilpotent
+        # and zero matrices fall back
+        assert 0 < sum(closed) < len(closed)
+
+    def test_random_dense_ratios_close_without_eigvals(self, eigvals_calls):
+        rng = np.random.default_rng(20261018)
+        # log-uniform in 5-400, and 400 itself
+        sizes = np.exp(rng.uniform(np.log(5), np.log(400), size=199)).round().astype(int)
+        for n in [*sizes, 400]:
+            assert self._check(_random_abs_ratio(rng, n), eigvals_calls)
+
+    def test_falls_back_where_the_bracket_cannot_close(self, eigvals_calls):
+        # defective: power steps close the bracket only like 1/k
+        defective = np.array([[0.8, 0.4], [0.0, 0.8]])
+        # block diagonal with roots 0.5 and 0.9: at every y the bracket
+        # spans both roots
+        rng = np.random.default_rng(5)
+        blocks = np.zeros((9, 9))
+        blocks[:4, :4] = 0.5 * _stochastic(rng, 4)
+        blocks[4:, 4:] = 0.9 * _stochastic(rng, 5)
+        for m, rho in ((defective, 0.8), (blocks, 0.9)):
+            assert not self._check(m, eigvals_calls)
+            assert numerics.spectral_radius_nonneg(m) == pytest.approx(rho, rel=1e-12)
+
+    def test_bracket_holds_for_any_positive_y(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 3, 30):
+            m = _random_abs_ratio(rng, n)
+            rho = spectral_radius(m)
+            for _ in range(20):
+                y = rng.uniform(1e-3, 1.0, size=n)
+                lo, hi = numerics.collatz_wielandt(y, m @ y)
+                assert lo <= rho * (1.0 + 1e-13) and rho * (1.0 - 1e-13) <= hi
+        # the ends move out by (2 n + 2) eps
+        eps = np.finfo(float).eps
+        assert numerics.collatz_wielandt(np.ones(1), np.array([0.5])) == (
+            0.5 * (1.0 - 4 * eps), 0.5 * (1.0 + 4 * eps))
+
     def test_nonnegative_literal(self):
         b = np.abs(np.array([[0.9, -0.4], [0.4, 0.9]]))
         assert numerics.spectral_radius_nonneg(b) == pytest.approx(1.3, abs=1e-12)
