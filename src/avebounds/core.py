@@ -278,7 +278,10 @@ def flip_update(inverses, B, j, delta, left=False):
         ratio = 1.0 - delta * u[:, j]
     if np.abs(ratio).min() > _FLIP_GUARD:
         u *= (delta / ratio)[:, None]
-        inverses += u[:, :, None] * w[:, None, :]
+        # The same sums as u[:, :, None] * w[:, None, :], but einsum's loop
+        # is not cut into rows of length n: 1.0 against 1.4 ms a step at
+        # n = 20 with 1024 members (2-CPU host).
+        inverses += np.einsum("ki,kj->kij", u, w)
     return ratio
 
 

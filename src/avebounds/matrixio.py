@@ -5,20 +5,39 @@ import os
 
 import numpy as np
 import scipy.io
-import scipy.sparse
+from scipy.io import _fast_matrix_market as fmm
 
 from . import numerics
 
 
 def _read_dense(path):
+    """The file at ``path`` as a dense array, read on the calling thread.
+
+    ``scipy.io.mmread`` starts one reader thread per CPU for every file,
+    beside numpy's BLAS threads, and its thread count can be set only
+    process-wide.  So the reader is opened here with one thread, and the
+    body is read as ``mmread`` reads it.
+    """
     # mmread's own missing-file error talks about banners; check first so
     # the user sees the real problem.
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    data = scipy.io.mmread(path)
-    if scipy.sparse.issparse(data):
-        data = data.toarray()
-    return data
+    cursor, stream = fmm._get_read_cursor(path, parallelism=1)
+    try:
+        header = cursor.header
+        # The cast to float would drop a complex entry's imaginary part.  A
+        # real "hermitian" file is a symmetric one and reads as such.
+        if header.field == "complex":
+            raise ValueError(f"{path}: complex entries are not supported")
+        if header.format == "array":
+            return fmm._read_body_array(cursor)
+        (data, (rows, cols)), shape = fmm._read_body_coo(cursor, generalize_symmetry=True)
+    finally:
+        if stream is not None:      # the .gz or .bz2 file under the cursor
+            stream.close()
+    dense = np.zeros(shape, dtype=data.dtype)
+    np.add.at(dense, (rows, cols), data)    # duplicates add up, as in mmread
+    return dense
 
 
 def load_matrix(path):

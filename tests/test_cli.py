@@ -111,6 +111,16 @@ class TestBoundsCommand:
         assert code == 2
         assert "no upper-bound estimator applies" in captured.err
 
+    def test_complex_rhs_file_exit_code(self, mtx, tmp_path, capsys):
+        rhs = tmp_path / "rhs.mtx"
+        rhs.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 -1\n")
+        code = main(["bounds", "--a", mtx("a", np.diag([2.0, 3.0])),
+                     "--rhs", str(rhs), "--at", mtx("x", [1.0, 1.0])])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert str(rhs) in captured.err and "complex" in captured.err
+
     @pytest.mark.parametrize("norm", ["1", "2", "inf"])
     def test_unresolvable_neumann_inverse_exit_code(self, mtx, capsys, norm):
         # rho(|A^-1 B|) = 0, yet I - |A^-1 B| fails the conditioning gate.
