@@ -17,7 +17,6 @@ from .exceptions import (                                    # noqa: F401
 )
 from .numerics import (                                      # noqa: F401
     comparison_matrix,
-    extreme_singulars,
     inverse,
     p_norm,
     positive_part,

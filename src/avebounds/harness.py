@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .bounds import ESTIMATORS
 from .complementarity import LcpProblem, lcp_to_ave
 from .exceptions import AveBoundsError
 from .perturbation import Perturbation, perturbation_experiment
@@ -38,7 +39,8 @@ BENCH_TABLES = {
 }
 BENCH_EPSILONS = (0.01, 0.015, 0.02, 0.025, 0.03)
 
-_RECORD_FIELDS = ("n", "epsilon", "r", "w", "tau", "upsilon", "nu", "delta")
+_BOUND_FIELDS = tuple(est.field for est in ESTIMATORS.values())
+_RECORD_FIELDS = ("n", "epsilon", "r", "w", *_BOUND_FIELDS, "delta")
 
 
 def tridiagonal(n, sub, diag, sup):
@@ -234,7 +236,7 @@ def _emit_markdown(table):
         header = ["quantity"] + [f"eps={_fmt_cell(r.epsilon, 4)}" for r in rows]
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "---|" * len(header))
-        for f in ("r", "tau", "upsilon", "nu", "delta"):
+        for f in ("r", *_BOUND_FIELDS, "delta"):
             cells = [_fmt_cell(getattr(r, f), 4) or "-" for r in rows]
             lines.append("| " + " | ".join([f] + cells) + " |")
         lines.append("")

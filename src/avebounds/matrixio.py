@@ -22,19 +22,21 @@ def _read_dense(path):
     # the user sees the real problem.
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
-    cursor, stream = fmm._get_read_cursor(path, parallelism=1)
-    try:
-        header = cursor.header
-        # The cast to float would drop a complex entry's imaginary part.  A
-        # real "hermitian" file is a symmetric one and reads as such.
-        if header.field == "complex":
-            raise ValueError(f"{path}: complex entries are not supported")
-        if header.format == "array":
-            return fmm._read_body_array(cursor)
-        (data, (rows, cols)), shape = fmm._read_body_coo(cursor, generalize_symmetry=True)
-    finally:
-        if stream is not None:      # the .gz or .bz2 file under the cursor
-            stream.close()
+    try:    # every parse error names the file: the CLI reads up to four
+        cursor, stream = fmm._get_read_cursor(path, parallelism=1)
+        try:
+            # The cast to float would drop a complex entry's imaginary part.
+            # A real "hermitian" file is a symmetric one and reads as such.
+            if cursor.header.field == "complex":
+                raise ValueError("complex entries are not supported")
+            if cursor.header.format == "array":
+                return fmm._read_body_array(cursor)
+            (data, (rows, cols)), shape = fmm._read_body_coo(cursor, generalize_symmetry=True)
+        finally:
+            if stream is not None:      # the .gz or .bz2 file under the cursor
+                stream.close()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     dense = np.zeros(shape, dtype=data.dtype)
     np.add.at(dense, (rows, cols), data)    # duplicates add up, as in mmread
     return dense

@@ -139,12 +139,6 @@ def singular_values(m):
     return np.linalg.svd(m, compute_uv=False)
 
 
-def extreme_singulars(m):
-    """Return ``(smallest, largest)`` singular values of a square matrix."""
-    s = singular_values(as_square(m))
-    return float(s[-1]), float(s[0])
-
-
 def collatz_wielandt(y, my):
     """``(lo, hi)`` with lo <= rho(m) <= hi, for an entrywise nonnegative
     n x n m, a vector y > 0 and ``my`` the computed product ``m @ y``.

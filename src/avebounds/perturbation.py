@@ -12,19 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bounds import METHODS, NEUMANN, NORM_RATIO, SINGULAR_GAP, _checked_norm, upper_factor
+from .bounds import ESTIMATORS, METHODS, NEUMANN, _estimator, upper_factor
 from .exceptions import InapplicableBoundError, NonConvergenceError
 from .solver import sign_accord_solve
-
-# The singular-value gap used for the grid experiments is probed across the
-# six dominant singular values of each matrix (largest of the left set
-# minus smallest of the right set) rather than the full extreme pair.  The
-# full-spectrum gap is often closed for the benchmark families while the
-# truncated probe stays open and tracks the observed error well.
-_GAP_PROBE = 6
-
-# The report field that holds each estimator's bound.
-_BOUND_NAMES = {NEUMANN: "tau", SINGULAR_GAP: "upsilon", NORM_RATIO: "nu"}
 
 
 @dataclass
@@ -139,18 +129,6 @@ def rhs_only_bound(problem, db, method=NEUMANN, p=2):
     return upper_factor(problem, method, p) * scale
 
 
-def _partial_gap_factor(problem):
-    sa = problem.analysis.singular_values("A")[:_GAP_PROBE]
-    sb = problem.analysis.singular_values("B")[:_GAP_PROBE]
-    gap = float(sa.max() - sb.min())
-    if gap <= 0.0:
-        raise InapplicableBoundError(
-            f"truncated singular-value gap is {gap:.6g} <= 0",
-            condition="singular_value_gap",
-        )
-    return 1.0 / gap
-
-
 def general_relative_bound(problem, pert, method=None, p=2):
     """Bounds for simultaneous perturbation of A, B and b.
 
@@ -162,8 +140,8 @@ def general_relative_bound(problem, pert, method=None, p=2):
     * upsilon -- the truncated singular-value gap (``singular_gap``),
     * nu      -- the norm-ratio estimator (``norm_ratio``).
 
-    ``upper_factor`` gives tau's and nu's factors.  Its norm check also
-    guards upsilon, which, like nu, is defined for p = 2 alone.
+    ``upper_factor`` gives tau's and nu's factors, ``bounds.ESTIMATORS``
+    upsilon's; upsilon and nu are defined for p = 2 alone.
 
     ``method=None`` evaluates all three, recording a note for each one
     whose hypothesis fails; naming a method raises instead when it does
@@ -181,18 +159,17 @@ def _relative_bound(problem, pert, perturbed, method, p):
     wanted = METHODS if method is None else (method,)
     for name in wanted:
         try:
-            if name == SINGULAR_GAP:
-                _checked_norm(name, p)
-                factor = _partial_gap_factor(perturbed)
-            else:
-                factor = upper_factor(perturbed, name, p)
+            est = _estimator(name, p)
+            # upper_factor, not est.factor: the benchmark tracer counts it per method.
+            factor = (est.relative(perturbed, p) if est.relative
+                      else upper_factor(perturbed, name, p))
         except (InapplicableBoundError, ValueError) as exc:
             if method is not None:
                 raise
             report.notes.append(f"{name}: {exc}")
             continue
         report.estimates.append((name, factor))
-        setattr(report, _BOUND_NAMES[name], factor * w)
+        setattr(report, est.field, factor * w)
     return report
 
 
@@ -330,13 +307,6 @@ def perturbation_experiment(problem, pert, options=None, *, base=None):
             delta = componentwise_bound(problem, base.x, pert.epsilon, p=2)
         except InapplicableBoundError:
             delta = None
-    return ExperimentRecord(
-        n=problem.n,
-        epsilon=pert.epsilon,
-        r=r,
-        w=report.w,
-        tau=report.tau,
-        upsilon=report.upsilon,
-        nu=report.nu,
-        delta=delta,
-    )
+    bounds = {est.field: getattr(report, est.field) for est in ESTIMATORS.values()}
+    return ExperimentRecord(n=problem.n, epsilon=pert.epsilon, r=r, w=report.w, delta=delta,
+                            **bounds)

@@ -50,7 +50,6 @@ from avebounds import (
     column_w_property,
     componentwise_bound,
     error_interval,
-    extreme_singulars,
     gen_lattice_lcp,
     gen_tridiag_lcp,
     general_relative_bound,
@@ -71,6 +70,7 @@ from avebounds import (
     spectral_radius_nonneg,
     upper_factor,
 )
+from avebounds import numerics
 from avebounds.exceptions import InapplicableBoundError
 from support import box_vertices, random_hplus_lcp, random_solvable
 
@@ -166,8 +166,8 @@ def _criterion_demo_bounds():
 
     rho = spectral_radius_nonneg(np.abs(iteration))
     neumann = upper_factor(problem, NEUMANN, 2)
-    smin_a, _ = extreme_singulars(A_bar)
-    _, smax_b = extreme_singulars(B_bar)
+    smin_a = numerics.singular_values(A_bar)[-1]
+    smax_b = numerics.singular_values(B_bar)[0]
     gap = upper_factor(problem, SINGULAR_GAP, 2)
     t = p_norm(iteration, 2)
     ratio = upper_factor(problem, NORM_RATIO, 2)
@@ -204,7 +204,7 @@ def _criterion_condition_pairs():
     # Gap condition holds, radius condition fails.
     B1 = np.array([[0.9, -0.4], [0.4, 0.9]])
     rho1 = spectral_radius_nonneg(np.abs(B1))  # A = I, so |A^-1 B| = |B|
-    _, smax1 = extreme_singulars(B1)
+    smax1 = numerics.singular_values(B1)[0]
     ok &= abs(rho1 - 1.3) <= 5e-4 and rho1 > 1.0
     ok &= abs(smax1 - 0.9849) <= 5e-4 and smax1 < 1.0
 
@@ -212,7 +212,7 @@ def _criterion_condition_pairs():
     A2 = np.array([[2.0, 1.0], [0.0, 2.0]])
     B2 = 1.6 * np.eye(2)
     rho2 = spectral_radius_nonneg(np.abs(np.linalg.inv(A2) @ B2))
-    smin2, _ = extreme_singulars(A2)
+    smin2 = numerics.singular_values(A2)[-1]
     ok &= abs(rho2 - 0.8000) <= 5e-4 and rho2 < 1.0
     ok &= abs(smin2 - 1.5616) <= 5e-4 and smin2 < 1.6
 
@@ -406,7 +406,7 @@ def _sweep_identity_family():
         if vertex_max > envelope + 1e-9:
             viol_vertex += 1
 
-        smin, _ = extreme_singulars(A)
+        smin = numerics.singular_values(A)[-1]
         if smin > 1.0:
             sharp += 1
             _, upper = identity_ave_bounds(A)

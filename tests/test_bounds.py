@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,16 @@ from avebounds import (
     brute_force_alpha,
     error_bound_report,
     error_interval,
+    general_relative_bound,
     identity_ave_bounds,
     lower_factor,
     residual,
     shifted_norm_slack,
     upper_factor,
 )
+from avebounds import harness, perturbation
+from avebounds.bounds import ESTIMATORS
+from avebounds.complementarity import lcp_to_ave
 from avebounds.exceptions import InapplicableBoundError
 
 from support import box_vertices, random_solvable
@@ -174,6 +180,56 @@ class TestErrorBoundReport:
         assert rep.best_upper() is None
         assert all(not u.applicable for u in rep.upper_factors)
         assert all(u.reason for u in rep.upper_factors)
+
+
+def table_one_cell():
+    problem = lcp_to_ave(harness.gen_problem("tridiag", 30))
+    return problem, harness.gen_perturbation("tridiag", 30, 0.01)
+
+
+class TestEstimatorTable:
+    """``ESTIMATORS`` is the one place an estimator's name, norms and report
+    field are declared; the other modules read them from it."""
+
+    @pytest.mark.parametrize("p", (1, 2, np.inf), ids=["p1", "p2", "pinf"])
+    @pytest.mark.parametrize("method", list(ESTIMATORS))
+    def test_norm_rule(self, method, p):
+        est = ESTIMATORS[method]
+        problem, pert = table_one_cell()
+        rep = general_relative_bound(problem, pert, p=p)
+        notes = [note for note in rep.notes if note.startswith(f"{method}: ")]
+        if p in est.norms:
+            assert getattr(rep, est.field) is not None and notes == []
+        else:
+            with pytest.raises(ValueError, match="2-norm"):
+                upper_factor(problem, method, p)
+            assert getattr(rep, est.field) is None
+            assert len(notes) == 1 and "2-norm" in notes[0]
+
+    @pytest.mark.parametrize("method", list(ESTIMATORS))
+    def test_field_is_carried_by_both_reports(self, method):
+        field = ESTIMATORS[method].field
+        for report in (perturbation.PerturbBoundReport, perturbation.ExperimentRecord):
+            assert field in {f.name for f in dataclasses.fields(report)}
+
+    def test_record_columns_follow_the_table(self):
+        assert harness._RECORD_FIELDS == ("n", "epsilon", "r", "w", "tau", "upsilon", "nu", "delta")
+
+    def test_only_the_table_relative_factor_bypasses_upper_factor(self, monkeypatch):
+        # upsilon takes the truncated gap; tau and nu go through upper_factor,
+        # where the traced per-method counts are taken.
+        called = []
+        original = perturbation.upper_factor
+
+        def counting(problem, method=NEUMANN, p=2):
+            called.append(method)
+            return original(problem, method, p)
+
+        monkeypatch.setattr(perturbation, "upper_factor", counting)
+        problem, pert = table_one_cell()
+        rep = general_relative_bound(problem, pert)
+        assert called == [NEUMANN, NORM_RATIO]
+        assert [name for name, _ in rep.estimates] == list(ESTIMATORS)
 
 
 class TestErrorInterval:

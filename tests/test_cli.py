@@ -121,6 +121,20 @@ class TestBoundsCommand:
         assert captured.out == ""
         assert str(rhs) in captured.err and "complex" in captured.err
 
+    @pytest.mark.parametrize("text", [
+        "garbage\n",
+        "%%MatrixMarket matrix array real general\n2 1\n1.0\n",
+    ], ids=["banner", "truncated"])
+    def test_unparsable_at_file_is_named(self, mtx, tmp_path, capsys, text):
+        at = tmp_path / "bad.mtx"
+        at.write_text(text)
+        code = main(["bounds", "--a", mtx("a", np.diag([2.0, 3.0])),
+                     "--rhs", mtx("rhs", [1.0, 1.0]), "--at", str(at)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {at}: ")
+
     @pytest.mark.parametrize("norm", ["1", "2", "inf"])
     def test_unresolvable_neumann_inverse_exit_code(self, mtx, capsys, norm):
         # rho(|A^-1 B|) = 0, yet I - |A^-1 B| fails the conditioning gate.
