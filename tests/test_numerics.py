@@ -188,6 +188,23 @@ class TestCertifiesContraction:
             numerics.contraction_inverse(np.array([[0.5, -0.1], [0.0, 0.5]]))
 
 
+class TestExtremeSingulars:
+    def test_diagonal(self):
+        s = numerics.singular_values(np.diag([2.0, 3.0]))
+        assert s[-1] == pytest.approx(2.0)
+        assert s[0] == pytest.approx(3.0)
+
+    def test_upper_triangular_literal(self):
+        # sigma_min of [[2,1],[0,2]]; its product with sigma_max is |det| = 4
+        s = numerics.singular_values(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        assert s[-1] == pytest.approx(1.5615528128088303, abs=1e-12)
+        assert s[-1] * s[0] == pytest.approx(4.0, rel=1e-12)
+
+    def test_rotation_scaled_literal(self):
+        b = np.array([[0.9, -0.4], [0.4, 0.9]])
+        assert numerics.singular_values(b)[0] == pytest.approx(0.9848857801796105, abs=1e-12)
+
+
 def _symmetric(m):
     """The symmetric matrix with the upper triangle of ``m``."""
     return np.triu(m) + np.triu(m, 1).T
@@ -229,7 +246,7 @@ class TestSymmetricRoute:
         assert np.all(np.abs(got - want) <= 1e-13 * want[0])
 
     def test_symmetric_singular_values_match_svd_without_svd(self, monkeypatch):
-        cases = [np.diag([2.0, 3.0])] + list(self._symmetric_cases())
+        cases = list(self._symmetric_cases())
         calls = []
         svd = np.linalg.svd
         with monkeypatch.context() as patch:
@@ -241,12 +258,10 @@ class TestSymmetricRoute:
         for s, m in zip(got, cases):
             self._agree(s, m)
             assert np.all(np.diff(s) <= 0.0)
-        assert got[0] == pytest.approx([3.0, 2.0])
 
     def test_one_ulp_from_symmetric_takes_the_svd(self, monkeypatch):
         rng = np.random.default_rng(5)
-        cases = [np.array([[2.0, 1.0], [0.0, 2.0]]), np.array([[0.9, -0.4], [0.4, 0.9]])]
-        cases += [self._near_symmetric(rng, n) for n in (2, 9, 40)]
+        cases = [self._near_symmetric(rng, n) for n in (2, 9, 40)]
         calls = []
         svd = np.linalg.svd
         with monkeypatch.context() as patch:
@@ -257,10 +272,6 @@ class TestSymmetricRoute:
         assert len(calls) == len(cases)
         for s, m in zip(got, cases):
             self._agree(s, m)
-        # sigma_min of [[2,1],[0,2]]; its product with sigma_max is |det| = 4
-        assert got[0][-1] == pytest.approx(1.5615528128088303, abs=1e-12)
-        assert got[0][0] * got[0][-1] == pytest.approx(4.0, rel=1e-12)
-        assert got[1][0] == pytest.approx(0.9848857801796105, abs=1e-12)   # scaled rotation
 
     def test_symmetric_stack_norms_come_from_the_stack(self, monkeypatch):
         stack = np.stack([_symmetric(m) for m in
