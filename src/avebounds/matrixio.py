@@ -1,11 +1,15 @@
-"""Matrix Market file helpers for the CLI."""
+"""Matrix Market file helpers for the CLI.
+
+scipy is imported inside the functions that read or write a file, not when
+this module loads: ``scipy.io`` brings ``scipy.sparse`` and ``scipy.io.matlab``
+with it, and ``import avebounds``, ``avebounds reproduce`` and ``--version``
+read no file.
+"""
 from __future__ import annotations
 
 import os
 
 import numpy as np
-import scipy.io
-from scipy.io import _fast_matrix_market as fmm
 
 from . import numerics
 
@@ -18,10 +22,12 @@ def _read_dense(path):
     process-wide.  So the reader is opened here with one thread, and the
     body is read as ``mmread`` reads it.
     """
-    # mmread's own missing-file error talks about banners; check first so
-    # the user sees the real problem.
-    if not os.path.exists(path):
+    # mmread's own error for a missing file or a directory talks about
+    # banners; check first so the user sees the real problem.
+    if not os.path.isfile(path):
         raise FileNotFoundError(f"no such file: {path}")
+    from scipy.io import _fast_matrix_market as fmm
+
     try:    # every parse error names the file: the CLI reads up to four
         cursor, stream = fmm._get_read_cursor(path, parallelism=1)
         try:
@@ -60,9 +66,13 @@ def load_vector(path):
 
 
 def save_matrix(path, m):
+    import scipy.io
+
     scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(m, dtype=float)))
 
 
 def save_vector(path, v):
+    import scipy.io
+
     arr = numerics.as_vector(v)
     scipy.io.mmwrite(str(path), arr.reshape(-1, 1))

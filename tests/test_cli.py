@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import avebounds
+from avebounds import cli
 from avebounds.cli import main
 from avebounds.matrixio import save_matrix, save_vector
 
@@ -61,6 +66,11 @@ class TestSolveCommand:
         code = main(["solve", "--a", str(tmp_path / "absent.mtx")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_directory_input_exit_code(self, tmp_path, capsys):
+        code = main(["solve", "--a", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: no such file: {tmp_path}\n"
 
 
 @pytest.mark.parametrize("command,flag", [("solve", "--tol"), ("perturb", "--epsilon")])
@@ -252,6 +262,9 @@ class TestTopLevel:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "--a", "a.mtx"],
         ["perturb", "--a", "a.mtx", "--rhs", "b.mtx"],
@@ -298,3 +311,46 @@ def test_document_commands_accept_text_format(mtx, capsys):
         text = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == text
+
+
+# Runs ``cli.main(argv)`` (for an empty argv, only imports the CLI) in a new
+# interpreter, since this test session has imported scipy already; prints
+# the exit code and the scipy modules loaded.
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+from avebounds import cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _fresh_main(argv):
+    src = os.path.dirname(os.path.dirname(avebounds.__file__))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestStartUpLoadsNoScipy:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["reproduce", "--table", "1", "--format", "json"],
+        ["--version"],
+    ], ids=["import", "reproduce", "version"])
+    def test_no_file_no_scipy(self, argv):
+        code, loaded = _fresh_main(argv)
+        assert code == (0 if argv else None)
+        assert loaded == []
+
+    def test_file_command_loads_scipy_io(self, mtx):
+        code, loaded = _fresh_main(["bounds", "--a", mtx("a", np.diag([2.0, 3.0])),
+                                    "--b", mtx("b", np.eye(2))])
+        assert code == 0
+        assert "scipy.io" in loaded

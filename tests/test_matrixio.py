@@ -28,6 +28,13 @@ class TestMatrixRoundTrip:
         with pytest.raises(OSError):
             load_matrix(tmp_path / "absent.mtx")
 
+    @pytest.mark.parametrize("load", [load_matrix, load_vector], ids=["matrix", "vector"])
+    def test_directory_is_not_a_file(self, tmp_path, load):
+        # scipy's reader would call a directory a file with no banner.
+        with pytest.raises(FileNotFoundError) as info:
+            load(tmp_path)
+        assert str(info.value) == f"no such file: {tmp_path}"
+
 
 class TestVectorRoundTrip:
     def test_column_vector(self, tmp_path):
