@@ -26,9 +26,6 @@ VERDICT_PROVEN = "proven_unique"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_FAILS = "fails_all_sufficient_conditions"
 
-# Members per batched LAPACK call on the direct scan, the arbiter of the
-# sign-box walk; one chunk bounds that scan's memory.
-_SIGN_CHUNK = 4096
 # The Gray-code walk of the sign box hands the call to the direct scan on a
 # flip ratio |r| <= _FLIP_GUARD, on a walked |det| within a factor
 # _NEAR_FLOOR of the floor, or when a batch rebuilt every _ANCHOR_STEPS
@@ -322,12 +319,13 @@ def _two_norm_bound(stack):
 
 def _direct_scan(A, B, left, p, zero_one):
     """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair, from
-    chunks of ``_SIGN_CHUNK`` members in bit order, each built, tested and
-    inverted directly; the arbiter of ``_gray_walk``."""
+    the walk's batches of 2**(n // 2) members in bit order, each built,
+    tested and inverted directly; the arbiter of ``_gray_walk``."""
     n, low = A.shape[0], (0.0 if zero_one else -1.0)
+    size = 2**(n // 2)
     sign, peak = 0.0, 0.0
-    for start in range(0, 2**n, _SIGN_CHUNK):
-        index = np.arange(start, min(start + _SIGN_CHUNK, 2**n))
+    for start in range(0, 2**n, size):
+        index = np.arange(start, start + size)
         block, stack, signs, _, bad = _vertex_check(A, B, index, left, low, sign)
         sign = sign or signs[0]
         if np.any(bad):
@@ -440,12 +438,12 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     inverses.  Whenever the walk cannot vouch for its answer (a vertex
     failing the tests, a small flip ratio, drift from a rebuilt batch) the
     whole call goes to the direct scan, which builds, tests and inverts
-    chunks of ``_SIGN_CHUNK`` members in bit order and inverts a chunk
-    only after its determinants pass.  So the witness is always the first
-    in bit order, and the verdict is the direct scan's.  A witness among
-    the first 2**(n // 2) vertices ends the call before any inverse is
-    formed.  Memory is bounded by one batch, or by one chunk on the
-    direct scan.
+    batches of the same 2**(n // 2) members in bit order and inverts a
+    batch only after its determinants pass.  So the witness is always the
+    first in bit order, and the verdict is the direct scan's; the scan
+    stops after the batch holding it.  A witness among the first
+    2**(n // 2) vertices ends the call before any inverse is formed.
+    Memory is bounded by one batch on both passes.
     """
     n = A.shape[0]
     if n > SIGN_BOX_LIMIT:

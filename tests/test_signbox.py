@@ -148,7 +148,8 @@ def test_vertex_maximum_is_exact_and_dominates_interior_samples():
     assert worst <= 1e-12, worst
 
 
-# n = 13 is the first size whose 2**n vertices span two chunks of the scan.
+# n = 13: the walk and the direct scan both read the 2**13 vertices in
+# 128 batches of 2**(13 // 2) = 64 members.
 CHUNKED_N = 13
 
 
@@ -165,7 +166,7 @@ def _count_inverses(monkeypatch):
 
 def test_sign_flip_between_chunks_is_found(monkeypatch):
     # det(I - B diag(d)) = 1 - 2 d_13 is 3 on the first 4096 vertices and
-    # -1 from vertex 4096 on, so the first chunk alone looks regular.
+    # -1 from vertex 4096 on, so the first 64 batches alone look regular.
     n = CHUNKED_N
     A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
     witness, peak = sign_box_scan(A, B, p=2)
@@ -173,10 +174,24 @@ def test_sign_flip_between_chunks_is_found(monkeypatch):
     calls = _count_inverses(monkeypatch)
     assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
     # The walk inverts its batch of the low n // 2 bits and meets the sign
-    # change when it flips d_13; the direct scan then inverts its first
-    # chunk and stops in the second.
-    assert calls == [(2 ** (n // 2), n, n), (4096, n, n)]
+    # change when it flips d_13; the direct scan then inverts batches 0-63
+    # and stops in batch 64.
+    assert calls == [(2 ** (n // 2), n, n)] * 65
     assert solvability_report(AveProblem(A, B, np.zeros(n))).verdict == VERDICT_INCONCLUSIVE
+
+
+def test_direct_scan_stops_at_the_batch_of_the_first_witness(monkeypatch):
+    # The same box: the walk tests its first batch and the rebuilt one at
+    # step 64, the direct scan batches 0-64, every one of 2**(n // 2)
+    # members, and nothing after the batch holding vertex 4096.
+    n = CHUNKED_N
+    A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
+    sizes = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: sizes.append(len(a)) or slogdet(a))
+    witness, _ = sign_box_scan(A, B)
+    assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0])
+    assert sizes == [2 ** (n // 2)] * 67 and sum(sizes) == 4288
 
 
 def test_witness_in_first_chunk_forms_no_inverse(monkeypatch):
@@ -225,19 +240,34 @@ def test_limit_is_checked_before_anything_is_enumerated(monkeypatch):
             call()
 
 
-def test_memory_is_bounded_by_one_chunk():
-    # The peak covers the chunk's vertex matrices and LAPACK's copies of
-    # them; a 2**n x n vertex array alone would take 17.8 MB at n = 17.
-    n = 17
-    M = random_hplus_lcp(np.random.default_rng(17), n).M
-    hlcp = HlcpProblem(M, np.eye(n), np.ones(n))
+def _traced_peak(call):
+    """``(call(), peak bytes traced while it ran)``."""
     tracemalloc.start()
     try:
-        assert column_w_property(hlcp)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 4096 * n**2 * 8, peak
+
+
+def test_memory_is_bounded_by_one_batch():
+    # The peak covers one batch of 2**(n // 2) members, their inverses and
+    # LAPACK's copies of them: eight copies take 4.5 MiB at n = 17, where a
+    # 2**n x n vertex array alone would take 17.8 MB.  The column W pair is
+    # walked; on the late-witness box every vertex with d_17 = 1 is
+    # singular-signed, so the walk hands over and the direct scan reads
+    # half the box before its first witness.
+    n = 17
+    M = random_hplus_lcp(np.random.default_rng(17), n).M
+    A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
+    regular, column_w_peak = _traced_peak(
+        lambda: column_w_property(HlcpProblem(M, np.eye(n), np.ones(n))))
+    (witness, _), scan_peak = _traced_peak(lambda: sign_box_scan(A, B))
+    alpha, alpha_peak = _traced_peak(
+        lambda: brute_force_alpha(AveProblem(A, B, np.zeros(n)), p=2))
+    assert regular and alpha == np.inf
+    assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0])
+    peaks = (column_w_peak, scan_peak, alpha_peak)
+    assert max(peaks) < 8 * 2 ** (n // 2) * n**2 * 8, peaks
 
 
 def _enumerated(A, B, left=False, p=None, zero_one=False):
