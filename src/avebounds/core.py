@@ -460,18 +460,23 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
 def solvability_report(problem):
     """Screen a problem for unique solvability.
 
-    Three sufficient conditions are evaluated, in the order of
+    Two sufficient conditions are evaluated, in the order of
     ``report.checks`` (mirrored for type2):
 
-    * smallest singular value of A above the largest of B,
     * spectral radius of |A^-1 B| below one: the value is the upper end of
       a closed Collatz-Wielandt bracket, or ``eigvals`` where it does not
       close (``numerics.spectral_radius_nonneg``), so a pass is a proof,
     * largest singular value of A^-1 B below one.
 
-    Any pass proves a unique solution exists for every right-hand side
-    (``proven_unique``).  When all three fail and n <= ``SIGN_BOX_LIMIT``,
-    the sign family A - B diag(d) decides (see ``sign_box_scan``):
+    Either pass proves a unique solution exists for every right-hand side
+    (``proven_unique``).  No SVD is taken: the singular-value gap
+    sigma_min(A) > sigma_max(B) gives ||A^-1 B||_2 <= sigma_max(B) /
+    sigma_min(A) < 1 (type2: ||B A^-1||_2), so the second check passes
+    wherever a gap screen could (Rohn, Optim. Lett. 3 (2009) 603-606);
+    the gap itself is reported where it is a premise, as the p = 2
+    ``singular_gap`` entry of ``error_bound_report``.  When both fail and
+    n <= ``SIGN_BOX_LIMIT``, the sign family A - B diag(d) decides (see
+    ``sign_box_scan``):
 
     * one strict determinant sign at every vertex d in {-1,1}^n proves no
       member of the box singular -> ``proven_unique``,
@@ -479,19 +484,11 @@ def solvability_report(problem):
       solutions; this particular b may or may not,
     * dimension over the limit   -> ``fails_all_sufficient_conditions``.
 
-    A non-invertible A simply fails the conditions that need it; it is not
-    an error here.
+    A non-invertible A simply fails both conditions; it is not an error
+    here.
     """
     analysis = problem.analysis
     checks = []
-
-    smin_a = float(analysis.singular_values("A")[-1])
-    smax_b = float(analysis.singular_values("B")[0])
-    checks.append(SolvabilityCheck(
-        "singular_value_gap", smin_a - smax_b, 0.0, smin_a > smax_b,
-        "smallest singular value of A minus largest of B, must be positive",
-    ))
-
     try:
         analysis.inverse()
     except SingularMatrixError:

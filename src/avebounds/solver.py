@@ -40,7 +40,8 @@ class SolveOptions:
     """Start, stopping rule and budget of a solve.
 
     ``picard_solve`` starts from ``initial`` (default: the zero vector)
-    and stops when ``||x_{k+1} - x_k||_2 < tolerance``.
+    and stops when ``||x_{k+1} - x_k||_2 < tolerance``, or, not converged,
+    once a step exceeds 2**52 times its first.
     ``sign_accord_solve`` starts from ``initial`` (default: A^-1 b) and
     stops when the sign pattern of a linear solve agrees with its result;
     ``tolerance`` applies only to its Picard fallback.  ``max_iterations``
@@ -65,12 +66,25 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve.
+
+    ``final_step_norm`` is the 2-norm of the last step taken, inf when no
+    step was taken.  A diverging Picard run ends with a finite one, above
+    2**52 times its first step, unless a step overflows before that growth
+    (inf).
+    """
+
     x: np.ndarray
     iterations: int
     final_step_norm: float
     final_residual_norm: float
     converged: bool
     method: str = "picard"      # the iteration that produced x: "picard" or "sign_accord"
+
+
+# picard_solve stops, not converged, once a step exceeds this multiple of
+# its first step.
+_DIVERGED = 2.0**52
 
 
 def _norm(v):
@@ -85,9 +99,13 @@ def picard_solve(problem, options=None):
 
     Non-convergence within the iteration budget is an outcome, not an
     exception: the result carries ``converged=False`` and the last iterate.
-    So is divergence to non-finite values: the iteration stops with the
-    last finite iterate and an infinite step norm.  A numerically singular
-    A is an error (SingularMatrixError) since the iteration is undefined.
+    So is divergence: the iteration stops once a step exceeds 2**52 times
+    the first (``_DIVERGED``), as a limit reached after that growth has no
+    correct digit at the scale of the first step; the result holds that
+    step's iterate and finite norm.  A step that overflows first stops it
+    with the last finite iterate and an infinite step norm.  A numerically
+    singular A is an error (SingularMatrixError) since the iteration is
+    undefined.
     """
     opts = options or SolveOptions()
     A, B, b = problem.A, problem.B, problem.b
@@ -102,8 +120,7 @@ def picard_solve(problem, options=None):
     step = np.inf
     converged = False
     iterations = 0
-    # A diverging iteration overflows; it stops at the first non-finite
-    # step and keeps the last finite iterate.
+    limit = np.inf          # _DIVERGED times the first step
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, opts.max_iterations + 1):
             rhs = B @ np.abs(x) + b if type_one else np.abs(B @ x) + b
@@ -116,6 +133,10 @@ def picard_solve(problem, options=None):
             if step < opts.tolerance:
                 converged = True
                 break
+            if step > limit:
+                break
+            if iterations == 1:
+                limit = _DIVERGED * step
         res_norm = _norm(residual(problem, x))
     return SolveResult(x, iterations, step, res_norm, converged)
 
@@ -137,8 +158,9 @@ def sign_accord_solve(problem, options=None):
     iteration budget, and its result (``method="picard"``) counts the
     linear solves in ``iterations``.  The fallback is not gated on the
     contraction premise: the loop can cycle on problems where Picard
-    converges.  A spent budget gives ``converged=False``; a numerically
-    singular A is an error (SingularMatrixError), as for ``picard_solve``.
+    converges.  A spent budget, or a fallback stopped for divergence,
+    gives ``converged=False``; a numerically singular A is an error
+    (SingularMatrixError), as for ``picard_solve``.
     """
     opts = options or SolveOptions()
     A, B, b = problem.A, problem.B, problem.b

@@ -72,7 +72,7 @@ def vertex_mu2(problem):
 
 
 def regular_sign_family(rng, n, form=TYPE_ONE):
-    """A pair whose sign family is regular although all three solvability
+    """A pair whose sign family is regular although both solvability
     screens fail.
 
     K = A^-1 B (B A^-1 for type2) is a permuted block diagonal of 2 x 2

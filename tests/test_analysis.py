@@ -333,7 +333,9 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     six problems is solved exactly: one LU solve after the start A^-1 b has
     the sign pattern of its result, so Picard never runs.  ||dA||_2 and
     ||dB||_2 are taken once for the size and scaled per cell (10 matrix
-    2-norms before), leaving 13.
+    2-norms before), leaving 13.  The singular values and every matrix
+    2-norm make 25 ``eigvalsh`` calls in all, so each LAPACK call of the
+    table is pinned.
     """
     counts = {}
     lock = threading.Lock()
@@ -346,7 +348,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("svd", "cond", "eigvals", "inv", "solve"):
+    for name in ("svd", "cond", "eigvals", "eigvalsh", "inv", "solve"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(numerics, "p_norm", counted(
         "norm2", numerics.p_norm, lambda a, p=2: np.ndim(a) == 2 and p == 2))
@@ -364,6 +366,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     assert counts.get("svd", 0) == 0
     assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) <= 6
+    assert counts["eigvalsh"] == 25
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 13
 
 

@@ -119,23 +119,25 @@ class TestSignDiagonal:
 
 class TestSolvabilityReport:
     def test_proven_by_singular_value_gap(self):
+        # sigma_min(A) = 1 > sigma_max(B) = 0.9849: the gap gives
+        # ||A^-1 B||_2 <= 0.9849 < 1, so the singular-ratio screen proves it.
         p = AveProblem(np.eye(2), [[0.9, -0.4], [0.4, 0.9]], np.zeros(2))
         rep = solvability_report(p)
         assert rep.verdict == VERDICT_PROVEN
         assert rep.proven
-        gap = next(c for c in rep.checks if c.name == "singular_value_gap")
-        assert gap.passed
-        assert gap.value == pytest.approx(1.0 - 0.9848857801796105, abs=1e-10)
+        ratio = next(c for c in rep.checks if c.name == "largest_singular_ratio")
+        assert ratio.passed
+        assert ratio.value == pytest.approx(0.9848857801796105, abs=1e-10)
 
     def test_proven_by_spectral_radius_alone(self):
-        # Gap and singular-ratio conditions both fail here, the radius passes.
+        # The singular-ratio condition fails here, the radius passes.
         p = AveProblem([[2.0, 1.0], [0.0, 2.0]], 1.6 * np.eye(2), np.zeros(2))
         rep = solvability_report(p)
         assert rep.verdict == VERDICT_PROVEN
         by_name = {c.name: c for c in rep.checks}
         assert by_name["spectral_radius"].passed
         assert by_name["spectral_radius"].value == pytest.approx(0.8, abs=1e-12)
-        assert not by_name["singular_value_gap"].passed
+        assert "singular_value_gap" not in by_name
         assert not by_name["largest_singular_ratio"].passed
 
     @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
@@ -164,14 +166,16 @@ class TestSolvabilityReport:
         assert radius.value == pytest.approx(1.25, rel=1e-10) and not radius.passed
 
     def test_proven_when_family_regular(self):
-        # All three sufficient conditions fail, yet every A - B diag(d) with
+        # Both sufficient conditions fail, yet every A - B diag(d) with
         # d in the unit box is nonsingular (the determinant is positive at
         # all four vertices and bilinear in d).
         p = AveProblem(np.eye(2), [[0.5, 2.0], [-0.3, 0.5]], np.zeros(2))
         rep = solvability_report(p)
         assert rep.verdict == VERDICT_PROVEN
         assert rep.proven
-        assert all(not c.passed for c in rep.checks[:3])
+        by_name = {c.name: c for c in rep.checks}
+        assert not by_name["spectral_radius"].passed
+        assert not by_name["largest_singular_ratio"].passed
         assert rep.checks[-1].name == "sign_family_nonsingular"
         assert rep.checks[-1].passed
 
@@ -183,8 +187,8 @@ class TestSolvabilityReport:
         assert "singular member" in rep.checks[-1].note
 
     def test_fails_when_dimension_over_limit(self, monkeypatch):
-        # All three screens fail at n = 21 (rho = sigma = 1, gap 0), one
-        # above the sign-box limit, so no vertex is enumerated.
+        # Both screens fail at n = 21 (rho = sigma = 1), one above the
+        # sign-box limit, so no vertex is enumerated.
         def refuse(*args, **kwargs):
             raise AssertionError("sign box enumerated above the limit")
 
@@ -193,7 +197,73 @@ class TestSolvabilityReport:
         A = np.diag([2.0] + [1.0] * (n - 1))
         rep = solvability_report(AveProblem(A, np.eye(n), np.zeros(n)))
         assert rep.verdict == VERDICT_FAILS
-        assert len(rep.checks) == 3 and not any(c.passed for c in rep.checks)
+        assert [c.name for c in rep.checks] == ["spectral_radius", "largest_singular_ratio"]
+        assert not any(c.passed for c in rep.checks)
+
+    def test_gate_failing_A_over_the_limit_fails(self, monkeypatch):
+        # A = diag(1, ..., 1, 1e-16) fails the 1e14 inverse gate and B = 0.
+        # Both screens need A^-1 and n = 21 is over the sign-box limit, so
+        # nothing proves the pair, as with any other screen built on A.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sign box enumerated above the limit")
+
+        n = 21
+        monkeypatch.setattr(core, "sign_box_scan", refuse)
+        A = np.diag([1.0] * (n - 1) + [1e-16])
+        rep = solvability_report(AveProblem(A, np.zeros((n, n)), np.ones(n)))
+        assert rep.verdict == VERDICT_FAILS
+        assert all(c.value == np.inf and not c.passed for c in rep.checks)
+        assert [c.name for c in rep.checks] == ["spectral_radius", "largest_singular_ratio"]
+
+    @pytest.mark.parametrize("A", [
+        np.ones((3, 3)),
+        np.outer([1.0, 2.0, 3.0], [0.3, 0.7, 1.1]),
+    ], ids=["ones", "rank-one"])
+    def test_singular_A_with_zero_B_is_not_proven(self, A):
+        # A x = b has no unique solution.  The computed sigma_min(A) is
+        # rounding noise above sigma_max(B) = 0, which a gap screen took
+        # for a proof.
+        rep = solvability_report(AveProblem(A, np.zeros((3, 3)), np.ones(3)))
+        assert rep.verdict == VERDICT_INCONCLUSIVE
+        assert not any(c.passed for c in rep.checks)
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_no_svd(self, form, monkeypatch):
+        # A nonsymmetric pair would take an SVD for each of A and B.
+        problem = random_solvable(np.random.default_rng(40), 40, form=form)
+        assert not np.array_equal(problem.A, problem.A.T)
+        assert not np.array_equal(problem.B, problem.B.T)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        assert solvability_report(problem).verdict == VERDICT_PROVEN
+        assert calls == []
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_singular_value_gap_implies_the_ratio_screen(self, form):
+        # sigma_min(A) > (1 + 1e-9) sigma_max(B) gives ||K||_2 < 1, so the
+        # ratio screen proves every such pair; cond(A) is up to 1e8.  Half
+        # the pairs tilt B toward A's weakest direction (type2: B's rows
+        # toward its right singular vector), which puts ||K||_2 within
+        # about 1e-9 of 1.
+        rng = np.random.default_rng(20261019)
+        for k in range(500):
+            n = int(rng.integers(2, 9))
+            U, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            A = (U * np.geomspace(10.0 ** rng.uniform(0, 8), 1.0, n)) @ V.T
+            u, s, vt = np.linalg.svd(A)
+            W = rng.normal(size=(n, n))
+            if k % 2:
+                W = 1e-3 * W + (np.outer(u[:, -1], W[0]) if form == TYPE_ONE
+                                else np.outer(W[0], vt[-1]))
+            B = W * (s[-1] / (1.0 + 2e-9) / np.linalg.svd(W, compute_uv=False)[0])
+            assert s[-1] > (1.0 + 1e-9) * np.linalg.svd(B, compute_uv=False)[0]
+            rep = solvability_report(AveProblem(A, B, np.ones(n), form))
+            by_name = {c.name: c for c in rep.checks}
+            assert list(by_name) == ["spectral_radius", "largest_singular_ratio"]
+            assert rep.verdict == VERDICT_PROVEN
+            assert by_name["largest_singular_ratio"].passed, (k, by_name)
 
     def test_singular_A_is_reported_not_raised(self):
         p = AveProblem([[0.0]], [[0.0]], [0.0])

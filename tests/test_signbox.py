@@ -37,7 +37,8 @@ def test_regular_family_with_tiny_vertex_determinants_is_proven(form):
     assert np.all(dets > 0)
     assert dets.min() <= 1e-12 * scale**n
     rep = solvability_report(problem)
-    assert all(not c.passed for c in rep.checks[:3])
+    screens = {c.name: c.passed for c in rep.checks[:-1]}
+    assert screens == {"spectral_radius": False, "largest_singular_ratio": False}
     assert rep.verdict == VERDICT_PROVEN
     assert rep.checks[-1].passed
 

@@ -57,22 +57,43 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("form", ["type1", TYPE_TWO])
     def test_divergence_to_overflow_is_an_outcome(self, form):
-        # x_{k+1} = 3|x_k| + 1 overflows; the solver must stop, not raise
-        # numpy's ValueError on a non-finite right-hand side.
+        # x_{k+1} = 3|x_k| + 1: the steps are sqrt(3) 3**(k-1), so step 34
+        # is the first above 2**52 times the first.  The solver stops there,
+        # an outcome, long before the iterates overflow.
         p = AveProblem(np.eye(3), 3.0 * np.eye(3), np.ones(3), form)
         res = picard_solve(p)
         assert not res.converged
-        assert res.final_step_norm == np.inf
         assert np.all(np.isfinite(res.x))
-        assert res.iterations < SolveOptions().max_iterations
+        assert 2.0**52 * np.sqrt(3.0) < res.final_step_norm < np.inf
+        assert res.iterations == 34
 
     def test_frozen_seed_unsolvable_instance(self):
-        # The iterates stay positive and grow like 1.25**k.  This raised
-        # numpy's ValueError once the iterates overflowed.
-        res = picard_solve(unsolvable_instance())
+        # The iterates stay positive and grow like 1.25**k; the solver stops
+        # once a step exceeds 2**52 times the first.
+        problem = unsolvable_instance()
+        first = picard_solve(problem, SolveOptions(max_iterations=1)).final_step_norm
+        res = picard_solve(problem)
         assert not res.converged
-        assert res.final_step_norm == np.inf
         assert np.all(np.isfinite(res.x))
+        assert 2.0**52 * first < res.final_step_norm < np.inf
+        assert res.iterations == 164
+
+    def test_transient_growth_still_converges(self):
+        # x >= 0 throughout, so the iteration is x <- K x + b with K = B
+        # upper bidiagonal: diagonal 1/2, superdiagonal 100.  rho(K) = 1/2,
+        # but K**k b grows 2.5e6-fold over the first five steps before it
+        # shrinks; the divergence stop must not end it.
+        n = 4
+        K = 0.5 * np.eye(n) + 100.0 * np.eye(n, k=1)
+        b = np.zeros(n)
+        b[-1] = 1.0
+        steps = [np.linalg.norm(np.linalg.matrix_power(K, k) @ b) for k in range(60)]
+        assert max(steps) >= 1e6 * steps[0]
+        problem = AveProblem(np.eye(n), K, b)
+        res = picard_solve(problem, SolveOptions(tolerance=1e-10))
+        x_star = np.linalg.solve(np.eye(n) - K, b)
+        assert res.converged
+        assert np.linalg.norm(res.x - x_star) <= 1e-12 * np.linalg.norm(x_star)
 
     def test_singular_A_raises(self):
         p = AveProblem(np.zeros((2, 2)), np.eye(2), np.ones(2))
@@ -214,6 +235,14 @@ class TestSignAccordSolve:
         assert not res.converged and res.method == "picard"
         assert np.all(np.isfinite(res.x))
         assert res.iterations < SolveOptions().max_iterations
+
+    def test_diverging_fallback_stops_early(self):
+        # The Picard fallback stops for divergence as picard_solve does,
+        # after 167 iterations in all.
+        res = sign_accord_solve(unsolvable_instance())
+        assert not res.converged and res.method == "picard"
+        assert np.all(np.isfinite(res.x)) and np.isfinite(res.final_step_norm)
+        assert res.iterations < 200
 
     def test_budget_counts_the_fallback(self):
         res = sign_accord_solve(AveProblem([[1.0]], [[2.0]], [1.0]),
