@@ -51,6 +51,8 @@ def _shifted_norms(problem, p):
 
 
 def _singular_gap_factor(problem, p):
+    # Past the inverse gate sigma_min(A) is rounding noise, not a gap.
+    problem.analysis.premise_inverse()
     smin_a = float(problem.analysis.singular_values("A")[-1])
     smax_b = float(problem.analysis.singular_values("B")[0])
     gap = smin_a - smax_b
@@ -135,7 +137,7 @@ def upper_factor(problem, method=NEUMANN, p=2):
     * ``neumann``: needs the spectral radius of |A^-1 B| (type1) or
       |B A^-1| (type2) below one; works in any supported norm.
     * ``singular_gap``: 1 / (smallest singular value of A - largest of B);
-      2-norm only.
+      needs A through the inverse gate; 2-norm only.
     * ``norm_ratio``: needs B invertible and the largest singular value of
       A^-1 B (B A^-1 for type2) below one; 2-norm only.
 

@@ -84,9 +84,11 @@ def _cmd_bounds(args):
         "identity_lower": report.identity_lower,
         "identity_upper": report.identity_upper,
     }
-    if args.at is not None:
+    applies = any(u.applicable for u in report.upper_factors)
+    if args.at is not None:     # read and checked even when no interval closes
         r_norm = numerics.p_norm(residual(problem, matrixio.load_vector(args.at)), p)
-        doc["interval"] = dataclasses.asdict(report.interval(r_norm))
+        if applies:
+            doc["interval"] = dataclasses.asdict(report.interval(r_norm))
     if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
@@ -103,7 +105,7 @@ def _cmd_bounds(args):
             iv = doc["interval"]
             print(f"error interval at --at point: [{iv['lower']:.10g}, {iv['upper']:.10g}] "
                   f"(residual {iv['residual_norm']:.10g}, method {iv['upper_method']})")
-    if not any(u.applicable for u in report.upper_factors):
+    if not applies:
         print("no upper-bound estimator applies", file=sys.stderr)
         return 2
     return 0

@@ -96,8 +96,10 @@ class ProblemAnalysis:
     factor and the series kernel.  Both are gated on their own 1-norm
     condition number (``numerics.gated_inverse``), not on singular values.
     K is formed once, by one matrix product, and kept read-only.  No bound
-    computes rho(|K|) itself.  A per-analysis lock makes concurrent callers
-    compute each quantity once.
+    computes rho(|K|) itself.  Norms of A and B come from
+    ``numerics.p_norm``; their singular spectra (``singular_values``) are
+    taken only for a factor that reads more than the largest value.  A
+    per-analysis lock makes concurrent callers compute each quantity once.
     """
 
     def __init__(self, A, B, form):
@@ -122,10 +124,9 @@ class ProblemAnalysis:
         return self.memoised(name, lambda: numerics.singular_values(getattr(self, name)))
 
     def norm(self, name, p):
-        """Induced p-norm of ``"A"`` or ``"B"`` (p already checked)."""
-        if p == 2:
-            return float(self.singular_values(name)[0])
-        return numerics.p_norm(getattr(self, name), p)
+        """Induced p-norm of ``"A"`` or ``"B"`` (p already checked), from
+        ``numerics.p_norm``: no singular spectrum is taken for it."""
+        return self.memoised(("norm", name, p), lambda: numerics.p_norm(getattr(self, name), p))
 
     def inverse(self, label="A"):
         """A^-1, read-only; SingularMatrixError (naming ``label``) unless it
@@ -134,6 +135,14 @@ class ProblemAnalysis:
         inv, cond = self.memoised("A_inv", lambda: numerics.gated_inverse(self.A))
         numerics.require_regular(cond, label)
         return inv
+
+    def premise_inverse(self):
+        """``inverse()`` for a bound whose premise needs A regular: a failed
+        gate is an InapplicableBoundError (condition ``"invertible_A"``)."""
+        try:
+            return self.inverse()
+        except SingularMatrixError as exc:
+            raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
 
     def _ratio(self):
         """K, read-only; A must have passed the gate."""
@@ -152,10 +161,7 @@ class ProblemAnalysis:
         and its Collatz-Wielandt certificate proves rho(|K|) < 1
         (``numerics.contraction_inverse``).  A singular I - |K| fails the
         certificate: 1 is then an eigenvalue of |K|."""
-        try:
-            self.inverse()
-        except SingularMatrixError as exc:
-            raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
+        self.premise_inverse()
         inv, cond, proven = self.memoised(
             "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
         if inv is not None:

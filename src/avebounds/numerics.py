@@ -4,10 +4,12 @@ Everything in this module works on plain numpy arrays of float64.  Inputs
 are validated once at the boundary (shape, finiteness) so the estimator
 code above it can assume well-formed data.
 
-Singular values (``singular_values``) and matrix 2-norms
-(``batched_norms``) of an exactly symmetric matrix come from one
-``eigvalsh``, the singular values being the |eigenvalues|; no SVD runs
-for them.  The route is read off the input, so there is nothing to set.
+Every induced matrix norm of the package comes from ``p_norm`` (a stack
+of matrices from ``batched_norms``; a 2-norm from one symmetric
+eigensolve, never an SVD), and every singular spectrum from
+``singular_values``.  An exactly symmetric matrix gets both from one
+``eigvalsh``, the singular values being the |eigenvalues|.  The route is
+read off the input, so there is nothing to set.
 """
 from __future__ import annotations
 

@@ -34,7 +34,7 @@ from avebounds import harness, perturbation, solver
 from avebounds.bounds import METHODS
 from avebounds.exceptions import AveBoundsError, InapplicableBoundError, SingularMatrixError
 
-from support import random_hplus_lcp, random_solvable
+from support import random_hplus_lcp, random_perturbation, random_solvable
 
 NORMS = (1, 2, np.inf)
 
@@ -327,15 +327,17 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     once.  Each of the six problems makes two inversions: A^-1, which the
     solver, K and the kernels share, and (I - |K|)^-1, which proves
     rho(|K|) < 1 and gives every Neumann factor.  A, B and their
-    perturbations are exactly symmetric here, so their singular values come
-    from ``eigvalsh``; the 2-norm of the nonsymmetric (I - |K'|)^-1 comes
-    from its Gram matrix.  Nothing calls ``svd`` or ``cond``.  Each of the
-    six problems is solved exactly: one LU solve after the start A^-1 b has
-    the sign pattern of its result, so Picard never runs.  ||dA||_2 and
-    ||dB||_2 are taken once for the size and scaled per cell (10 matrix
-    2-norms before), leaving 13.  The singular values and every matrix
-    2-norm make 25 ``eigvalsh`` calls in all, so each LAPACK call of the
-    table is pinned.
+    perturbations are exactly symmetric here, so their singular values and
+    2-norms come from ``eigvalsh``; the 2-norm of the nonsymmetric
+    (I - |K'|)^-1 comes from its Gram matrix.  Nothing calls ``svd`` or
+    ``cond``.  Each of the six problems is solved exactly: one LU solve
+    after the start A^-1 b has the sign pattern of its result, so Picard
+    never runs.  ||dA||_2 and ||dB||_2 are taken once for the size and
+    scaled per cell (10 matrix 2-norms before).  ||A||_2 and ||B||_2 of the
+    unperturbed pair are two more matrix 2-norms, 15 in all (13 when they
+    were read off the singular values).  The singular values and every
+    matrix 2-norm make 25 ``eigvalsh`` calls in all, so each LAPACK call of
+    the table is pinned.
     """
     counts = {}
     lock = threading.Lock()
@@ -367,7 +369,45 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) <= 6
     assert counts["eigvalsh"] == 25
-    assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 13
+    assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 15
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_relative_bound_takes_the_perturbed_spectra_only(monkeypatch, form):
+    """On a nonsymmetric pair ``general_relative_bound`` runs ``svd`` for
+    the singular values of A + dA and B + dB, which the truncated gap and
+    the norm ratio read.  ||A||_2 and ||B||_2 in w are matrix 2-norms, so
+    the unperturbed pair takes none (four SVDs before)."""
+    rng = np.random.default_rng(35)
+    problem = random_solvable(rng, 40, form=form)
+    pert = random_perturbation(rng, 40, 1e-4)
+    assert not np.array_equal(problem.A, problem.A.T)
+    assert not np.array_equal(problem.B, problem.B.T)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: shapes.append(a.shape) or svd(a, *args, **kw))
+    report = general_relative_bound(problem, pert)
+    assert report.tau is not None and report.upsilon is not None
+    assert shapes == [(40, 40), (40, 40)]
+
+
+def test_norm_is_p_norm_once_per_analysis(monkeypatch):
+    """``ProblemAnalysis.norm`` is ``numerics.p_norm`` of A or B for every
+    p, taken once per analysis, and reads no singular values."""
+    rng = np.random.default_rng(36)
+    A, B = rng.normal(size=(20, 20)), rng.normal(size=(20, 20))
+    analysis = AveProblem(A, B, np.ones(20)).analysis
+    want = {(name, p): numerics.p_norm(matrix, p)
+            for name, matrix in (("A", A), ("B", B)) for p in NORMS}
+    calls = []
+    p_norm = numerics.p_norm
+    monkeypatch.setattr(numerics, "p_norm", lambda m, p: calls.append(p) or p_norm(m, p))
+    monkeypatch.setattr(analysis, "singular_values", lambda name: pytest.fail(name))
+    for _ in range(2):
+        for (name, p), value in want.items():
+            assert analysis.norm(name, p) == value
+    assert sorted(calls) == sorted(NORMS * 2)     # once for A and once for B
 
 
 def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):

@@ -103,6 +103,24 @@ class TestUpperFactor:
             upper_factor(p, SINGULAR_GAP)
         assert exc.value.condition == "singular_value_gap"
 
+    @pytest.mark.parametrize("A", [
+        np.ones((3, 3)),
+        np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+    ], ids=["ones", "rank_one"])
+    def test_gap_needs_invertible_A(self, A):
+        # sigma_min(A) of an exactly singular A is rounding noise (about
+        # 1e-17 for ones((3, 3))), not a gap above sigma_max(B) = 0.
+        p = AveProblem(A, np.zeros((3, 3)), np.ones(3))
+        with pytest.raises(InapplicableBoundError) as exc:
+            upper_factor(p, SINGULAR_GAP)
+        assert exc.value.condition == "invertible_A"
+        report = error_bound_report(p)
+        assert report.best_upper() is None
+        assert not any(u.applicable for u in report.upper_factors)
+        with pytest.raises(InapplicableBoundError) as exc:
+            error_interval(p, np.zeros(3))
+        assert exc.value.condition == "no_applicable_estimator"
+
     def test_ratio_needs_invertible_B(self):
         p = AveProblem(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(InapplicableBoundError) as exc:

@@ -121,6 +121,36 @@ class TestBoundsCommand:
         assert code == 2
         assert "no upper-bound estimator applies" in captured.err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_nothing_applicable_at_point_prints_the_report(self, mtx, capsys, fmt):
+        # x - 2|x| = 1 has no solution: with --at, as without it, the
+        # report is printed and no interval is closed.
+        code = main(["bounds", "--a", mtx("a", [[1.0]]), "--b", mtx("b", [[2.0]]),
+                     "--rhs", mtx("rhs", [1.0]), "--at", mtx("x", [0.5]), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "no upper-bound estimator applies\n"
+        if fmt == "json":
+            doc = json.loads(captured.out)
+            assert "interval" not in doc
+            assert not any(u["applicable"] for u in doc["upper_factors"])
+        else:
+            assert captured.out.startswith("lower factor (norm 2): 3\n")
+            assert "upper factor [neumann]: inapplicable" in captured.out
+            assert "error interval" not in captured.out
+
+    @pytest.mark.parametrize("a", [
+        np.ones((3, 3)),
+        np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0]),
+    ], ids=["ones", "rank_one"])
+    def test_singular_a_has_no_estimator(self, mtx, capsys, a):
+        code = main(["bounds", "--a", mtx("a", a), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        factors = {u["method"]: u for u in json.loads(captured.out)["upper_factors"]}
+        assert not any(u["applicable"] for u in factors.values())
+        assert "singular to working precision" in factors["singular_gap"]["reason"]
+
     def test_complex_rhs_file_exit_code(self, mtx, tmp_path, capsys):
         rhs = tmp_path / "rhs.mtx"
         rhs.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 -1\n")
@@ -177,6 +207,17 @@ class TestPerturbCommand:
                      "--da", mtx("da", [[0.01]])])
         assert code == 1
         assert "dA has shape (1, 1), expected (4, 4)" in capsys.readouterr().err
+
+
+    def test_perturbed_nonconvergence_exit_code(self, mtx, capsys):
+        # 2x - |x| = 3 is solved by x = 3; 2x - 3|x| = 3 has no solution.
+        code = main(["perturb", "--a", mtx("a", [[2.0]]), "--b", mtx("b", [[1.0]]),
+                     "--rhs", mtx("rhs", [3.0]), "--db", mtx("db", [[2.0]]),
+                     "--max-iter", "30"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: solver did not converge on the perturbed problem")
 
 
 class TestLcpCommand:

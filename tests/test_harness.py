@@ -278,6 +278,11 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit(synthetic_table(), "yaml")
 
+    def test_markdown_table_is_titled(self):
+        text = emit(reproduce_table(1), "markdown").decode()
+        assert text.startswith("# benchmark table 1, tridiag family\n")
+        assert "## n = 30" in text
+
     def test_json_table_is_byte_reproducible(self, monkeypatch):
         # The clock moves between the two runs; the bytes do not.
         ticks = iter(range(1_700_000_000, 1_800_000_000, 3600))

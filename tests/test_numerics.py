@@ -502,6 +502,13 @@ class TestShapeHelpers:
         with pytest.raises(ValueError):
             numerics.as_vector([1.0, np.nan])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_matrix_names_a_non_finite_matrix(self, bad):
+        with pytest.raises(ValueError, match="^A: entries must be finite$"):
+            numerics.as_matrix([[1.0, bad], [0.0, 1.0]], "A")
+        with pytest.raises(ValueError, match="^A: entries must be finite$"):
+            AveProblem([[1.0, bad], [0.0, 1.0]], np.eye(2), np.ones(2))
+
     def test_as_square_rejects_rectangular(self):
         with pytest.raises(ValueError):
             numerics.as_square(np.zeros((2, 3)))

@@ -403,6 +403,25 @@ class TestPerturbationExperiment:
         assert rec.delta is None
         assert rec.r is not None and rec.tau is not None
 
+    def test_delta_is_none_when_its_denominator_fails(self):
+        # 2x - |x| = 3: the damped kernel is (1 - 1/2) / 2 = 1/4, so
+        # eps ||K (|A| + |B|)|| = 10 * 3/4 >= 1 and delta does not apply.
+        p = AveProblem([[2.0]], [[1.0]], [3.0])
+        pert = Perturbation([[0.01]], [[0.01]], [0.01], epsilon=10.0)
+        with pytest.raises(InapplicableBoundError) as exc:
+            componentwise_bound(p, [3.0], 10.0)
+        assert exc.value.condition == "denominator"
+        rec = perturbation_experiment(p, pert)
+        assert rec.epsilon == 10.0 and rec.delta is None
+        assert rec.r is not None and rec.tau is not None
+
+    def test_zero_solution_raises(self):
+        # b = 0 gives x* = 0, against which no relative error is defined.
+        p = AveProblem([[2.0]], [[1.0]], [0.0])
+        pert = Perturbation([[0.01]], [[0.01]], [0.01])
+        with pytest.raises(ValueError, match=r"relative error is undefined for x\* = 0"):
+            perturbation_experiment(p, pert)
+
     def test_solver_failure_raises(self):
         p = AveProblem([[1.0]], [[2.0]], [1.0])
         zero = Perturbation([[0.0]], [[0.0]], [0.0])

@@ -78,6 +78,17 @@ class TestPicardSolve:
         assert 2.0**52 * first < res.final_step_norm < np.inf
         assert res.iterations == 164
 
+    def test_overflowing_first_step_is_an_outcome(self):
+        # x - 3|x| = 1e300 has no solution.  The first step from x = 0 is
+        # b itself, whose 2-norm overflows: the solver stops there with the
+        # last finite iterate and an infinite step norm.
+        p = AveProblem(np.eye(2), 3.0 * np.eye(2), [1e300, 1e300])
+        res = picard_solve(p)
+        assert not res.converged
+        assert res.iterations == 1 and res.final_step_norm == np.inf
+        assert np.array_equal(res.x, [0.0, 0.0])
+        assert res.final_residual_norm == pytest.approx(np.sqrt(2.0) * 1e300, rel=1e-15)
+
     def test_transient_growth_still_converges(self):
         # x >= 0 throughout, so the iteration is x <- K x + b with K = B
         # upper bidiagonal: diagonal 1/2, superdiagonal 100.  rho(K) = 1/2,
@@ -243,6 +254,28 @@ class TestSignAccordSolve:
         assert not res.converged and res.method == "picard"
         assert np.all(np.isfinite(res.x)) and np.isfinite(res.final_step_norm)
         assert res.iterations < 200
+
+    def test_singular_member_falls_back_to_picard(self):
+        # A^-1 b = (1/2, 1/2) gives s = (+1, +1), and A - B = [[1, 1], [1, 1]]
+        # is exactly singular: its LU solve raises LinAlgError.  Picard,
+        # warm-started there, finds the solution (1/2, 1/2) in one step.
+        problem = AveProblem(2.0 * np.eye(2), [[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0])
+        res = sign_accord_solve(problem)
+        assert (res.converged, res.method, res.iterations) == (True, "picard", 2)
+        assert np.array_equal(res.x, [0.5, 0.5]) and res.final_residual_norm == 0.0
+
+    def test_non_finite_solve_falls_back_to_picard(self):
+        # x - (1 - 2**-52)|x| = 1e300: A^-1 b = 1e300, and the member for
+        # s = +1 is 2**-52, so its solve overflows to inf.  The start and
+        # that solve count as two iterations; Picard goes on from the start
+        # with the rest of the budget.  No solution exists.
+        problem = AveProblem([[1.0]], [[1.0 - 2.0**-52]], [1e300])
+        res = sign_accord_solve(problem, SolveOptions(max_iterations=10))
+        fallback = picard_solve(problem, SolveOptions(initial=[1e300], max_iterations=8))
+        assert not res.converged and res.method == "picard"
+        assert res.iterations == 2 + fallback.iterations
+        assert np.array_equal(res.x, fallback.x) and np.all(np.isfinite(res.x))
+        assert res.final_step_norm == fallback.final_step_norm
 
     def test_budget_counts_the_fallback(self):
         res = sign_accord_solve(AveProblem([[1.0]], [[2.0]], [1.0]),
