@@ -26,10 +26,8 @@ VERDICT_PROVEN = "proven_unique"
 VERDICT_INCONCLUSIVE = "inconclusive"
 VERDICT_FAILS = "fails_all_sufficient_conditions"
 
-# The Gray-code walk of the sign box hands the call to the direct scan on a
-# flip ratio |r| <= _FLIP_GUARD, on a walked |det| within a factor
-# _NEAR_FLOOR of the floor, or when a batch rebuilt every _ANCHOR_STEPS
-# steps differs from its walked inverses by more than _ANCHOR_RTOL.
+# Segment length and the thresholds by which the Gray-code walk of the sign
+# box vouches for a segment (``_segment_walk``).
 _FLIP_GUARD = 1e-8
 _NEAR_FLOOR = 2.0**10
 _ANCHOR_STEPS = 64
@@ -306,11 +304,6 @@ def _vertex_check(A, B, index, left, low, sign):
     return block, stack, signs, logdets, bad
 
 
-def _scaled(inverses, d, zero_one):
-    """L^-1 diag(|d|) for a batch of inverses and their vertices."""
-    return inverses * d[:, None, :] if zero_one else inverses  # |d| = 1 on {-1, 1}**n
-
-
 def _two_norm_bound(stack):
     """Upper bounds on the 2-norms of a stack of square matrices, within a
     factor n**(1/16) of them: with G = X^T X, ||X||_2^16 = lambda_max(G)^8
@@ -323,44 +316,52 @@ def _two_norm_bound(stack):
     return scale * np.linalg.norm(gram, axis=(1, 2)) ** (1.0 / 16.0)
 
 
-def _direct_scan(A, B, left, p, zero_one):
-    """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair, from
-    the walk's batches of 2**(n // 2) members in bit order, each built,
-    tested and inverted directly; the arbiter of ``_gray_walk``."""
+def _topped(peak, top, inverses, block, p, zero_one):
+    """``(peak, top)`` raised to the largest ||L^-1 diag(|d|)||_p of a batch
+    of inverses and its row of ``block``, where that tops ``peak``; at p = 2
+    only members whose ``_two_norm_bound`` can top it get an eigensolve."""
+    members = inverses * block[:, None, :] if zero_one else inverses  # |d| = 1 on {-1, 1}**n
+    if p == 2:
+        can_top = _two_norm_bound(members) * (1.0 + 1e-10) > peak
+        members, block = members[can_top], block[can_top]
+    if len(block):
+        norms = numerics.batched_norms(members, p)
+        k = np.argmax(norms)
+        if norms[k] > peak:
+            return norms[k], block[k].copy()
+    return peak, top
+
+
+def _direct_segment(A, B, left, p, zero_one, batches, sign, peak, top):
+    """``(witness, state)`` of the ``batches`` (a range) built, tested and
+    inverted directly in bit order (without ``p`` only the last): the first
+    vertex failing its tests, or None and the walk's state at the last."""
     n, low = A.shape[0], (0.0 if zero_one else -1.0)
-    size = 2**(n // 2)
-    sign, peak = 0.0, 0.0
-    for start in range(0, 2**n, size):
-        index = np.arange(start, start + size)
-        block, stack, signs, _, bad = _vertex_check(A, B, index, left, low, sign)
-        sign = sign or signs[0]
+    for batch in batches:
+        block, stack, signs, logdets, bad = _vertex_check(
+            A, B, np.arange(batch << n // 2, (batch + 1) << n // 2), left, low, sign)
         if np.any(bad):
-            return block[np.argmax(bad)], math.inf
+            return block[np.argmax(bad)], None
+        if p is not None or batch == batches[-1]:
+            inverses = np.linalg.inv(stack)
         if p is not None:
-            members = _scaled(np.linalg.inv(stack), block, zero_one)
-            peak = max(peak, float(numerics.batched_norms(members, p).max()))
-    return None, peak
+            peak, top = _topped(peak, top, inverses, block, p, zero_one)
+    return None, (block, inverses, signs, logdets, batch, peak, top)
 
 
-def _gray_walk(A, B, left, p, zero_one):
-    """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair, or None
-    when the walk cannot vouch for it and the direct scan must decide.
+def _segment_walk(A, B, left, p, zero_one):
+    """``(witness, peak)`` of ``sign_box_scan`` on the scaled pair.
 
-    The 2**h vertices of the low h = n // 2 bits (the first in bit order)
-    are built and tested directly, and inverted once they pass; a witness
-    among them is the direct scan's.  The other bits are walked in
-    Gray-code order, each step one ``flip_update`` of the whole batch,
-    with signs and log-determinants carried by the ratios and the
-    Hadamard bound recomputed.  Every ``_ANCHOR_STEPS`` steps and at the
-    end the batch is rebuilt, tested and inverted directly, and the walk
-    goes on from there.  It hands over on any vertex failing its tests, a
-    walked |det| within ``_NEAR_FLOOR`` of the floor, a ratio |r| at most
-    ``_FLIP_GUARD``, or walked inverses more than ``_ANCHOR_RTOL`` (max
-    entry, relative) from the rebuilt ones.
-
-    The peak is the largest walked norm; at p = 2 only members whose
-    ``_two_norm_bound`` can top it get an eigensolve.  Its value is read
-    again from a direct inverse at the vertex that attains it.
+    Batch g holds vertices g 2**h .. (g + 1) 2**h - 1 (h = n // 2); batch
+    0 is built directly.  A segment is entered from the last batch of the
+    one before by flipping the bits in which they differ, then walked in
+    Gray-code order, one ``flip_update`` of the whole batch per step, with
+    signs and log-determinants carried by the ratios and the Hadamard bound
+    recomputed; its last batch is rebuilt directly.  A vertex failing its
+    tests, a walked |det| within ``_NEAR_FLOOR`` of the floor, a ratio |r|
+    at most ``_FLIP_GUARD`` or a rebuilt batch more than ``_ANCHOR_RTOL``
+    (max entry, relative) from the walked inverses sends the segment to
+    ``_direct_segment``.  The peak is read again from a direct inverse.
     """
     n, low = A.shape[0], (0.0 if zero_one else -1.0)
     h = n // 2
@@ -368,7 +369,7 @@ def _gray_walk(A, B, left, p, zero_one):
     block, stack, signs, logdets, bad = _vertex_check(A, B, index, left, low, 0.0)
     if np.any(bad):
         return block[np.argmax(bad)], math.inf
-    sign, inverses = signs[0], None
+    sign, inverses = signs[0], np.linalg.inv(stack)
     # Entry (i, k) of a member moves with d_k (d_i when left): the squared
     # column norms split into a per-member part over the low bits and a
     # part over the walked bits, shared by the batch.
@@ -376,49 +377,49 @@ def _gray_walk(A, B, left, p, zero_one):
     upper = upper[:, None] if left else upper[None, :]
     low_squares = (stack**2 * ~upper).sum(axis=1)
     log_floor = math.log(n * _EPS * _NEAR_FLOOR)
-    peak, top, gray, steps = 0.0, block[0].copy(), 0, 2**(n - h)
-    for step in range(steps):
-        if step:
-            bit = (step & -step).bit_length() - 1
-            gray ^= 1 << bit
-            j, value = h + bit, (1.0 if gray >> bit & 1 else low)
-            ratio = flip_update(inverses, B, j, value - block[0, j], left)
-            if np.abs(ratio).min() <= _FLIP_GUARD:
-                return None
-            block[:, j] = value
-        if step % _ANCHOR_STEPS == 0 or step == steps - 1:
-            if step:
+    batches, batch, peak, top = 2**(n - h), 0, 0.0, block[0].copy()
+    for first in range(0, batches, _ANCHOR_STEPS):
+        last, entry, vouched = min(first + _ANCHOR_STEPS, batches) - 1, (peak, top), True
+        low_bits = batch % _ANCHOR_STEPS    # so entering flips segment bits only
+        for step in range(last + 1 - first):
+            target = first | (step ^ step >> 1 ^ low_bits)
+            changed, batch = batch ^ target, target
+            while vouched and changed:      # one bit inside a segment
+                bit = (changed & -changed).bit_length() - 1
+                changed ^= 1 << bit
+                j, value = h + bit, (1.0 if target >> bit & 1 else low)
+                ratio = flip_update(inverses, B, j, value - block[0, j], left)
+                vouched = np.abs(ratio).min() > _FLIP_GUARD
+                if vouched:
+                    block[:, j] = value
+                    signs, logdets = signs * np.sign(ratio), logdets + np.log(np.abs(ratio))
+            if vouched and first + step == last:
                 _, stack, signs, logdets, bad = _vertex_check(
-                    A, B, index + (gray << h), left, low, sign)
-                if np.any(bad):
-                    return None
-            walked_inverses, inverses = inverses, np.linalg.inv(stack)
-            if walked_inverses is not None and np.any(
-                    np.abs(walked_inverses - inverses).max(axis=(1, 2))
-                    > _ANCHOR_RTOL * np.abs(inverses).max(axis=(1, 2))):
-                return None
-        else:
-            signs = signs * np.sign(ratio)
-            logdets = logdets + np.log(np.abs(ratio))
-            upper_squares = (sign_member(A, B, block[0], left)**2 * upper).sum(axis=0)
-            with np.errstate(divide="ignore"):
-                log_hadamard = 0.5 * np.log(low_squares + upper_squares).sum(axis=1)
-            if np.any((signs != sign) | ~(logdets > log_hadamard + log_floor)):
-                return None
-        if p is not None:
-            members, vertices = _scaled(inverses, block, zero_one), block
-            if p == 2:                      # an eigensolve only where it can top the peak
-                can_top = _two_norm_bound(members) * (1.0 + 1e-10) > peak
-                members, vertices = members[can_top], block[can_top]
-            if len(vertices):
-                norms = numerics.batched_norms(members, p)
-                k = np.argmax(norms)
-                if norms[k] > peak:
-                    peak, top = norms[k], vertices[k].copy()
+                    A, B, index + (batch << h), left, low, sign)
+                vouched = not np.any(bad)
+                if vouched:
+                    walked, inverses = inverses, np.linalg.inv(stack)
+                    vouched = not np.any(np.abs(walked - inverses).max(axis=(1, 2))
+                                         > _ANCHOR_RTOL * np.abs(inverses).max(axis=(1, 2)))
+            elif vouched and batch:         # batch 0 was tested when built
+                upper_squares = (sign_member(A, B, block[0], left)**2 * upper).sum(axis=0)
+                with np.errstate(divide="ignore"):
+                    log_hadamard = 0.5 * np.log(low_squares + upper_squares).sum(axis=1)
+                vouched = not np.any((signs != sign) | ~(logdets > log_hadamard + log_floor))
+            if not vouched:
+                break
+            if p is not None:
+                peak, top = _topped(peak, top, inverses, block, p, zero_one)
+        if not vouched:
+            witness, state = _direct_segment(
+                A, B, left, p, zero_one, range(first, last + 1), sign, *entry)
+            if witness is not None:
+                return witness, math.inf
+            block, inverses, signs, logdets, batch, peak, top = state
     if p is None:
         return None, 0.0
-    member = _scaled(np.linalg.inv(sign_member(A, B, top, left))[None], top[None], zero_one)
-    return None, float(numerics.batched_norms(member, p)[0])
+    inverse = np.linalg.inv(sign_member(A, B, top, left))[None]
+    return None, float(_topped(0.0, top, inverse, top[None], p, zero_one)[0])
 
 
 def sign_box_scan(A, B, left=False, p=None, zero_one=False):
@@ -439,17 +440,15 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     ``peak`` is None without ``p``, +inf with a witness, and otherwise the
     vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.
 
-    The vertices are walked in Gray-code order with rank-one updates
-    (``_gray_walk``), holding one batch of 2**(n // 2) members and their
-    inverses.  Whenever the walk cannot vouch for its answer (a vertex
-    failing the tests, a small flip ratio, drift from a rebuilt batch) the
-    whole call goes to the direct scan, which builds, tests and inverts
-    batches of the same 2**(n // 2) members in bit order and inverts a
-    batch only after its determinants pass.  So the witness is always the
-    first in bit order, and the verdict is the direct scan's; the scan
-    stops after the batch holding it.  A witness among the first
-    2**(n // 2) vertices ends the call before any inverse is formed.
-    Memory is bounded by one batch on both passes.
+    The vertices are read in batches of 2**(n // 2) members, in segments
+    of ``_ANCHOR_STEPS`` batches taken in bit order.  A segment is walked
+    with rank-one updates (``_segment_walk``) or, where the walk cannot
+    vouch for it, built, tested and inverted directly, a batch inverted
+    only after its determinants pass.  Every segment before it has passed,
+    so the witness is always the first in bit order, and the scan stops
+    after the batch holding it.  A witness among the first 2**(n // 2)
+    vertices ends the call before any inverse is formed.  Memory is
+    bounded by one batch.
     """
     n = A.shape[0]
     if n > SIGN_BOX_LIMIT:
@@ -459,7 +458,7 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     # and 2**-k scales the inverse norms back exactly.
     exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
     A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
-    witness, peak = _gray_walk(A, B, left, p, zero_one) or _direct_scan(A, B, left, p, zero_one)
+    witness, peak = _segment_walk(A, B, left, p, zero_one)
     return witness, (None if p is None else float(np.ldexp(peak, -exponent)))
 
 

@@ -178,11 +178,11 @@ def sign_accord_solve(problem, options=None):
         if pattern in seen:
             break
         seen.add(pattern)
+        iterations += 1
         try:
             x_next = np.linalg.solve(sign_member(A, B, s, not type_one), b)
         except np.linalg.LinAlgError:
             break
-        iterations += 1
         if not np.all(np.isfinite(x_next)):
             break
         with np.errstate(over="ignore"):

@@ -149,8 +149,8 @@ def test_vertex_maximum_is_exact_and_dominates_interior_samples():
     assert worst <= 1e-12, worst
 
 
-# n = 13: the walk and the direct scan both read the 2**13 vertices in
-# 128 batches of 2**(13 // 2) = 64 members.
+# n = 13: the walk reads the 2**13 vertices in 128 batches of
+# 2**(13 // 2) = 64 members, two segments of core._ANCHOR_STEPS batches.
 CHUNKED_N = 13
 
 
@@ -174,17 +174,19 @@ def test_sign_flip_between_chunks_is_found(monkeypatch):
     assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0]) and peak == np.inf
     calls = _count_inverses(monkeypatch)
     assert brute_force_alpha(AveProblem(A, B, np.zeros(n))) == np.inf
-    # The walk inverts its batch of the low n // 2 bits and meets the sign
-    # change when it flips d_13; the direct scan then inverts batches 0-63
-    # and stops in batch 64.
-    assert calls == [(2 ** (n // 2), n, n)] * 65
+    # The walk inverts its batch of the low n // 2 bits and the rebuilt
+    # last batch of segment 0, and meets the sign change when it flips d_13
+    # to enter segment 1; the direct scan of segment 1 stops in its first
+    # batch, 64, before inverting it.
+    assert calls == [(2 ** (n // 2), n, n)] * 2
     assert solvability_report(AveProblem(A, B, np.zeros(n))).verdict == VERDICT_INCONCLUSIVE
 
 
 def test_direct_scan_stops_at_the_batch_of_the_first_witness(monkeypatch):
-    # The same box: the walk tests its first batch and the rebuilt one at
-    # step 64, the direct scan batches 0-64, every one of 2**(n // 2)
-    # members, and nothing after the batch holding vertex 4096.
+    # The same box: the walk tests its first batch and the rebuilt last
+    # batch of segment 0, the direct scan of segment 1 its first batch,
+    # every one of 2**(n // 2) members, and nothing after the batch holding
+    # vertex 4096.
     n = CHUNKED_N
     A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
     sizes = []
@@ -192,7 +194,7 @@ def test_direct_scan_stops_at_the_batch_of_the_first_witness(monkeypatch):
     monkeypatch.setattr(np.linalg, "slogdet", lambda a: sizes.append(len(a)) or slogdet(a))
     witness, _ = sign_box_scan(A, B)
     assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0])
-    assert sizes == [2 ** (n // 2)] * 67 and sum(sizes) == 4288
+    assert sizes == [2 ** (n // 2)] * 3 and sum(sizes) == 192
 
 
 def test_witness_in_first_chunk_forms_no_inverse(monkeypatch):
@@ -255,8 +257,8 @@ def test_memory_is_bounded_by_one_batch():
     # LAPACK's copies of them: eight copies take 4.5 MiB at n = 17, where a
     # 2**n x n vertex array alone would take 17.8 MB.  The column W pair is
     # walked; on the late-witness box every vertex with d_17 = 1 is
-    # singular-signed, so the walk hands over and the direct scan reads
-    # half the box before its first witness.
+    # singular-signed, so the walk passes the first half of the box and
+    # the direct scan of the next segment stops in its first batch.
     n = 17
     M = random_hplus_lcp(np.random.default_rng(17), n).M
     A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
@@ -293,13 +295,14 @@ def _enumerated(A, B, left=False, p=None, zero_one=False):
 
 
 def _count_direct_scans(monkeypatch):
+    """The batch ranges of the segments built and tested directly."""
     calls = []
-    direct = core._direct_scan
+    direct = core._direct_segment
 
     def counted(*args):
-        calls.append(args[0].shape[0])
+        calls.append(args[5])
         return direct(*args)
-    monkeypatch.setattr(core, "_direct_scan", counted)
+    monkeypatch.setattr(core, "_direct_segment", counted)
     return calls
 
 
@@ -333,10 +336,29 @@ def test_walk_matches_an_independent_enumeration(n, monkeypatch):
     assert direct == []
 
 
+def _late_witness_pair(rng, n, left, zero_one):
+    """A pair whose determinant at d is det(P) (w1 (1 - d_{n-1}) - t +
+    sum_k beta_k d_k), from a bordered identity times a random P: positive
+    at d_{n-1} = 0 or -1, and below the threshold t on about one in 20
+    vertices with d_{n-1} = 1, mostly deep in their bit order since the
+    weights beta_k grow like 1.3**k."""
+    beta = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.5, 1.0, n - 1) * 1.3 ** np.arange(n - 1)
+    sums = np.sort(box_vertices(n - 1, low=0.0 if zero_one else -1.0) @ beta)
+    t = sums[len(sums) // 20: len(sums) // 20 + 2].mean()
+    w1 = t - sums[0] + 1.0
+    A, B = np.eye(n), np.zeros((n, n))
+    A[:-1, -1], A[-1, -1] = 1.0, w1 - t
+    B[-1, :-1], B[-1, -1] = beta, w1
+    P = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    return (A.T @ P, B.T @ P) if left else (P @ A, P @ B)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_walk_witness_is_the_first_in_bit_order(seed):
     # Random pairs whose box holds singular members: the witness is the
-    # enumeration's, wherever the walk met its first failing vertex.
+    # enumeration's, wherever the walk met its first failing vertex.  At
+    # n = 13 and 14 the first witness lies in segment 1, past the 64
+    # batches of segment 0.
     rng = np.random.default_rng(seed)
     for n in range(2, 12):
         A = rng.standard_normal((n, n)) + rng.uniform(0.0, 2.0 * np.sqrt(n)) * np.eye(n)
@@ -344,6 +366,14 @@ def test_walk_witness_is_the_first_in_bit_order(seed):
         for left in (False, True):
             for zero_one in (False, True):
                 expect = _enumerated(A, B, left, 2, zero_one)
+                _assert_same_answer(sign_box_scan(A, B, left, 2, zero_one), expect)
+    for n in (13, 14):
+        for left in (False, True):
+            for zero_one in (False, True):
+                A, B = _late_witness_pair(rng, n, left, zero_one)
+                expect = _enumerated(A, B, left, 2, zero_one)
+                index = np.flatnonzero(expect[0] == 1.0)
+                assert (1 << index).sum() >= core._ANCHOR_STEPS * 2 ** (n // 2)
                 _assert_same_answer(sign_box_scan(A, B, left, 2, zero_one), expect)
 
 
@@ -362,7 +392,7 @@ def test_singular_vertex_met_mid_walk_gives_the_first_in_bit_order(form, monkeyp
     direct = _count_direct_scans(monkeypatch)
     witness, peak = sign_box_scan(A, B, left, np.inf)
     assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0]) and peak == np.inf
-    assert direct == [n]
+    assert direct == [range(2 ** (n - n // 2))]
     _assert_same_answer((witness, peak), _enumerated(A, B, left, np.inf))
 
 
@@ -396,7 +426,7 @@ def test_ill_conditioned_or_near_floor_pair_takes_the_direct_scan(epsilons, monk
         expect = _enumerated(A, B, False, p)
         assert expect[0] is None
         _assert_same_answer(sign_box_scan(A, B, False, p), expect)
-        assert direct == [n] and len(flips) == 2 ** (n - n // 2 - 1)
+        assert direct == [range(2 ** (n - n // 2))] and len(flips) == 2 ** (n - n // 2 - 1)
         direct.clear(), flips.clear()
 
 
@@ -454,8 +484,34 @@ def test_drift_from_the_rebuilt_batch_takes_the_direct_scan(form, monkeypatch):
         expect = _enumerated(problem.A, problem.B, left, p)
         assert expect[0] is None
         _assert_same_answer(sign_box_scan(problem.A, problem.B, left, p), expect)
-        assert direct == [n]
+        assert direct == [range(2 ** (n - n // 2))]
         direct.clear()
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_drift_in_segment_one_redoes_that_segment_alone(form, monkeypatch):
+    # From the 64th flip on, the first that enters segment 1, every flip
+    # also scales the walked inverses by 1 + 1e-9.  Segment 0 is vouched
+    # for; the rebuilt last batch of segment 1 is about 6e-8 (relative)
+    # from the walked one, so only batches 64-127 are built directly.
+    n = CHUNKED_N
+    problem = regular_sign_family(np.random.default_rng(12), n, form)
+    left, flips = form == TYPE_TWO, []
+
+    def drifting(inverses, *args):
+        ratio = flip_update(inverses, *args)
+        flips.append(args[1])
+        if len(flips) >= core._ANCHOR_STEPS:
+            inverses *= 1.0 + 1e-9
+        return ratio
+    direct = _count_direct_scans(monkeypatch)
+    monkeypatch.setattr(core, "flip_update", drifting)
+    for p in (None, 2):
+        expect = _enumerated(problem.A, problem.B, left, p)
+        assert expect[0] is None
+        _assert_same_answer(sign_box_scan(problem.A, problem.B, left, p), expect)
+        assert direct == [range(64, 128)]
+        direct.clear(), flips.clear()
 
 
 def test_two_norm_bound_brackets_the_norm():

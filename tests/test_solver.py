@@ -257,11 +257,12 @@ class TestSignAccordSolve:
 
     def test_singular_member_falls_back_to_picard(self):
         # A^-1 b = (1/2, 1/2) gives s = (+1, +1), and A - B = [[1, 1], [1, 1]]
-        # is exactly singular: its LU solve raises LinAlgError.  Picard,
-        # warm-started there, finds the solution (1/2, 1/2) in one step.
+        # is exactly singular: its LU solve raises LinAlgError.  The start
+        # and that solve count as two iterations; Picard, warm-started
+        # there, finds the solution (1/2, 1/2) in one step.
         problem = AveProblem(2.0 * np.eye(2), [[1.0, -1.0], [-1.0, 1.0]], [1.0, 1.0])
         res = sign_accord_solve(problem)
-        assert (res.converged, res.method, res.iterations) == (True, "picard", 2)
+        assert (res.converged, res.method, res.iterations) == (True, "picard", 3)
         assert np.array_equal(res.x, [0.5, 0.5]) and res.final_residual_norm == 0.0
 
     def test_non_finite_solve_falls_back_to_picard(self):
