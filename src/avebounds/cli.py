@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 when a requested bound is inapplicable to the
-data, 3 when the solver fails to converge, 1 for other input errors.
+Exit codes: 0 on success, 2 from ``bounds`` when no upper-bound estimator
+applies (and from argparse on a usage error), 3 when the solver fails to
+converge, 1 for other input errors.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .complementarity import (
     recover_solution,
 )
 from .core import AveProblem, TYPE_ONE, TYPE_TWO, residual
-from .exceptions import InapplicableBoundError, NonConvergenceError, SingularMatrixError
+from .exceptions import NonConvergenceError, SingularMatrixError
 from .harness import FORMATS, TableOutput, emit, reproduce_table
 from .perturbation import Perturbation, perturbation_experiment
 from .solver import SolveOptions, sign_accord_solve
@@ -241,9 +242,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InapplicableBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -309,8 +309,7 @@ def _two_norm_bound(stack):
     factor n**(1/16) of them: with G = X^T X, ||X||_2^16 = lambda_max(G)^8
     <= ||G^8||_F.  Each X is scaled by its largest entry first, so G^8
     neither overflows nor loses its largest eigenvalue to underflow."""
-    scale, scaled = numerics.scaled_by_largest_entry(stack)
-    gram = scaled.transpose(0, 2, 1) @ scaled
+    scale, gram = numerics.scaled_gram(stack)
     for _ in range(3):
         gram = gram @ gram
     return scale * np.linalg.norm(gram, axis=(1, 2)) ** (1.0 / 16.0)

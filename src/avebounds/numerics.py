@@ -6,9 +6,10 @@ code above it can assume well-formed data.
 
 Every induced matrix norm of the package comes from ``p_norm`` (a stack
 of matrices from ``batched_norms``; a 2-norm from one symmetric
-eigensolve, never an SVD), and every singular spectrum from
-``singular_values``.  An exactly symmetric matrix gets both from one
-``eigvalsh``, the singular values being the |eigenvalues|.  The route is
+eigensolve of a ``scaled_gram``, never an SVD), and every singular
+spectrum from ``singular_values``.  Only singular spectra have a second
+route: an exactly symmetric matrix gets its singular values, the
+|eigenvalues|, from one ``eigvalsh`` of the matrix itself.  The route is
 read off the input, so there is nothing to set.
 """
 from __future__ import annotations
@@ -97,34 +98,29 @@ def p_norm(obj, p=2):
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
 
 
-def scaled_by_largest_entry(stack):
-    """``(s, stack / s)`` with ``s`` the largest |entry| of each matrix in a
-    stack of shape (k, m, n); a zero matrix is divided by 1."""
+def scaled_gram(stack):
+    """``(s, G)`` for a stack of shape (k, m, n): ``s`` the largest |entry| of
+    each matrix and ``G`` the Gram matrix, on its smaller side, of each matrix
+    divided by it (a zero matrix by 1)."""
     s = np.abs(stack).max(axis=(1, 2))
-    return s, stack / np.where(s > 0.0, s, 1.0)[:, None, None]
+    scaled = stack / np.where(s > 0.0, s, 1.0)[:, None, None]
+    flipped = scaled.transpose(0, 2, 1)
+    return s, (flipped @ scaled if stack.shape[1] >= stack.shape[2] else scaled @ flipped)
 
 
 def batched_norms(stack, p):
     """Induced p-norms of every matrix in a stack of shape (k, m, n).
 
-    ``p`` must already be checked.  For p = 2 each matrix is first scaled by
-    its largest entry, so entries as large as 1e200 or as small as 1e-200
-    neither overflow nor underflow.  When every scaled member is square and
-    exactly symmetric, its 2-norm is its largest |eigenvalue|, from one
-    symmetric eigensolve of the scaled stack itself; otherwise the largest
-    singular value comes from one symmetric eigensolve of the smaller Gram
-    matrix.  Neither route runs an SVD.
+    ``p`` must already be checked.  At p = 2 each norm is the largest
+    singular value, from one symmetric eigensolve of the ``scaled_gram``
+    stack, never an SVD: the scaling by the largest entry keeps entries as
+    large as 1e200 or as small as 1e-200 from overflowing or underflowing.
     """
     if p == 1:
         return np.abs(stack).sum(axis=1).max(axis=1)
     if p != 2:
         return np.abs(stack).sum(axis=2).max(axis=1)
-    s, scaled = scaled_by_largest_entry(stack)
-    flipped = scaled.transpose(0, 2, 1)
-    if stack.shape[1] == stack.shape[2] and np.array_equal(scaled, flipped):
-        lam = np.linalg.eigvalsh(scaled)
-        return s * np.maximum(-lam[:, 0], lam[:, -1])
-    gram = flipped @ scaled if stack.shape[1] >= stack.shape[2] else scaled @ flipped
+    s, gram = scaled_gram(stack)
     return s * np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
 
 

@@ -317,20 +317,22 @@ def test_table_three_makes_no_eigensolve(monkeypatch):
     assert calls == []
 
 
-def test_table_three_factors_once_per_problem(monkeypatch):
-    """Counts for reproduce_table(3) (lattice, n = 225, five cells).
+@pytest.mark.parametrize("table", (3, 4))
+def test_lattice_table_factors_once_per_problem(monkeypatch, table):
+    """Counts for reproduce_table(3) and (4) (lattice, n = 225 and 400, five
+    cells each).
 
-    Before one analysis was shared per problem the table made 10 Picard
+    Before one analysis was shared per problem table 3 made 10 Picard
     solves, 10 eigvals, 10 svd, 35 cond and 45 matrix 2-norms (90
     SVD-class calls).  Now the base problem is solved once, and each
     problem's singular values, spectral radius and kernels are computed
     once.  Each of the six problems makes two inversions: A^-1, which the
     solver, K and the kernels share, and (I - |K|)^-1, which proves
     rho(|K|) < 1 and gives every Neumann factor.  A, B and their
-    perturbations are exactly symmetric here, so their singular values and
-    2-norms come from ``eigvalsh``; the 2-norm of the nonsymmetric
-    (I - |K'|)^-1 comes from its Gram matrix.  Nothing calls ``svd`` or
-    ``cond``.  Each of the six problems is solved exactly: one LU solve
+    perturbations are exactly symmetric here, so their singular values come
+    from ``eigvalsh``; every matrix 2-norm comes from the ``eigvalsh`` of
+    its scaled Gram matrix.  Nothing calls ``svd``, ``cond`` or
+    ``eigvals``.  Each of the six problems is solved exactly: one LU solve
     after the start A^-1 b has the sign pattern of its result, so Picard
     never runs.  ||dA||_2 and ||dB||_2 are taken once for the size and
     scaled per cell (10 matrix 2-norms before).  ||A||_2 and ||B||_2 of the
@@ -359,7 +361,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     for module in (perturbation, harness):
         monkeypatch.setattr(module, "sign_accord_solve", exact)
 
-    out = reproduce_table(3)
+    out = reproduce_table(table)
     assert len(out.rows) == 5 and out.failures == []
     assert counts["sign_accord_solve"] == 6
     assert counts.get("picard_solve", 0) == 0
@@ -367,7 +369,7 @@ def test_table_three_factors_once_per_problem(monkeypatch):
     assert counts["inv"] == 12
     assert counts.get("svd", 0) == 0
     assert counts.get("cond", 0) == 0
-    assert counts.get("eigvals", 0) <= 6
+    assert counts.get("eigvals", 0) == 0
     assert counts["eigvalsh"] == 25
     assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 15
 

@@ -21,7 +21,7 @@ from avebounds import (
     upper_factor,
 )
 from avebounds import harness, perturbation
-from avebounds.bounds import ESTIMATORS
+from avebounds.bounds import ESTIMATORS, METHODS
 from avebounds.complementarity import lcp_to_ave
 from avebounds.exceptions import InapplicableBoundError
 
@@ -183,6 +183,15 @@ class TestErrorBoundReport:
         rep = error_bound_report(p)
         assert rep.identity_lower == pytest.approx(6.0)
         assert rep.identity_upper == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("A", [np.diag([1.0, 3.0]), np.array([[0.5, 2.0], [0.0, 3.0]])],
+                             ids=["smin_one", "smin_below_one"])
+    def test_identity_pair_inapplicable(self, A):
+        # B = I with sigma_min(A) <= 1: the pair's premise fails, and the
+        # report still carries every upper factor.
+        rep = error_bound_report(AveProblem(A, np.eye(2), np.ones(2)))
+        assert [u.method for u in rep.upper_factors] == list(METHODS)
+        assert rep.identity_lower is None and rep.identity_upper is None
 
     def test_non_euclidean_norm_marks_methods(self):
         rep = error_bound_report(two_by_two_demo(), p=1)

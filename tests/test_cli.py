@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -105,6 +106,23 @@ class TestBoundsCommand:
         assert code == 0
         assert doc["interval"]["lower"] == pytest.approx(1.0 / 3.0)
         assert doc["interval"]["upper"] == pytest.approx(1.0)
+
+    def test_interval_line_brackets_the_error(self, mtx, capsys):
+        # x* = (1, -2) solves A x - |x| / 2 = b; the text report's interval
+        # at x holds ||x - x*||_2.
+        A = np.array([[4.0, 1.0], [1.0, 5.0]])
+        x_star, x = np.array([1.0, -2.0]), np.array([1.3, -1.8])
+        b = A @ x_star - 0.5 * np.abs(x_star)
+        code = main(["bounds", "--a", mtx("a", A), "--b", mtx("b", 0.5 * np.eye(2)),
+                     "--rhs", mtx("rhs", b), "--at", mtx("x", x)])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = re.search(r"^error interval at --at point: \[(\S+), (\S+)\] "
+                         r"\(residual (\S+), method (\w+)\)$", out, re.M)
+        lo, hi, r_norm = (float(v) for v in line.group(1, 2, 3))
+        assert r_norm == pytest.approx(np.linalg.norm(A @ x - 0.5 * np.abs(x) - b), rel=1e-9)
+        assert line.group(4) in avebounds.bounds.METHODS
+        assert 0.0 < lo <= np.linalg.norm(x - x_star) <= hi
 
     def test_interval_needs_rhs(self, mtx, capsys):
         # Without --rhs the residual would be taken against b = 0.

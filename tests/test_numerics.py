@@ -211,9 +211,10 @@ def _symmetric(m):
 
 
 class TestSymmetricRoute:
-    """Exactly symmetric matrices take their singular values and 2-norms
-    from ``eigvalsh``; everything else from ``svd`` or the Gram matrix.
-    Both agree with ``np.linalg.svd`` to 1e-13 of sigma_max."""
+    """Exactly symmetric matrices take their singular values from
+    ``eigvalsh``, everything else from ``svd``; every 2-norm comes from the
+    scaled Gram matrix.  All agree with ``np.linalg.svd`` to 1e-13 of
+    sigma_max."""
 
     @staticmethod
     def _symmetric_cases():
@@ -273,23 +274,27 @@ class TestSymmetricRoute:
         for s, m in zip(got, cases):
             self._agree(s, m)
 
-    def test_symmetric_stack_norms_come_from_the_stack(self, monkeypatch):
-        stack = np.stack([_symmetric(m) for m in
-                          np.random.default_rng(8).normal(size=(5, 9, 9))])
-        stack[1] *= 1e200
-        stack[2] *= 1e-200
-        stack[3] = 0.0
-        seen = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = numerics.batched_norms(stack, 2)
-        s = np.abs(stack).max(axis=(1, 2))
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], stack / np.where(s > 0.0, s, 1.0)[:, None, None])
-        for norm, m in zip(got, stack):
-            assert abs(norm - np.linalg.svd(m, compute_uv=False)[0]) <= 1e-13 * norm
+    def test_symmetric_stack_norms_match_their_eigenvalues(self):
+        # One route for every 2-norm: a symmetric member's norm comes from
+        # its scaled Gram matrix, within a few ulps of max |eigvalsh|.
+        rng = np.random.default_rng(8)
+        m = _symmetric(rng.normal(size=(9, 9)))
+        x = rng.normal(size=(9, 3))
+        z = np.zeros((9, 9))
+        z[:4, :4] = _symmetric(rng.normal(size=(4, 4)))
+        stacks = [np.stack([m, _symmetric(x @ x.T), z, 1e200 * m, 1e-200 * m, 0.0 * m]),
+                  np.stack([_symmetric(rng.normal(size=(6, 6))), rng.normal(size=(6, 6)),
+                            self._near_symmetric(rng, 6),
+                            1e-200 * _symmetric(rng.normal(size=(6, 6)))])]
+        stacks += [c[None] for c in self._symmetric_cases()]
+        for stack in stacks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = numerics.batched_norms(stack, 2)
+            for norm, member in zip(got, stack):
+                if np.array_equal(member, member.T):
+                    want = np.abs(np.linalg.eigvalsh(member)).max()
+                    assert abs(norm - want) <= 16 * np.finfo(float).eps * want, (norm, want)
 
     def test_norms_of_all_cases_and_a_mixed_stack(self):
         rng = np.random.default_rng(9)
