@@ -17,7 +17,7 @@ import numpy as np
 
 from . import numerics
 from .core import TYPE_TWO, AveProblem, residual, sign_box_scan
-from .exceptions import InapplicableBoundError, SingularMatrixError
+from .exceptions import InapplicableBoundError
 
 NEUMANN = "neumann"
 SINGULAR_GAP = "singular_gap"
@@ -52,7 +52,7 @@ def _shifted_norms(problem, p):
 
 def _singular_gap_factor(problem, p):
     # Past the inverse gate sigma_min(A) is rounding noise, not a gap.
-    problem.analysis.premise_inverse()
+    problem.analysis.inverse(condition="invertible_A")
     smin_a = float(problem.analysis.singular_values("A")[-1])
     smax_b = float(problem.analysis.singular_values("B")[0])
     gap = smin_a - smax_b
@@ -87,13 +87,10 @@ def _partial_gap_factor(problem, p):
 
 def _norm_ratio_factor(problem, p):
     analysis = problem.analysis
-    try:
-        analysis.inverse()
-        # ||B^-1||_2 below reads these singular values; they gate B too.
-        numerics.require_regular(
-            numerics.cond_from_singulars(analysis.singular_values("B")), "B", 2)
-    except SingularMatrixError as exc:
-        raise InapplicableBoundError(str(exc), condition="invertible_factors") from exc
+    analysis.inverse(condition="invertible_factors")
+    # ||B^-1||_2 below reads these singular values; they gate B too.
+    numerics.require_regular(numerics.cond_from_singulars(analysis.singular_values("B")),
+                             "B", 2, "invertible_factors")
     t = analysis.ratio_norm()
     if t >= 1.0:
         raise InapplicableBoundError(
@@ -178,6 +175,7 @@ class UpperFactor:
     value: float | None
     applicable: bool
     reason: str = ""
+    condition: str | None = None    # the failed premise, if it has a name
 
 
 @dataclass
@@ -225,7 +223,7 @@ def _upper_factors(problem, p):
         try:
             out.append(UpperFactor(method, upper_factor(problem, method, p), True))
         except (InapplicableBoundError, ValueError) as exc:
-            out.append(UpperFactor(method, None, False, str(exc)))
+            out.append(UpperFactor(method, None, False, str(exc), getattr(exc, "condition", None)))
     return out
 
 

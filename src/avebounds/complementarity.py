@@ -16,7 +16,7 @@ import numpy as np
 from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
 from .core import AveProblem, TYPE_ONE, sign_box_scan
-from .exceptions import InapplicableBoundError, SingularMatrixError
+from .exceptions import InapplicableBoundError
 from .perturbation import Perturbation, _relative_coefficient
 
 SHIFTED = "shifted"   # z = |x| + x,    w = |x| - x
@@ -147,16 +147,17 @@ def lcp_comparison_bound(M, p=2):
     M = numerics.as_square(M, "M")
     p = numerics.check_norm(p)
     comp = numerics.comparison_matrix(M)
-    try:
-        comp_inv = numerics.inverse(comp, "comparison matrix")
-    except SingularMatrixError as exc:
-        raise InapplicableBoundError(str(exc), condition="comparison_nonsingular") from exc
+    comp_inv = numerics.inverse(comp, "comparison matrix", "comparison_nonsingular")
     # Negative beyond rounding relative to the largest entry, at any scale.
     if np.any(comp_inv < -1e-12 * np.abs(comp_inv).max()):
         raise InapplicableBoundError(
             "comparison-matrix inverse has negative entries",
             condition="comparison_inverse_nonnegative",
         )
+    # <M> drops the diagonal's signs: M = [[-2, .5], [.3, 3]] has two LCP solutions.
+    if np.any(np.diag(M) <= 0):
+        raise InapplicableBoundError(
+            "M has a nonpositive diagonal entry", condition="positive_diagonal")
     d_cap = np.diag(np.maximum(np.diag(M), 1.0))
     return numerics.p_norm(comp_inv @ d_cap, p)
 

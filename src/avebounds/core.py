@@ -126,21 +126,13 @@ class ProblemAnalysis:
         ``numerics.p_norm``: no singular spectrum is taken for it."""
         return self.memoised(("norm", name, p), lambda: numerics.p_norm(getattr(self, name), p))
 
-    def inverse(self, label="A"):
-        """A^-1, read-only; SingularMatrixError (naming ``label``) unless it
-        passes the gate of ``numerics.inverse``.  A is inverted once, even
-        when it fails."""
+    def inverse(self, label="A", condition=None):
+        """A^-1, read-only; ``require_regular``'s error (naming ``label``)
+        unless it passes the gate of ``numerics.inverse``.  A is inverted
+        once, even when it fails."""
         inv, cond = self.memoised("A_inv", lambda: numerics.gated_inverse(self.A))
-        numerics.require_regular(cond, label)
+        numerics.require_regular(cond, label, condition=condition)
         return inv
-
-    def premise_inverse(self):
-        """``inverse()`` for a bound whose premise needs A regular: a failed
-        gate is an InapplicableBoundError (condition ``"invertible_A"``)."""
-        try:
-            return self.inverse()
-        except SingularMatrixError as exc:
-            raise InapplicableBoundError(str(exc), condition="invertible_A") from exc
 
     def _ratio(self):
         """K, read-only; A must have passed the gate."""
@@ -159,15 +151,11 @@ class ProblemAnalysis:
         and its Collatz-Wielandt certificate proves rho(|K|) < 1
         (``numerics.contraction_inverse``).  A singular I - |K| fails the
         certificate: 1 is then an eigenvalue of |K|."""
-        self.premise_inverse()
+        self.inverse(condition="invertible_A")
         inv, cond, proven = self.memoised(
             "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
         if inv is not None:
-            try:
-                numerics.require_regular(cond, "I - |K|")
-            except SingularMatrixError as exc:
-                raise InapplicableBoundError(
-                    str(exc), condition="invertible_I_minus_K") from exc
+            numerics.require_regular(cond, "I - |K|", condition="invertible_I_minus_K")
         if not proven:
             raise InapplicableBoundError(
                 "spectral radius of the absolute iteration matrix is not proven below 1",

@@ -175,13 +175,14 @@ def run_experiment(spec):
 
 
 def reproduce_table(table):
-    """Run one of the built-in benchmark tables (1-4)."""
-    if table not in BENCH_TABLES:
-        raise ValueError(f"table must be one of {sorted(BENCH_TABLES)}, got {table!r}")
-    family, size = BENCH_TABLES[table]
+    """Run one of the built-in benchmark tables, given by an integer 1-4."""
+    try:
+        family, size = BENCH_TABLES[operator.index(table)]
+    except (TypeError, KeyError):
+        raise ValueError(f"table must be one of {sorted(BENCH_TABLES)}, got {table!r}") from None
     spec = ExperimentSpec(family, [size], list(BENCH_EPSILONS))
     out = run_experiment(spec)
-    out.meta["table"] = table
+    out.meta["table"] = operator.index(table)
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import SingularMatrixError
+from .exceptions import InapplicableBoundError, SingularMatrixError
 
 #: Norms supported throughout the package: p = 1, 2 or inf.  For matrices
 #: these are the induced operator norms (max column sum, largest singular
@@ -211,15 +211,15 @@ def contraction_inverse(m):
         return inv, cond, bool(np.all(y > 0) and collatz_wielandt(y, arr @ y)[1] < 1.0)
 
 
-def inverse(m, name="matrix"):
+def inverse(m, name="matrix", condition=None):
     """Invert a square matrix, rejecting numerically singular input.
 
     The gate is the 1-norm condition number of the inverse it computes
-    (``gated_inverse``): anything above 1e14 raises SingularMatrixError
-    instead of returning garbage.  No singular values are computed.
+    (``gated_inverse``): anything above 1e14 raises ``require_regular``'s
+    error instead of returning garbage.  No singular values are computed.
     """
     inv, cond = gated_inverse(as_square(m, name))
-    require_regular(cond, name)
+    require_regular(cond, name, condition=condition)
     return inv
 
 
@@ -253,12 +253,13 @@ def cond_from_singulars(s):
     return float("inf") if np.isnan(cond) else float(cond)
 
 
-def require_regular(cond, name="matrix", p=1):
-    """The gate of ``inverse`` on a p-norm condition number (p = 1 or 2)."""
+def require_regular(cond, name="matrix", p=1, condition=None):
+    """The gate of ``inverse`` on a p-norm condition number (p = 1 or 2): a
+    SingularMatrixError, or an InapplicableBoundError naming ``condition``."""
     if not cond <= 1.0 / _RCOND_FLOOR:
-        raise SingularMatrixError(
-            f"{name} is singular to working precision ({p}-norm cond ~ {cond:.3e})"
-        )
+        message = f"{name} is singular to working precision ({p}-norm cond ~ {cond:.3e})"
+        raise (SingularMatrixError(message) if condition is None
+               else InapplicableBoundError(message, condition=condition))
 
 
 def comparison_matrix(m):

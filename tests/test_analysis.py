@@ -451,7 +451,7 @@ def test_ratio_is_formed_once_per_analysis(monkeypatch, form):
             return np.matmul(other, self)
 
     inverse = analysis.inverse
-    monkeypatch.setattr(analysis, "inverse", lambda *a: inverse(*a).view(Counted))
+    monkeypatch.setattr(analysis, "inverse", lambda *a, **k: inverse(*a, **k).view(Counted))
     assert error_bound_report(problem, 2).best_upper() is not None
     assert solvability_report(problem).proven
     assert products.count(True) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,20 +11,24 @@ from avebounds import (
     SINGULAR_GAP,
     TYPE_ONE,
     TYPE_TWO,
+    Perturbation,
     brute_force_alpha,
+    componentwise_bound,
     error_bound_report,
     error_interval,
     general_relative_bound,
     identity_ave_bounds,
     lower_factor,
+    picard_solve,
     residual,
     shifted_norm_slack,
+    sign_accord_solve,
     upper_factor,
 )
-from avebounds import harness, perturbation
+from avebounds import harness, numerics, perturbation
 from avebounds.bounds import ESTIMATORS, METHODS
 from avebounds.complementarity import lcp_to_ave
-from avebounds.exceptions import InapplicableBoundError
+from avebounds.exceptions import InapplicableBoundError, SingularMatrixError
 
 from support import box_vertices, random_solvable
 
@@ -120,6 +125,44 @@ class TestUpperFactor:
         with pytest.raises(InapplicableBoundError) as exc:
             error_interval(p, np.zeros(3))
         assert exc.value.condition == "no_applicable_estimator"
+        # The solvers and the inverses keep the gate's SingularMatrixError.
+        singular = r"A is singular to working precision \(1-norm cond ~ "
+        for fails in (picard_solve, sign_accord_solve, lambda q: q.analysis.inverse(),
+                      lambda q: numerics.inverse(q.A, "A")):
+            with pytest.raises(SingularMatrixError, match=singular):
+                fails(p)
+        # Every bound names the premise instead, with the gate's message; a
+        # 2-norm-only method at another norm is a ValueError, no premise.
+        premises = {NEUMANN: "invertible_A", SINGULAR_GAP: "invertible_A",
+                    NORM_RATIO: "invertible_factors"}
+        pert = Perturbation(np.zeros((3, 3)), np.zeros((3, 3)), 1e-3 * np.ones(3))
+        for norm in (1, 2, np.inf):
+            for method, condition in premises.items():
+                if norm not in ESTIMATORS[method].norms:
+                    continue
+                with pytest.raises(InapplicableBoundError, match=singular) as exc:
+                    upper_factor(p, method, norm)
+                assert exc.value.condition == condition
+                if method != SINGULAR_GAP:      # upsilon reads no inverse
+                    with pytest.raises(InapplicableBoundError, match=singular) as exc:
+                        general_relative_bound(p, pert, method, norm)
+                    assert exc.value.condition == condition
+            for u in error_bound_report(p, norm).upper_factors:
+                if norm in ESTIMATORS[u.method].norms:
+                    assert u.condition == premises[u.method]
+                    assert re.match(singular, u.reason), u
+                else:
+                    assert u.condition is None and "2-norm only" in u.reason, u
+            with pytest.raises(InapplicableBoundError) as exc:
+                error_interval(p, np.zeros(3), norm)
+            assert exc.value.condition == "no_applicable_estimator"
+            for kernel in ("damped", "series"):
+                with pytest.raises(InapplicableBoundError, match=singular) as exc:
+                    componentwise_bound(p, np.ones(3), 1e-3, norm, kernel)
+                assert exc.value.condition == "invertible_A"
+            report = general_relative_bound(p, pert, p=norm)
+            assert report.tau is None and report.nu is None
+            assert f"{NEUMANN}: A is singular to working precision" in report.notes[0]
 
     def test_ratio_needs_invertible_B(self):
         p = AveProblem(2.0 * np.eye(2), np.zeros((2, 2)), np.zeros(2))

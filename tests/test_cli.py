@@ -169,6 +169,19 @@ class TestBoundsCommand:
         assert not any(u["applicable"] for u in factors.values())
         assert "singular to working precision" in factors["singular_gap"]["reason"]
 
+    def test_json_names_each_failed_premise(self, mtx, capsys):
+        argv = ["bounds", "--a", mtx("a", np.ones((2, 2))), "--b", mtx("b", 0.5 * np.eye(2))]
+        assert main(argv + ["--format", "json"]) == 2
+        factors = json.loads(capsys.readouterr().out)["upper_factors"]
+        assert {u["method"]: u["condition"] for u in factors} == {
+            "neumann": "invertible_A", "singular_gap": "invertible_A",
+            "norm_ratio": "invertible_factors"}
+        # The text report gives the reason alone, as before.
+        assert main(argv) == 2
+        singular = "inapplicable (A is singular to working precision (1-norm cond ~ inf))"
+        assert capsys.readouterr().out == "lower factor (norm 2): 2.5\n" + "".join(
+            f"upper factor [{m}]: {singular}\n" for m in ("neumann", "singular_gap", "norm_ratio"))
+
     def test_complex_rhs_file_exit_code(self, mtx, tmp_path, capsys):
         rhs = tmp_path / "rhs.mtx"
         rhs.write_text("%%MatrixMarket matrix array complex general\n2 1\n1 2\n3 -1\n")

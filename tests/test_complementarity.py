@@ -184,6 +184,19 @@ class TestComparisonBound:
             lcp_comparison_bound(np.ones((2, 2)))
         assert exc.value.condition == "comparison_nonsingular"
 
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    def test_nonpositive_diagonal_rejected(self, p):
+        # <M> is an M-matrix, yet LCP(M, (1, 1)) has the two solutions
+        # z = 0 and z = (0.5, 0): no error constant exists.
+        M = np.array([[-2.0, 0.5], [0.3, 3.0]])
+        q = np.ones(2)
+        for z in (np.zeros(2), np.array([0.5, 0.0])):
+            w = M @ z + q
+            assert np.all(z >= 0) and np.all(w >= 0) and z @ w == 0, (z, w)
+        with pytest.raises(InapplicableBoundError) as exc:
+            lcp_comparison_bound(M, p)
+        assert exc.value.condition == "positive_diagonal"
+
 
 class TestHlcpPerturbBound:
     def scaling_demo(self, eps):

@@ -234,6 +234,17 @@ class TestReproduceTable:
         assert len(out.rows) == 5
         assert [r.epsilon for r in out.rows] == list(BENCH_EPSILONS)
 
+    def test_numpy_integer_id_is_stored_as_int(self):
+        out = reproduce_table(np.int64(1))
+        assert type(out.meta["table"]) is int
+        assert json.loads(emit(out, "json"))["meta"]["table"] == 1
+        assert emit(out, "markdown").startswith(b"# benchmark table 1, tridiag family\n")
+
+    @pytest.mark.parametrize("table", [1.0, "1"], ids=["float", "str"])
+    def test_non_integer_id_is_rejected(self, table):
+        with pytest.raises(ValueError, match="table must be one of"):
+            reproduce_table(table)
+
 
 def synthetic_table():
     rows = [
