@@ -74,6 +74,7 @@ _GAP_PROBE = 6
 
 
 def _partial_gap_factor(problem, p):
+    problem.analysis.inverse(condition="invertible_A")     # as for the full gap
     sa = problem.analysis.singular_values("A")[:_GAP_PROBE]
     sb = problem.analysis.singular_values("B")[:_GAP_PROBE]
     gap = float(sa.max() - sb.min())

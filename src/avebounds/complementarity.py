@@ -17,7 +17,7 @@ from . import numerics
 from .bounds import NEUMANN, error_bound_report, upper_factor
 from .core import AveProblem, TYPE_ONE, sign_box_scan
 from .exceptions import InapplicableBoundError
-from .perturbation import Perturbation, _relative_coefficient
+from .perturbation import _relative_coefficient
 
 SHIFTED = "shifted"   # z = |x| + x,    w = |x| - x
 HALVED = "halved"     # z = (|x|+x)/2,  w = (|x|-x)/2
@@ -182,9 +182,9 @@ def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
     dN = numerics.as_square(dN, "dN", hlcp.n)
     dq = numerics.as_vector(dq, "dq", hlcp.n)
     ave = hlcp_to_ave(hlcp)
-    pert = Perturbation((dM + dN) / 2.0, (dN - dM) / 2.0, dq)
-    w = _relative_coefficient(ave, pert, p)
-    return upper_factor(ave.perturbed(pert.dA, pert.dB, pert.db), method, p) * w
+    dA, dB = (dM + dN) / 2.0, (dN - dM) / 2.0
+    w = _relative_coefficient(ave, dq, numerics.p_norm(dA, p), numerics.p_norm(dB, p), p)
+    return upper_factor(ave.perturbed(dA, dB, dq), method, p) * w
 
 
 def beta_factor(M, p=2):

@@ -20,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numerics
 from .bounds import ESTIMATORS
 from .complementarity import LcpProblem, lcp_to_ave
 from .exceptions import AveBoundsError
-from .perturbation import Perturbation, perturbation_experiment
+from .perturbation import Perturbation, _componentwise_delta, _experiment_cell, _require_converged
 from .solver import sign_accord_solve
 
 FORMATS = ("csv", "json", "markdown")
@@ -87,16 +87,21 @@ def gen_problem(family, size):
     return _family(family)[0](size)
 
 
+def _scaled_bands(family, n, epsilon):
+    """epsilon times the dA and dB of the family's unit perturbation."""
+    _, da_bands, db_bands = _family(family)
+    return epsilon * tridiagonal(n, *da_bands), epsilon * tridiagonal(n, *db_bands)
+
+
 def gen_perturbation(family, n, epsilon):
     """The family's unit perturbation (dA, dB from its bands, db = ones)
-    times epsilon, by ``Perturbation.scaled``.
+    times epsilon.
 
     These act on the AVE-form matrices (A, B) of the transformed LCP, not
     on M itself.
     """
-    _, da_bands, db_bands = _family(family)
-    unit = Perturbation(tridiagonal(n, *da_bands), tridiagonal(n, *db_bands), np.ones(n))
-    return unit.scaled(epsilon)
+    return Perturbation(*_scaled_bands(family, n, epsilon), epsilon * np.ones(n),
+                        epsilon=epsilon)
 
 
 @dataclass
@@ -139,13 +144,15 @@ def _thread_count(n_jobs):
 def run_experiment(spec):
     """Run the full (size x epsilon) grid of a spec.
 
-    Rows come back ordered by (size, epsilon).  A failing cell (solver or
-    bound trouble) is recorded in ``failures`` instead of aborting the
-    rest of the grid.  Each size solves its base problem once, by
+    Rows come back ordered by (size, epsilon).  A failing cell (solver,
+    bound or delta trouble) is recorded in ``failures`` instead of aborting
+    the rest of the grid.  Each size solves its base problem once, by
     ``sign_accord_solve`` (a failure fails every cell of the size), and
-    takes the 2-norms of its unit perturbation once; each cell is one
-    ``Perturbation.scaled`` of that unit.  Cells run in order on the
-    calling thread; OpenBLAS threads inside each call.
+    takes ||dA||_2 and ||dB||_2 of its unit perturbation once, as numbers
+    that each cell's w scales.  A cell's matrices die with it, and the
+    size's delta column, which builds the base problem's kernel, follows
+    its last cell.  Cells run in order on the calling thread; OpenBLAS
+    threads inside each call.
     """
     out = TableOutput(meta={
         "family": spec.family,
@@ -156,21 +163,28 @@ def run_experiment(spec):
     })
     for size in spec.sizes:
         problem = lcp_to_ave(gen_problem(spec.family, size))
+        n = problem.n
         try:
-            base = sign_accord_solve(problem)
-        except (AveBoundsError, ValueError) as exc:
-            base = exc
-        unit = gen_perturbation(spec.family, problem.n, 1.0)
-        for name in ("dA", "dB"):
-            unit.norm(name, 2)
+            base = _require_converged(sign_accord_solve(problem), "base")
+        except (AveBoundsError, ValueError) as exc:    # every cell of this size fails with it
+            out.failures += [(n, eps, str(exc)) for eps in spec.epsilons]
+            continue
+        norms = [numerics.p_norm(m, 2) for m in _scaled_bands(spec.family, n, 1.0)]
+        rows = []
         for eps in spec.epsilons:
-            if isinstance(base, Exception):     # every cell of this size fails with it
-                out.failures.append((problem.n, eps, str(base)))
-                continue
-            try:
-                out.rows.append(perturbation_experiment(problem, unit.scaled(eps), base=base))
+            try:    # no name holds the perturbed problem: it dies with the cell
+                db = eps * np.ones(n)
+                rows.append(_experiment_cell(
+                    problem, base, problem.perturbed(*_scaled_bands(spec.family, n, eps), db),
+                    db, [eps * norm for norm in norms], eps))
             except (AveBoundsError, ValueError) as exc:
-                out.failures.append((problem.n, eps, str(exc)))
+                out.failures.append((n, eps, str(exc)))
+        for row in rows:
+            try:
+                row.delta = _componentwise_delta(problem, base.x, row.epsilon)
+                out.rows.append(row)
+            except (AveBoundsError, ValueError) as exc:
+                out.failures.append((n, row.epsilon, str(exc)))
     return out
 
 

@@ -40,29 +40,6 @@ class Perturbation:
         if self.epsilon is not None and not self.epsilon >= 0:
             raise ValueError("epsilon must be nonnegative")
 
-    def norm(self, name, p):
-        """Induced p-norm (p already checked) of ``"dA"`` or ``"dB"``, taken
-        once per array: it is taken again when the array is reassigned.
-        Editing an array in place after the first use leaves it stale."""
-        array = getattr(self, name)
-        memo = self.__dict__.setdefault("_norms", {})
-        hit = memo.get((name, p))
-        if hit is None or hit[0] is not array:
-            hit = memo[(name, p)] = (array, numerics.p_norm(array, p))
-        return hit[1]
-
-    def scaled(self, epsilon):
-        """This perturbation times ``epsilon`` (its ``epsilon`` field set to
-        it), carrying epsilon times every norm taken so far.  Induced norms
-        are homogeneous, so a family of scales pays for each norm once."""
-        if not epsilon >= 0:
-            raise ValueError("epsilon must be nonnegative")
-        out = Perturbation(epsilon * self.dA, epsilon * self.dB, epsilon * self.db,
-                           epsilon=epsilon)
-        out._norms = {key: (getattr(out, key[0]), epsilon * self.norm(*key))
-                      for key in self.__dict__.get("_norms", {})}
-        return out
-
     def componentwise_violations(self, problem):
         """Which parts break the envelope |d.| <= epsilon |.| (if any); each
         entry may exceed its bound by a few roundings, at any scale."""
@@ -110,10 +87,10 @@ def _rhs_term(problem, db, p):
         problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
 
 
-def _relative_coefficient(problem, pert, p):
+def _relative_coefficient(problem, db, norm_dA, norm_dB, p):
     """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
-    in the perturbation scale."""
-    return _rhs_term(problem, pert.db, p) + pert.norm("dA", p) + pert.norm("dB", p)
+    in the perturbation scale, from the numbers ||dA|| and ||dB||."""
+    return _rhs_term(problem, db, p) + norm_dA + norm_dB
 
 
 def rhs_only_bound(problem, db, method=NEUMANN, p=2):
@@ -148,13 +125,14 @@ def general_relative_bound(problem, pert, method=None, p=2):
     not apply.
     """
     p = numerics.check_norm(p)
-    return _relative_bound(problem, pert, problem.perturbed(pert.dA, pert.dB, pert.db),
+    perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
+    norms = [numerics.p_norm(m, p) for m in (pert.dA, pert.dB)]
+    return _relative_bound(perturbed, _relative_coefficient(problem, pert.db, *norms, p),
                            method, p)
 
 
-def _relative_bound(problem, pert, perturbed, method, p):
-    """``general_relative_bound`` for an already built perturbed problem."""
-    w = _relative_coefficient(problem, pert, p)
+def _relative_bound(perturbed, w, method, p):
+    """``general_relative_bound`` for a built perturbed problem and its w."""
     report = PerturbBoundReport(w=w)
     wanted = METHODS if method is None else (method,)
     for name in wanted:
@@ -225,7 +203,8 @@ def classical_linear_bounds(A, dA, b, db, x_star, epsilon, p=2):
       |db| <= eps |b|, requiring eps || |A^-1||A| || < 1.
 
     These are the B = 0 specialisations of the AVE bounds and are used to
-    cross-check the reductions.
+    cross-check the reductions.  A singular A raises InapplicableBoundError
+    with ``condition="invertible_A"``.
     """
     p = numerics.check_norm(p)
     if not epsilon >= 0:
@@ -241,19 +220,16 @@ def classical_linear_bounds(A, dA, b, db, x_star, epsilon, p=2):
     if norm_b == 0 or norm_x == 0:
         raise ValueError("relative bounds are undefined for zero b or x*")
 
-    A_inv = numerics.inverse(A, "A")
-    norm_a = numerics.p_norm(A, p)
-    norm_ai = numerics.p_norm(A_inv, p)
-    if norm_ai * numerics.p_norm(dA, p) >= 1.0:
+    A_inv = numerics.inverse(A, "A", "invertible_A")
+    norm_a, norm_ai, norm_da = (numerics.p_norm(m, p) for m in (A, A_inv, dA))
+    if norm_ai * norm_da >= 1.0:
         raise InapplicableBoundError(
             "normwise condition fails: ||A^-1|| ||dA|| >= 1",
             condition="normwise_denominator",
         )
     kappa = norm_ai * norm_a
-    normwise = (
-        kappa / (1.0 - kappa * numerics.p_norm(dA, p) / norm_a)
-        * (numerics.p_norm(db, p) / norm_b + numerics.p_norm(dA, p) / norm_a)
-    )
+    normwise = (kappa / (1.0 - kappa * norm_da / norm_a)
+                * (numerics.p_norm(db, p) / norm_b + norm_da / norm_a))
 
     K = np.abs(A_inv)
     t = epsilon * numerics.p_norm(K @ np.abs(A), p)
@@ -278,35 +254,44 @@ def _require_converged(result, which):
     return result
 
 
-def perturbation_experiment(problem, pert, options=None, *, base=None):
+def perturbation_experiment(problem, pert, options=None):
     """Solve the problem and its perturbation, then record the observed
     relative error r next to every bound that applies.
 
     Both problems are solved by ``sign_accord_solve``, so r compares two
     solutions exact up to rounding, not two iterates stopped at a step
-    tolerance.  ``base`` is the result of ``sign_accord_solve(problem,
-    options)`` when the caller already has it (one base solve shared by
-    many perturbations); the problem is solved here otherwise.  Bounds
-    whose hypotheses fail are recorded as None.  Solver failure on either
-    problem raises NonConvergenceError since r would be undefined.
+    tolerance.  Bounds whose hypotheses fail are recorded as None.  Solver
+    failure on either problem raises NonConvergenceError since r would be
+    undefined.
     """
     perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
-    if base is None:
-        base = sign_accord_solve(problem, options)
-    _require_converged(base, "base")
+    base = _require_converged(sign_accord_solve(problem, options), "base")
+    norms = [numerics.p_norm(m, 2) for m in (pert.dA, pert.dB)]
+    record = _experiment_cell(problem, base, perturbed, pert.db, norms, pert.epsilon, options)
+    if pert.epsilon is not None:
+        record.delta = _componentwise_delta(problem, base.x, pert.epsilon)
+    return record
+
+
+def _experiment_cell(problem, base, perturbed, db, norms, epsilon, options=None):
+    """The record of one perturbation of ``problem`` without its delta, shared
+    by ``perturbation_experiment`` and the tables: ``base`` solves
+    ``problem``, and ``norms`` are the 2-norms of the dA and dB."""
     shifted = _require_converged(sign_accord_solve(perturbed, options), "perturbed")
     norm_x = numerics.p_norm(base.x, 2)
     if norm_x == 0:
         raise ValueError("relative error is undefined for x* = 0")
     r = numerics.p_norm(base.x - shifted.x, 2) / norm_x
-
-    report = _relative_bound(problem, pert, perturbed, None, 2)
-    delta = None
-    if pert.epsilon is not None:
-        try:
-            delta = componentwise_bound(problem, base.x, pert.epsilon, p=2)
-        except InapplicableBoundError:
-            delta = None
+    w = _relative_coefficient(problem, db, *norms, 2)
+    report = _relative_bound(perturbed, w, None, 2)
     bounds = {est.field: getattr(report, est.field) for est in ESTIMATORS.values()}
-    return ExperimentRecord(n=problem.n, epsilon=pert.epsilon, r=r, w=report.w, delta=delta,
-                            **bounds)
+    return ExperimentRecord(n=problem.n, epsilon=epsilon, r=r, w=w, delta=None, **bounds)
+
+
+def _componentwise_delta(problem, x_star, epsilon):
+    """The damped ``componentwise_bound`` at ``epsilon``, None when it does
+    not apply."""
+    try:
+        return componentwise_bound(problem, x_star, epsilon, p=2)
+    except InapplicableBoundError:
+        return None

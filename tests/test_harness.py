@@ -1,11 +1,12 @@
 import json
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from avebounds import LcpProblem, SolveOptions, lcp_to_ave
+from avebounds import LcpProblem, SolveOptions, general_relative_bound, lcp_to_ave
 from avebounds import harness
 from avebounds.exceptions import AveBoundsError
 from avebounds.harness import (
@@ -182,28 +183,82 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "sign_accord_solve", base_solve)
         with pytest.raises((AveBoundsError, ValueError)) as direct:
             problem = lcp_to_ave(bad)
-            perturbation_experiment(problem, gen_perturbation("tridiag", 3, 0.01),
-                                    base=base_solve(problem))
+            perturbation_experiment(problem, gen_perturbation("tridiag", 3, 0.01), options)
         out = run_experiment(ExperimentSpec("tridiag", [3, 4], [0.01, 0.02]))
         assert [(n, eps) for n, eps, _ in out.failures] == [(3, 0.01), (3, 0.02)]
         assert all(msg == str(direct.value) for _, _, msg in out.failures)
         assert [(r.n, r.epsilon) for r in out.rows] == [(4, 0.01), (4, 0.02)]
 
     def test_cells_run_serially_on_the_calling_thread(self, monkeypatch):
-        # The cells run in (size, epsilon) order on the caller's thread,
-        # and the benchmark's environment record reads one worker.
-        cells = []
-        real = harness.perturbation_experiment
+        # The cells run in (size, epsilon) order on the caller's thread, one
+        # after another, and each size's deltas follow its last cell.  The
+        # benchmark's environment record reads one worker.
+        events = []
+        real_cell, real_delta = harness._experiment_cell, harness._componentwise_delta
 
-        def recorded(problem, pert, base):
-            cells.append((threading.get_ident(), problem.n, pert.epsilon))
-            return real(problem, pert, base=base)
-        monkeypatch.setattr(harness, "perturbation_experiment", recorded)
+        def cell(problem, base, perturbed, db, norms, epsilon):
+            events.append(("cell", threading.get_ident(), problem.n, epsilon))
+            return real_cell(problem, base, perturbed, db, norms, epsilon)
+
+        def delta(problem, x_star, epsilon):
+            events.append(("delta", threading.get_ident(), problem.n, epsilon))
+            return real_delta(problem, x_star, epsilon)
+        monkeypatch.setattr(harness, "_experiment_cell", cell)
+        monkeypatch.setattr(harness, "_componentwise_delta", delta)
         out = run_experiment(ExperimentSpec("tridiag", [5, 3], [0.03, 0.01, 0.02]))
         grid = [(n, eps) for n in (5, 3) for eps in (0.03, 0.01, 0.02)]
-        assert cells == [(threading.get_ident(), n, eps) for n, eps in grid]
+        assert events == [(kind, threading.get_ident(), n, eps) for n in (5, 3)
+                          for kind in ("cell", "delta") for eps in (0.03, 0.01, 0.02)]
         assert [(r.n, r.epsilon) for r in out.rows] == grid
+        assert all(r.delta is not None for r in out.rows)
         assert harness._thread_count(len(grid)) == 1
+
+    def test_cells_match_the_public_bounds_bit_for_bit(self):
+        # A table cell's w scales the unit perturbation's norms; w and every
+        # bound are those of general_relative_bound on the perturbation
+        # gen_perturbation builds at the cell's epsilon, and r and delta
+        # those of perturbation_experiment.
+        for family, size in (("tridiag", 30), ("lattice", 15)):
+            problem = lcp_to_ave(gen_problem(family, size))
+            out = run_experiment(ExperimentSpec(family, [size], list(BENCH_EPSILONS)))
+            assert [r.epsilon for r in out.rows] == list(BENCH_EPSILONS)
+            for row in out.rows:
+                pert = gen_perturbation(family, problem.n, row.epsilon)
+                report = general_relative_bound(problem, pert)
+                assert [row.w, row.tau, row.upsilon, row.nu] == [
+                    report.w, report.tau, report.upsilon, report.nu]
+                assert row == perturbation_experiment(problem, pert)
+
+    def test_a_failing_delta_fails_its_cell(self, monkeypatch):
+        real = harness._componentwise_delta
+
+        def delta(problem, x_star, epsilon):
+            if epsilon == 0.02:
+                raise ValueError("no delta here")
+            return real(problem, x_star, epsilon)
+        monkeypatch.setattr(harness, "_componentwise_delta", delta)
+        out = run_experiment(ExperimentSpec("tridiag", [3, 4], [0.01, 0.02, 0.03]))
+        assert out.failures == [(3, 0.02, "no delta here"), (4, 0.02, "no delta here")]
+        assert [(r.n, r.epsilon) for r in out.rows] == [
+            (3, 0.01), (3, 0.03), (4, 0.01), (4, 0.03)]
+
+
+def test_table_holds_one_cell_at_a_time():
+    # Table 3 (n = 225): the base problem holds A, B and A^-1 while each
+    # cell's perturbed pair and analysis come and go, and the base kernel
+    # is built after the last cell.  The traced peak is near 11 n x n
+    # arrays (18 when the unit and scaled perturbations and the base
+    # kernel were held through every cell).
+    reproduce_table(1)      # imports and one-off allocations
+    n = 225
+    tracemalloc.start()
+    try:
+        out = reproduce_table(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.rows) == 5 and out.failures == []
+    assert peak <= 12 * 8 * n**2, peak / (8 * n**2)
 
 
 def test_first_sign_pattern_solves_every_family_problem():

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from avebounds import (
-    BENCH_EPSILONS,
     AveProblem,
     ExperimentSpec,
     LcpPerturbFactors,
@@ -53,38 +52,6 @@ class TestPerturbation:
         for call in (general_relative_bound, perturbation_experiment):
             with pytest.raises(ValueError, match=r"dA has shape \(2, 2\), expected \(3, 3\)"):
                 call(p, pert)
-
-    def test_norms_are_taken_once_per_array(self, monkeypatch):
-        pert = Perturbation(np.diag([3.0, -4.0]), np.eye(2), np.ones(2))
-        calls = []
-        real = numerics.p_norm
-        monkeypatch.setattr(numerics, "p_norm", lambda a, p=2: calls.append(p) or real(a, p))
-        assert pert.norm("dA", 2) == pert.norm("dA", 2) == 4.0
-        assert pert.norm("dA", 1) == 4.0
-        assert calls == [2, 1]
-        pert.dA = np.diag([5.0, 1.0])       # a new array is measured again
-        assert pert.norm("dA", 2) == 5.0
-        assert calls == [2, 1, 2]
-
-    def test_scaled_carries_its_norms(self, monkeypatch):
-        # The harness takes the unit perturbation's norms once per size and
-        # scales them per cell: the data and w are bit-identical to a
-        # perturbation built at each epsilon.
-        problem = lcp_to_ave(gen_problem("lattice", 4))
-        unit = gen_perturbation("lattice", 16, 1.0)
-        norms = [unit.norm(name, 2) for name in ("dA", "dB")]
-        for eps in BENCH_EPSILONS:
-            fresh = gen_perturbation("lattice", 16, eps)
-            w = general_relative_bound(problem, fresh).w
-            with monkeypatch.context() as m:
-                m.setattr(numerics, "p_norm", lambda a, p=2: pytest.fail("norm taken again"))
-                scaled = unit.scaled(eps)
-                assert [scaled.norm(name, 2) for name in ("dA", "dB")] == [
-                    eps * value for value in norms]
-            assert scaled.epsilon == eps
-            for name in ("dA", "dB", "db"):
-                assert np.array_equal(getattr(scaled, name), getattr(fresh, name))
-            assert general_relative_bound(problem, scaled).w == w
 
     def test_envelope_violations(self):
         p = AveProblem([[2.0]], [[1.0]], [3.0])
@@ -357,6 +324,28 @@ class TestClassicalLinearBounds:
         with pytest.raises(InapplicableBoundError) as exc:
             classical_linear_bounds([[1.0]], [[0.5]], [1.0], [0.0], [1.0], 1.5)
         assert exc.value.condition == "componentwise_denominator"
+
+    def test_singular_A_names_its_premise(self):
+        # The refusal is the bound's, with the gate's message; it used to be
+        # the gate's bare SingularMatrixError.
+        with pytest.raises(InapplicableBoundError,
+                           match=r"A is singular to working precision") as exc:
+            classical_linear_bounds(np.ones((3, 3)), np.zeros((3, 3)), np.ones(3),
+                                    np.zeros(3), np.ones(3), 0.1)
+        assert exc.value.condition == "invertible_A"
+
+    def test_dA_norm_is_taken_once(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        dA = 1e-3 * rng.normal(size=(6, 6))
+        for p in (1, 2, np.inf):
+            taken = []
+            p_norm = numerics.p_norm
+            monkeypatch.setattr(numerics, "p_norm",
+                                lambda a, q: taken.append(a is dA) or p_norm(a, q))
+            classical_linear_bounds(A, dA, np.ones(6), 1e-3 * np.ones(6), np.ones(6), 1e-3, p)
+            monkeypatch.setattr(numerics, "p_norm", p_norm)
+            assert sum(taken) == 1, p
 
     def test_rejects_zero_references(self):
         with pytest.raises(ValueError):
