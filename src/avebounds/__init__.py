@@ -63,11 +63,9 @@ from .perturbation import (                                  # noqa: F401
 )
 from .complementarity import (                               # noqa: F401
     ComplementaritySolution,
-    HALVED,
     HlcpProblem,
     LcpPerturbFactors,
     LcpProblem,
-    SHIFTED,
     beta_factor,
     column_w_property,
     hlcp_error_bounds,

@@ -195,10 +195,6 @@ class ErrorBoundReport:
     identity_upper: float | None = None
     p: float = 2
 
-    def best_upper(self):
-        vals = [u.value for u in self.upper_factors if u.applicable]
-        return min(vals) if vals else None
-
     def interval(self, residual_norm):
         """Bracket ``||x - x*||_p`` from ``||r(x)||_p``.
 

@@ -19,8 +19,6 @@ from .bounds import error_bound_report
 from .complementarity import (
     HlcpProblem,
     LcpProblem,
-    HALVED,
-    SHIFTED,
     hlcp_to_ave,
     lcp_min_residual,
     lcp_to_ave,
@@ -126,15 +124,15 @@ def _cmd_perturb(args):
     return 0
 
 
-def _solve_complementarity(args, ave, convention, label, residual_of):
-    """Solve the AVE form ``ave`` of an LCP or HLCP and print the recovered
-    (z, w) pair with the sup norm of ``residual_of(z, w)`` under ``label``
-    ("min_residual" or "feasibility")."""
+def _solve_complementarity(args, problem, ave, label, residual_of):
+    """Solve ``ave``, the AVE form of the LCP or HLCP ``problem``, and print
+    the recovered (z, w) pair with the sup norm of ``residual_of(z, w)``
+    under ``label`` ("min_residual" or "feasibility")."""
     result = sign_accord_solve(ave, _options(args))
     if not result.converged:
         print("solver did not converge", file=sys.stderr)
         return 3
-    sol = recover_solution(result.x, convention)
+    sol = recover_solution(problem, result.x)
     sup = float(np.max(np.abs(residual_of(sol.z, sol.w))))
     if args.format == "json":
         print(json.dumps({
@@ -154,14 +152,14 @@ def _solve_complementarity(args, ave, convention, label, residual_of):
 
 def _cmd_lcp(args):
     lcp = LcpProblem(matrixio.load_matrix(args.m), matrixio.load_vector(args.q))
-    return _solve_complementarity(args, lcp_to_ave(lcp), SHIFTED, "min_residual",
+    return _solve_complementarity(args, lcp, lcp_to_ave(lcp), "min_residual",
                                   lambda z, w: lcp_min_residual(lcp, z))
 
 
 def _cmd_hlcp(args):
     hlcp = HlcpProblem(matrixio.load_matrix(args.m), matrixio.load_matrix(args.n_mat),
                        matrixio.load_vector(args.q))
-    return _solve_complementarity(args, hlcp_to_ave(hlcp), HALVED, "feasibility",
+    return _solve_complementarity(args, hlcp, hlcp_to_ave(hlcp), "feasibility",
                                   lambda z, w: hlcp.M @ z - hlcp.N @ w - hlcp.q)
 
 
@@ -217,7 +215,7 @@ def build_parser():
     p.add_argument("--da", help="perturbation of A (.mtx)")
     p.add_argument("--db", help="perturbation of B (.mtx)")
     p.add_argument("--drhs", help="perturbation of the right-hand side (.mtx)")
-    p.add_argument("--epsilon", type=float, help="componentwise scale for the delta bound")
+    p.add_argument("--epsilon", type=float, help="componentwise scale for the delta estimate")
     p.set_defaults(func=_cmd_perturb)
 
     p = sub.add_parser("lcp", parents=[pair, solver, document],

@@ -19,10 +19,6 @@ from .core import AveProblem, TYPE_ONE, sign_box_scan
 from .exceptions import InapplicableBoundError
 from .perturbation import _relative_coefficient
 
-SHIFTED = "shifted"   # z = |x| + x,    w = |x| - x
-HALVED = "halved"     # z = (|x|+x)/2,  w = (|x|-x)/2
-CONVENTIONS = (SHIFTED, HALVED)
-
 
 @dataclass
 class LcpProblem:
@@ -64,8 +60,8 @@ class ComplementaritySolution:
 def lcp_to_ave(lcp):
     """Rewrite LCP(M, q) as the AVE (I + M) x - (I - M)|x| = -q.
 
-    The substitution is z = |x| + x, w = |x| - x (the ``shifted``
-    convention), which makes z and w complementary by construction.
+    The substitution is z = |x| + x, w = |x| - x, which makes z and w
+    complementary by construction.
     """
     eye = np.eye(lcp.n)
     return AveProblem(eye + lcp.M, eye - lcp.M, -lcp.q, TYPE_ONE)
@@ -74,7 +70,7 @@ def lcp_to_ave(lcp):
 def hlcp_to_ave(hlcp):
     """Rewrite HLCP(M, N, q) as ((M+N)/2) x - ((N-M)/2)|x| = q.
 
-    Here z = (|x| + x)/2 and w = (|x| - x)/2 (the ``halved`` convention).
+    Here z = (|x| + x)/2 and w = (|x| - x)/2.
     """
     return AveProblem(
         (hlcp.M + hlcp.N) / 2.0,
@@ -84,17 +80,18 @@ def hlcp_to_ave(hlcp):
     )
 
 
-def recover_solution(x, convention=SHIFTED):
-    """Map an AVE solution x back to the complementary pair (z, w)."""
-    x = numerics.as_vector(x, "x")
-    if convention == SHIFTED:
-        z = np.abs(x) + x
-        w = np.abs(x) - x
-    elif convention == HALVED:
-        z = (np.abs(x) + x) / 2.0
-        w = (np.abs(x) - x) / 2.0
-    else:
-        raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+def recover_solution(problem, x):
+    """Map a solution x of the AVE form of ``problem`` back to its
+    complementary pair (z, w), by the substitution of ``lcp_to_ave`` or
+    ``hlcp_to_ave``."""
+    if not isinstance(problem, (LcpProblem, HlcpProblem)):
+        raise TypeError(
+            f"problem must be an LcpProblem or HlcpProblem, got {type(problem).__name__}")
+    x = numerics.as_vector(x, "x", problem.n)
+    z = np.abs(x) + x
+    w = np.abs(x) - x
+    if isinstance(problem, HlcpProblem):
+        z, w = z / 2.0, w / 2.0
     return ComplementaritySolution(z, w, float(abs(z @ w)))
 
 

@@ -91,8 +91,9 @@ class ProblemAnalysis:
     factorization of A: the solver, K, the Neumann factor and the kernels
     all read it.  The one inverse of I - |K| decides the premise
     rho(|K|) < 1 (a Collatz-Wielandt certificate) and serves every Neumann
-    factor and the series kernel.  Both are gated on their own 1-norm
-    condition number (``numerics.gated_inverse``), not on singular values.
+    factor, the series kernel and the screen where its power bracket does
+    not close.  Both are gated on their own 1-norm condition number
+    (``numerics.gated_inverse``), not on singular values.
     K is formed once, by one matrix product, and kept read-only.  No bound
     computes rho(|K|) itself.  Norms of A and B come from
     ``numerics.p_norm``; their singular spectra (``singular_values``) are
@@ -145,6 +146,13 @@ class ProblemAnalysis:
         """Largest singular value of K; A must have passed the gate."""
         return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio(), 2))
 
+    def _contraction(self):
+        """``numerics.contraction_inverse(|K|)``, memoised: the inverse of
+        I - |K|, its condition number and whether rho(|K|) < 1 is proven.
+        A must have passed the gate."""
+        return self.memoised(
+            "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
+
     def _core_inverse(self):
         """(I - |K|)^-1, read-only; InapplicableBoundError unless A and then
         the memoised inverse of I - |K| pass the gate of ``numerics.inverse``,
@@ -152,8 +160,7 @@ class ProblemAnalysis:
         (``numerics.contraction_inverse``).  A singular I - |K| fails the
         certificate: 1 is then an eigenvalue of |K|."""
         self.inverse(condition="invertible_A")
-        inv, cond, proven = self.memoised(
-            "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
+        inv, cond, proven = self._contraction()
         if inv is not None:
             numerics.require_regular(cond, "I - |K|", condition="invertible_I_minus_K")
         if not proven:
@@ -456,8 +463,10 @@ def solvability_report(problem):
     ``report.checks`` (mirrored for type2):
 
     * spectral radius of |A^-1 B| below one: the value is the upper end of
-      a closed Collatz-Wielandt bracket, or ``eigvals`` where it does not
-      close (``numerics.spectral_radius_nonneg``), so a pass is a proof,
+      a closed Collatz-Wielandt bracket, or an ``eigvals`` estimate where it
+      does not close (``numerics.spectral_radius_nonneg``).  An estimate
+      below one passes only with the contraction certificate of the
+      analysis (``numerics.contraction_inverse``), so a pass is a proof,
     * largest singular value of A^-1 B below one.
 
     Either pass proves a unique solution exists for every right-hand side
@@ -489,9 +498,11 @@ def solvability_report(problem):
         checks.append(SolvabilityCheck(
             "largest_singular_ratio", math.inf, 1.0, False, "A is numerically singular"))
     else:
-        rho = numerics.spectral_radius_nonneg(np.abs(analysis._ratio()))
+        rho, closed = numerics.spectral_radius_nonneg(np.abs(analysis._ratio()))
+        # An eigvals estimate below 1 is no proof; the certificate is.
+        passed = rho < 1.0 and (closed or analysis._contraction()[2])
         checks.append(SolvabilityCheck(
-            "spectral_radius", rho, 1.0, rho < 1.0,
+            "spectral_radius", rho, 1.0, passed,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",
         ))
         sigma = analysis.ratio_norm()

@@ -160,18 +160,20 @@ _BRACKET_RTOL = 1e-12
 
 
 def spectral_radius_nonneg(m):
-    """Spectral radius of an entrywise nonnegative square matrix, never
-    below the true one.
+    """``(value, closed)``: the spectral radius of an entrywise nonnegative
+    square matrix, and whether ``value`` is proven never below it.
 
     Normalised power steps ``y <- m y / max(m y)`` from ``y = 1`` close the
     Collatz-Wielandt bracket of ``collatz_wielandt``; once its relative
-    width is at most 1e-12 the upper end is returned, so ``value < 1``
-    proves rho(m) < 1.  On a positive m with a gap below its Perron root
-    that takes a few dozen matrix-vector products.  When the bracket has
-    not closed after 64 products, or ``m y`` stops being positive (a zero
-    row, or a reducible, periodic or defective m), the value comes from a
-    dense ``eigvals`` instead.  A negative entry means the caller picked
-    the wrong quantity, so it is rejected.
+    width is at most 1e-12 its upper end is returned with ``closed`` True,
+    so ``value < 1`` proves rho(m) < 1.  On a positive m with a gap below
+    its Perron root that takes a few dozen matrix-vector products.  When
+    the bracket has not closed after 64 products, or ``m y`` stops being
+    positive (a zero row, or a reducible, periodic or defective m), the
+    value comes from a dense ``eigvals`` instead, with ``closed`` False: an
+    estimate, which can fall below the true radius (0.9999999999999999 for
+    a reducible m whose radius is exactly 1).  A negative entry means the
+    caller picked the wrong quantity, so it is rejected.
     """
     arr = as_square(m)
     if np.any(arr < 0):
@@ -186,9 +188,9 @@ def spectral_radius_nonneg(m):
                 break
             lo, hi = collatz_wielandt(y, my)
             if hi - lo <= _BRACKET_RTOL * lo:    # False on inf or nan
-                return hi
+                return hi, True
             y = my / my.max()
-    return float(np.max(np.abs(np.linalg.eigvals(arr))))
+    return float(np.max(np.abs(np.linalg.eigvals(arr)))), False
 
 
 def contraction_inverse(m):

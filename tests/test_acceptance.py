@@ -164,7 +164,7 @@ def _criterion_demo_bounds():
     A_bar, B_bar = problem.A, problem.B
     iteration = np.linalg.inv(A_bar) @ B_bar
 
-    rho = spectral_radius_nonneg(np.abs(iteration))
+    rho, _ = spectral_radius_nonneg(np.abs(iteration))
     neumann = upper_factor(problem, NEUMANN, 2)
     smin_a = numerics.singular_values(A_bar)[-1]
     smax_b = numerics.singular_values(B_bar)[0]
@@ -203,7 +203,7 @@ def _criterion_condition_pairs():
 
     # Gap condition holds, radius condition fails.
     B1 = np.array([[0.9, -0.4], [0.4, 0.9]])
-    rho1 = spectral_radius_nonneg(np.abs(B1))  # A = I, so |A^-1 B| = |B|
+    rho1, _ = spectral_radius_nonneg(np.abs(B1))  # A = I, so |A^-1 B| = |B|
     smax1 = numerics.singular_values(B1)[0]
     ok &= abs(rho1 - 1.3) <= 5e-4 and rho1 > 1.0
     ok &= abs(smax1 - 0.9849) <= 5e-4 and smax1 < 1.0
@@ -211,7 +211,7 @@ def _criterion_condition_pairs():
     # Radius condition holds, gap condition fails.
     A2 = np.array([[2.0, 1.0], [0.0, 2.0]])
     B2 = 1.6 * np.eye(2)
-    rho2 = spectral_radius_nonneg(np.abs(np.linalg.inv(A2) @ B2))
+    rho2, _ = spectral_radius_nonneg(np.abs(np.linalg.inv(A2) @ B2))
     smin2 = numerics.singular_values(A2)[-1]
     ok &= abs(rho2 - 0.8000) <= 5e-4 and rho2 < 1.0
     ok &= abs(smin2 - 1.5616) <= 5e-4 and smin2 < 1.6
@@ -495,7 +495,7 @@ def _sweep_zero_b_reduction():
         if report.tau > normwise + 1e-12:
             order_viol += 1
 
-        damped = componentwise_bound(problem, x_star, eps)
+        damped = componentwise_bound(problem, x_star, eps, kernel="damped")
         series = componentwise_bound(problem, x_star, eps, kernel="series")
         worst_comp = max(
             worst_comp,
@@ -563,7 +563,7 @@ def _criterion_complementarity():
     ):
         result = picard_solve(lcp_to_ave(lcp), opts)
         ok &= result.converged
-        solution = recover_solution(result.x)
+        solution = recover_solution(lcp, result.x)
         residual = np.linalg.norm(lcp_min_residual(lcp, solution.z), np.inf)
         worst_bench = max(worst_bench, residual)
     ok &= worst_bench <= 1e-5
@@ -579,7 +579,7 @@ def _criterion_complementarity():
         if not result.converged:
             nonconverged += 1
             continue
-        solution = recover_solution(result.x)
+        solution = recover_solution(lcp, result.x)
         residual = np.linalg.norm(lcp_min_residual(lcp, solution.z), np.inf)
         worst_random = max(worst_random, residual)
     ok &= nonconverged == 0 and worst_random <= 1e-5

@@ -120,7 +120,8 @@ class TestUpperFactor:
             upper_factor(p, SINGULAR_GAP)
         assert exc.value.condition == "invertible_A"
         report = error_bound_report(p)
-        assert report.best_upper() is None
+        with pytest.raises(InapplicableBoundError):
+            report.interval(1.0)
         assert not any(u.applicable for u in report.upper_factors)
         with pytest.raises(InapplicableBoundError) as exc:
             error_interval(p, np.zeros(3))
@@ -220,7 +221,7 @@ class TestErrorBoundReport:
         assert rep.p == 2
         assert len(rep.upper_factors) == 3
         assert all(u.applicable for u in rep.upper_factors)
-        assert rep.best_upper() == pytest.approx(1.2807764064044151, abs=1e-9)
+        assert rep.interval(1.0).upper == pytest.approx(1.2807764064044151, abs=1e-9)
         assert rep.identity_lower is None  # B is not the identity here
 
     def test_identity_pair_included(self):
@@ -249,7 +250,8 @@ class TestErrorBoundReport:
     def test_inapplicable_reasons_kept(self):
         p = AveProblem(np.eye(2), 3.0 * np.eye(2), np.zeros(2))
         rep = error_bound_report(p)
-        assert rep.best_upper() is None
+        with pytest.raises(InapplicableBoundError):
+            rep.interval(1.0)
         assert all(not u.applicable for u in rep.upper_factors)
         assert all(u.reason for u in rep.upper_factors)
 
@@ -345,7 +347,7 @@ def test_interval_is_read_off_the_report(seed, form):
                 continue
             got = error_interval(problem, x, p)
             assert got == want
-            assert got.upper == report.best_upper() * r_norm
+            assert got.upper == report.interval(1.0).upper * r_norm
 
 
 class TestBruteForceAlpha:

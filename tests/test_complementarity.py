@@ -3,11 +3,9 @@ import pytest
 
 from avebounds import (
     AveProblem,
-    HALVED,
     HlcpProblem,
     LcpPerturbFactors,
     LcpProblem,
-    SHIFTED,
     SolveOptions,
     beta_factor,
     column_w_property,
@@ -22,6 +20,7 @@ from avebounds import (
     picard_solve,
     recover_solution,
     region_factors,
+    sign_accord_solve,
     upper_factor,
 )
 from avebounds import complementarity
@@ -53,17 +52,31 @@ class TestTransforms:
 
     def test_recover_solution_literals(self):
         x = np.array([3.0, -2.0])
-        shifted = recover_solution(x)   # default convention
+        shifted = recover_solution(LcpProblem(np.eye(2), np.zeros(2)), x)
         assert np.allclose(shifted.z, [6.0, 0.0])
         assert np.allclose(shifted.w, [0.0, 4.0])
         assert shifted.complementarity_gap == 0.0
-        halved = recover_solution(x, HALVED)
+        halved = recover_solution(HlcpProblem(np.eye(2), np.eye(2), np.zeros(2)), x)
         assert np.allclose(halved.z, [3.0, 0.0])
         assert np.allclose(halved.w, [0.0, 2.0])
 
-    def test_recover_solution_unknown_convention(self):
-        with pytest.raises(ValueError):
-            recover_solution([1.0], "doubled")
+    def test_recover_solution_reads_the_hlcp_substitution(self):
+        # HLCP(2, 1, -4): 2z - w = -4 with z w = 0 gives z = 0, w = 4.  The
+        # LCP substitution would give w = 8, complementary but infeasible.
+        hlcp = HlcpProblem([[2.0]], [[1.0]], [-4.0])
+        sol = recover_solution(hlcp, sign_accord_solve(hlcp_to_ave(hlcp)).x)
+        assert sol.z.tolist() == [0.0] and sol.w.tolist() == [4.0]
+        assert (hlcp.M @ sol.z - hlcp.N @ sol.w - hlcp.q).tolist() == [0.0]
+
+    def test_recover_solution_rejects_stale_calls(self):
+        # The problem decides the substitution; a bare x or a named
+        # convention in its place is refused, not read as an LCP.
+        with pytest.raises(TypeError):
+            recover_solution(np.array([1.0]), "halved")
+        with pytest.raises(TypeError):
+            recover_solution(np.array([1.0]))
+        with pytest.raises(ValueError, match="x"):
+            recover_solution(LcpProblem(np.eye(2), np.zeros(2)), [1.0])
 
     def test_conventions_agree_on_the_same_lcp(self):
         # LCP(M, q) and HLCP(M, I, -q) describe the same problem; the two
@@ -75,8 +88,8 @@ class TestTransforms:
         res_s = picard_solve(lcp_to_ave(lcp), tight)
         res_h = picard_solve(hlcp_to_ave(hlcp), tight)
         assert res_s.converged and res_h.converged
-        z_s = recover_solution(res_s.x, SHIFTED).z
-        z_h = recover_solution(res_h.x, HALVED).z
+        z_s = recover_solution(lcp, res_s.x).z
+        z_h = recover_solution(hlcp, res_h.x).z
         assert np.allclose(z_s, z_h, atol=1e-8)
         assert np.linalg.norm(lcp_min_residual(lcp, z_s), np.inf) < 1e-8
 
@@ -134,7 +147,7 @@ class TestHlcpErrorBounds:
             1.2807764064044151, abs=1e-10)
         assert by_method["norm_ratio"].value == pytest.approx(
             1.2807764064044151, abs=1e-10)
-        assert rep.best_upper() == pytest.approx(1.2807764064044151, abs=1e-10)
+        assert rep.interval(1.0).upper == pytest.approx(1.2807764064044151, abs=1e-10)
 
     def test_lower_factor_in_each_norm(self):
         # max(||M||_p, ||N||_p) at p = 1 and 2; at p = inf the norm of the

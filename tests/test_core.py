@@ -140,6 +140,40 @@ class TestSolvabilityReport:
         assert "singular_value_gap" not in by_name
         assert not by_name["largest_singular_ratio"].passed
 
+    def test_eigvals_estimate_below_one_is_no_proof(self):
+        # Each diagonal block of |K| = B has rows summing to exactly 1, so
+        # rho(|K|) = 1 and I - B is exactly singular.  |K| is reducible, the
+        # power bracket does not close, and eigvals estimates 1 - 1e-16;
+        # without the contraction certificate that is not a pass.
+        B = np.array([[0.1875, 0.8125, 0.5, 0.0], [0.8125, 0.1875, 0.25, 0.125],
+                      [0.0, 0.0, 0.0625, 0.9375], [0.0, 0.0, 0.75, 0.25]])
+        rep = solvability_report(AveProblem(np.eye(4), B, np.ones(4)))
+        radius = {c.name: c for c in rep.checks}["spectral_radius"]
+        assert radius.value == pytest.approx(1.0, abs=1e-12) and not radius.passed
+        assert rep.verdict == VERDICT_INCONCLUSIVE
+
+    def test_unit_row_sum_blocks_are_never_proven(self):
+        # Dyadic block upper triangular |K| whose diagonal blocks have exact
+        # unit row sums: rho(|K|) = 1 exactly, and I - |K| is singular.
+        def unit_rows(k):
+            return np.array([rng.multinomial(16, rng.dirichlet(np.ones(k)))
+                             for _ in range(k)]) / 16.0
+
+        rng = np.random.default_rng(20261020)
+        estimated_below_one = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 9))
+            k = int(rng.integers(1, n))
+            B = np.zeros((n, n))
+            B[:k, :k], B[k:, k:] = unit_rows(k), unit_rows(n - k)
+            B[:k, k:] = rng.integers(0, 16, size=(k, n - k)) / 16.0
+            form = (TYPE_ONE, TYPE_TWO)[n % 2]
+            rep = solvability_report(AveProblem(np.eye(n), B, np.ones(n), form))
+            radius = {c.name: c for c in rep.checks}["spectral_radius"]
+            estimated_below_one += radius.value < 1.0
+            assert not radius.passed and rep.verdict != VERDICT_PROVEN
+        assert estimated_below_one > 0
+
     @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
     def test_dense_radius_without_eigensolve(self, form, monkeypatch):
         # rho(|K|) in (0.3, 0.9) on random dense pairs, and 1.25 on a pair

@@ -161,7 +161,7 @@ class TestCertifiesContraction:
     def test_sound_and_complete_away_from_one(self):
         for m, rho in self._cases():
             # each case's rho from its construction, checked independently
-            assert numerics.spectral_radius_nonneg(m) == pytest.approx(rho, abs=1e-6)
+            assert numerics.spectral_radius_nonneg(m)[0] == pytest.approx(rho, abs=1e-6)
             got = _certifies(m)
             if rho >= 1.0:
                 assert got is False
@@ -339,7 +339,8 @@ class TestSpectralRadius:
         """Compare with the ``eigvals`` oracle; True if the bracket closed."""
         want = spectral_radius(m)
         calls.clear()
-        got = numerics.spectral_radius_nonneg(m)
+        got, closed = numerics.spectral_radius_nonneg(m)
+        assert closed == (not calls)
         assert got >= want * (1.0 - 1e-13)
         if calls:
             assert calls == [m.shape] and got == want
@@ -372,7 +373,7 @@ class TestSpectralRadius:
         blocks[4:, 4:] = 0.9 * _stochastic(rng, 5)
         for m, rho in ((defective, 0.8), (blocks, 0.9)):
             assert not self._check(m, eigvals_calls)
-            assert numerics.spectral_radius_nonneg(m) == pytest.approx(rho, rel=1e-12)
+            assert numerics.spectral_radius_nonneg(m)[0] == pytest.approx(rho, rel=1e-12)
 
     def test_bracket_holds_for_any_positive_y(self):
         rng = np.random.default_rng(11)
@@ -390,7 +391,8 @@ class TestSpectralRadius:
 
     def test_nonnegative_literal(self):
         b = np.abs(np.array([[0.9, -0.4], [0.4, 0.9]]))
-        assert numerics.spectral_radius_nonneg(b) == pytest.approx(1.3, abs=1e-12)
+        rho, closed = numerics.spectral_radius_nonneg(b)
+        assert closed and rho == pytest.approx(1.3, abs=1e-12)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):

@@ -20,6 +20,7 @@ from avebounds import (
     rhs_only_bound,
     shifted_norm_slack,
     sign_accord_solve,
+    solvability_report,
     upper_factor,
 )
 from avebounds import numerics
@@ -113,7 +114,7 @@ def test_bounds_do_not_depend_on_the_scale_of_b(scale):
         x_star = s * sign_accord_solve(AveProblem(problem.A, problem.B, [1.0, -2.0])).x
         interval = error_interval(problem, s * np.ones(2), p=2)
         return (rhs_only_bound(problem, 1e-3 * s * np.ones(2)),
-                componentwise_bound(problem, x_star, 1e-3),
+                componentwise_bound(problem, x_star, 1e-3, kernel="damped"),
                 interval.residual_norm / s, interval.lower / s, interval.upper / s)
     want = at(1.0)
     assert want[:2] == pytest.approx((0.0012855040024356797, 0.002079730549043646), rel=1e-12)
@@ -229,6 +230,36 @@ class TestComponentwiseBound:
             except InapplicableBoundError:
                 continue
             assert damped <= series + 1e-12
+
+    def test_default_series_kernel_bounds_where_damped_does_not(self):
+        # A proven_unique pair with x* = (-3, 31): the worst of the 2**10
+        # vertices of the envelope |dA| <= eps |A| (etc.) moves x* by 0.1337
+        # relative.  The series kernel, the default, bounds that; the
+        # damped kernel, the tables' delta, falls 2000-2500 times below.
+        A = np.array([[4.75, 0.0], [1.5, 1.25]])
+        B = np.array([[0.25, -0.5], [0.75, 1.0]])
+        b = np.array([0.5, 1.0])
+        problem = AveProblem(A, B, b)
+        eps = 1e-3
+        x_star = sign_accord_solve(problem).x
+        assert x_star == pytest.approx([-3.0, 31.0], rel=1e-14)
+        assert solvability_report(problem).proven
+        worst = {2: 0.0, np.inf: 0.0}
+        for signs in np.array(np.meshgrid(*[[-1.0, 1.0]] * 10)).reshape(10, -1).T:
+            y = sign_accord_solve(problem.perturbed(
+                eps * signs[:4].reshape(2, 2) * np.abs(A),
+                eps * signs[4:8].reshape(2, 2) * np.abs(B),
+                eps * signs[8:] * np.abs(b))).x
+            for p in worst:
+                worst[p] = max(worst[p],
+                               numerics.p_norm(y - x_star, p) / numerics.p_norm(x_star, p))
+        for p, r, series, damped in ((2, 0.13375, 0.24134, 6.4743e-5),
+                                     (np.inf, 0.13368, 0.28273, 5.3005e-5)):
+            assert worst[p] == pytest.approx(r, abs=1e-5)
+            assert componentwise_bound(problem, x_star, eps, p) == pytest.approx(series, abs=1e-5)
+            assert componentwise_bound(problem, x_star, eps, p, kernel="damped") == pytest.approx(
+                damped, rel=1e-4)
+            assert componentwise_bound(problem, x_star, eps, p) >= worst[p]
 
     def test_reduces_to_classical_when_B_is_zero(self):
         A = np.array([[2.0]])
