@@ -48,14 +48,12 @@ from .bounds import (                                        # noqa: F401
     error_interval,
     identity_ave_bounds,
     lower_factor,
-    shifted_norm_slack,
     upper_factor,
 )
 from .perturbation import (                                  # noqa: F401
     ExperimentRecord,
     Perturbation,
     PerturbBoundReport,
-    classical_linear_bounds,
     componentwise_bound,
     general_relative_bound,
     perturbation_experiment,

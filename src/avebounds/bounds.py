@@ -262,25 +262,3 @@ def brute_force_alpha(problem, p=2):
     """
     p = numerics.check_norm(p)
     return sign_box_scan(problem.A, problem.B, problem.form == TYPE_TWO, p)[1]
-
-
-def shifted_norm_slack(A, alpha, p=2):
-    """Slack of two shifted-norm inequalities used to sanity-check norms.
-
-    For alpha > 0 the quantity s = ||alpha I + A|| + ||alpha I - A||
-    always dominates 2 alpha - ||A||, and when ||A|| <= alpha it also
-    dominates alpha + ||A||.  Returns ``(s - (2 alpha - ||A||), second)``
-    where ``second`` is ``s - (alpha + ||A||)`` or None when the premise
-    ||A|| <= alpha does not hold.  Both slacks are nonnegative up to
-    roundoff; a materially negative value would indicate a broken norm.
-    """
-    A = numerics.as_square(A, "A")
-    p = numerics.check_norm(p)
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    eye = np.eye(A.shape[0])
-    norm_a = numerics.p_norm(A, p)
-    s = numerics.p_norm(alpha * eye + A, p) + numerics.p_norm(alpha * eye - A, p)
-    slack1 = s - (2.0 * alpha - norm_a)
-    slack2 = s - (alpha + norm_a) if norm_a <= alpha else None
-    return slack1, slack2

@@ -1,8 +1,8 @@
 """Dense linear-algebra primitives shared by the bound estimators.
 
 Everything in this module works on plain numpy arrays of float64.  Inputs
-are validated once at the boundary (shape, finiteness) so the estimator
-code above it can assume well-formed data.
+are validated once at the boundary (shape, finiteness, real entries) so
+the estimator code above it can assume well-formed data.
 
 Every induced matrix norm of the package comes from ``p_norm`` (a stack
 of matrices from ``batched_norms``; a 2-norm from one symmetric
@@ -28,10 +28,18 @@ SUPPORTED_NORMS = (1, 2, np.inf)
 _RCOND_FLOOR = 1e-14
 
 
+def _as_real(obj, name):
+    """``obj`` as a float array; a complex one is refused, not cast to its
+    real part."""
+    if np.iscomplexobj(obj):
+        raise ValueError(f"{name}: complex entries are not supported")
+    return np.asarray(obj, dtype=float)
+
+
 def as_vector(v, name="vector", n=None):
     """Coerce ``v`` to a finite 1-d float array, of length ``n`` if given,
     or raise ValueError."""
-    arr = np.asarray(v, dtype=float)
+    arr = _as_real(v, name)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
@@ -45,7 +53,7 @@ def as_vector(v, name="vector", n=None):
 
 def as_matrix(m, name="matrix"):
     """Coerce ``m`` to a finite 2-d float array or raise ValueError."""
-    arr = np.asarray(m, dtype=float)
+    arr = _as_real(m, name)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name}: expected a non-empty 2-d matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -84,7 +92,7 @@ def p_norm(obj, p=2):
     inf, without a warning.
     """
     p = check_norm(p)
-    arr = np.asarray(obj, dtype=float)
+    arr = _as_real(obj, "p_norm")
     if not np.all(np.isfinite(arr)):
         raise ValueError("p_norm: entries must be finite")
     with np.errstate(over="ignore"):

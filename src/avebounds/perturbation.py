@@ -193,59 +193,6 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="series"):
     return epsilon * numerics.p_norm(K @ u, p) / ((1.0 - damping) * norm_x)
 
 
-def classical_linear_bounds(A, dA, b, db, x_star, epsilon, p=2):
-    """The two textbook bounds for a plain linear system A x = b.
-
-    Returns ``(normwise, componentwise)``:
-
-    * normwise:  kappa/(1 - kappa ||dA||/||A||) (||db||/||b|| + ||dA||/||A||)
-      with kappa = ||A^-1|| ||A||, requiring ||A^-1|| ||dA|| < 1;
-    * componentwise: the |A^-1|-kernel bound under |dA| <= eps |A|,
-      |db| <= eps |b|, requiring eps || |A^-1||A| || < 1.
-
-    These are the B = 0 specialisations of the AVE bounds and are used to
-    cross-check the reductions.  A singular A raises InapplicableBoundError
-    with ``condition="invertible_A"``.
-    """
-    p = numerics.check_norm(p)
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
-    A = numerics.as_square(A, "A")
-    n = A.shape[0]
-    dA = numerics.as_square(dA, "dA", n)
-    b = numerics.as_vector(b, "b", n)
-    db = numerics.as_vector(db, "db", n)
-    x_star = numerics.as_vector(x_star, "x_star", n)
-    norm_b = numerics.p_norm(b, p)
-    norm_x = numerics.p_norm(x_star, p)
-    if norm_b == 0 or norm_x == 0:
-        raise ValueError("relative bounds are undefined for zero b or x*")
-
-    A_inv = numerics.inverse(A, "A", "invertible_A")
-    norm_a, norm_ai, norm_da = (numerics.p_norm(m, p) for m in (A, A_inv, dA))
-    if norm_ai * norm_da >= 1.0:
-        raise InapplicableBoundError(
-            "normwise condition fails: ||A^-1|| ||dA|| >= 1",
-            condition="normwise_denominator",
-        )
-    kappa = norm_ai * norm_a
-    normwise = (kappa / (1.0 - kappa * norm_da / norm_a)
-                * (numerics.p_norm(db, p) / norm_b + norm_da / norm_a))
-
-    K = np.abs(A_inv)
-    t = epsilon * numerics.p_norm(K @ np.abs(A), p)
-    if t >= 1.0:
-        raise InapplicableBoundError(
-            "componentwise condition fails: eps || |A^-1| |A| || >= 1",
-            condition="componentwise_denominator",
-        )
-    comp = (
-        epsilon * numerics.p_norm(K @ (np.abs(b) + np.abs(A) @ np.abs(x_star)), p)
-        / ((1.0 - t) * norm_x)
-    )
-    return normwise, comp
-
-
 def _require_converged(result, which):
     if not result.converged:
         raise NonConvergenceError(

@@ -1,17 +1,49 @@
-"""Shared instance generators for the test suite.
+"""Shared instance generators and reference formulas for the test suite.
 
 Everything here is deterministic given the caller's rng, so tests freeze
-behaviour by fixing their seeds.
+behaviour by fixing their seeds.  The references are plain textbook
+formulas, without validation, that the package's bounds are checked
+against.
 """
 from itertools import product
 
 import numpy as np
 
-from avebounds import AveProblem, LcpProblem, Perturbation, TYPE_ONE
+from avebounds import AveProblem, LcpProblem, Perturbation, TYPE_ONE, p_norm
 
 
 def spectral_radius(m):
     return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def normwise_linear_bound(A, dA, b, db, p=2):
+    """The Banach-lemma bound of A x = b under (dA, db),
+    kappa / (1 - kappa ||dA||/||A||) (||db||/||b|| + ||dA||/||A||) with
+    kappa = ||A^-1|| ||A||; its premise ||A^-1|| ||dA|| < 1 is the caller's."""
+    norm_a, norm_da = p_norm(A, p), p_norm(dA, p)
+    kappa = p_norm(np.linalg.inv(A), p) * norm_a
+    return (kappa / (1.0 - kappa * norm_da / norm_a)
+            * (p_norm(db, p) / p_norm(b, p) + norm_da / norm_a))
+
+
+def componentwise_linear_bound(A, b, x_star, eps, p=2):
+    """The textbook bound of A x = b under |dA| <= eps |A|, |db| <= eps |b|,
+    eps || |A^-1| (|b| + |A| |x*|) || / ((1 - eps || |A^-1| |A| ||) ||x*||);
+    its premise, a positive denominator, is the caller's."""
+    K = np.abs(np.linalg.inv(A))
+    damping = eps * p_norm(K @ np.abs(A), p)
+    return (eps * p_norm(K @ (np.abs(b) + np.abs(A) @ np.abs(x_star)), p)
+            / ((1.0 - damping) * p_norm(x_star, p)))
+
+
+def shifted_norm_slacks(A, alpha, p=2):
+    """With s = ||alpha I + A|| + ||alpha I - A|| and alpha > 0: the slacks
+    ``(s - (2 alpha - ||A||), s - (alpha + ||A||))`` of two triangle
+    inequalities, the second None unless ||A|| <= alpha.  A norm that breaks
+    either makes its slack materially negative."""
+    eye, norm_a = np.eye(A.shape[0]), p_norm(A, p)
+    s = p_norm(alpha * eye + A, p) + p_norm(alpha * eye - A, p)
+    return s - (2.0 * alpha - norm_a), (s - (alpha + norm_a) if norm_a <= alpha else None)
 
 
 def random_solvable(rng, n, rho_cap=0.9, form=TYPE_ONE):

@@ -46,7 +46,6 @@ from avebounds import (
     Perturbation,
     SolveOptions,
     brute_force_alpha,
-    classical_linear_bounds,
     column_w_property,
     componentwise_bound,
     error_interval,
@@ -65,14 +64,20 @@ from avebounds import (
     recover_solution,
     region_factors,
     reproduce_table,
-    shifted_norm_slack,
     sign_diagonal,
     spectral_radius_nonneg,
     upper_factor,
 )
 from avebounds import numerics
 from avebounds.exceptions import InapplicableBoundError
-from support import box_vertices, random_hplus_lcp, random_solvable
+from support import (
+    box_vertices,
+    componentwise_linear_bound,
+    normwise_linear_bound,
+    random_hplus_lcp,
+    random_solvable,
+    shifted_norm_slacks,
+)
 
 TABLE_TOLERANCE = 1.5e-3
 
@@ -381,7 +386,7 @@ def _sweep_slacks():
         A = rng.normal(size=(n, n)) * rng.uniform(0.2, 3.0)
         alpha = float(rng.uniform(0.05, 4.0))
         for p in (1, 2, np.inf):
-            slack1, slack2 = shifted_norm_slack(A, alpha, p)
+            slack1, slack2 = shifted_norm_slacks(A, alpha, p)
             worst = min(worst, slack1)
             if slack2 is not None:
                 worst = min(worst, slack2)
@@ -488,7 +493,8 @@ def _sweep_zero_b_reduction():
         zero = np.zeros((n, n))
         problem = AveProblem(A, zero, b)
         report = general_relative_bound(problem, Perturbation(dA, zero, db))
-        normwise, comp_classical = classical_linear_bounds(A, dA, b, db, x_star, eps)
+        normwise = normwise_linear_bound(A, dA, b, db)
+        comp_classical = componentwise_linear_bound(A, b, x_star, eps)
 
         tau_direct = p_norm(np.linalg.inv(A + dA), 2) * report.w
         worst_tau = max(worst_tau, abs(report.tau - tau_direct))

@@ -21,7 +21,6 @@ from avebounds import (
     lower_factor,
     picard_solve,
     residual,
-    shifted_norm_slack,
     sign_accord_solve,
     upper_factor,
 )
@@ -375,29 +374,3 @@ class TestBruteForceAlpha:
         assert probe <= upper_factor(p, SINGULAR_GAP) + 1e-9
         assert probe == pytest.approx(1.2807764064044151, abs=1e-6)
 
-
-class TestShiftedNormSlack:
-    def test_scalar_literal(self):
-        assert shifted_norm_slack(np.array([[1.0]]), 2.0) == (
-            pytest.approx(1.0), pytest.approx(1.0))
-
-    def test_premise_failure_returns_none(self):
-        slack1, slack2 = shifted_norm_slack(np.array([[3.0]]), 1.0)
-        assert slack1 == pytest.approx(7.0)
-        assert slack2 is None
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError):
-            shifted_norm_slack(np.eye(2), 0.0)
-
-    def test_random_slacks_nonnegative(self):
-        rng = np.random.default_rng(20240908)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            A = rng.normal(size=(n, n))
-            alpha = float(rng.uniform(0.1, 3.0))
-            for p in (1, 2, np.inf):
-                s1, s2 = shifted_norm_slack(A, alpha, p)
-                assert s1 >= -1e-10
-                if s2 is not None:
-                    assert s2 >= -1e-10

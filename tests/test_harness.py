@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from avebounds import LcpProblem, SolveOptions, general_relative_bound, lcp_to_ave
-from avebounds import harness
+from avebounds import harness, perturbation
 from avebounds.exceptions import AveBoundsError
 from avebounds.harness import (
     BENCH_EPSILONS,
@@ -228,6 +228,30 @@ class TestRunExperiment:
                 assert [row.w, row.tau, row.upsilon, row.nu] == [
                     report.w, report.tau, report.upsilon, report.nu]
                 assert row == perturbation_experiment(problem, pert)
+
+    def test_a_failing_perturbed_solve_fails_its_cell(self, monkeypatch):
+        # The base solve succeeds; the second cell's perturbed solve gets a
+        # one-iteration budget and ends unconverged.  That cell alone lands
+        # in failures, and the other cells keep their rows and deltas, in
+        # epsilon order, as a clean run gives them.
+        spec = ExperimentSpec("tridiag", [3], [0.01, 0.02, 0.03])
+        clean = run_experiment(spec)
+        calls = []
+
+        def perturbed_solve(problem, options=None):
+            calls.append(problem.n)
+            if len(calls) == 2:
+                options = SolveOptions(max_iterations=1)
+            return sign_accord_solve(problem, options)
+        monkeypatch.setattr(perturbation, "sign_accord_solve", perturbed_solve)
+        out = run_experiment(spec)
+        assert calls == [3, 3, 3]
+        assert [(n, eps) for n, eps, _ in out.failures] == [(3, 0.02)]
+        assert out.failures[0][2].startswith(
+            "solver did not converge on the perturbed problem (1 iterations, last step ")
+        assert [(r.n, r.epsilon) for r in out.rows] == [(3, 0.01), (3, 0.03)]
+        assert all(r.delta is not None for r in out.rows)
+        assert out.rows == [clean.rows[0], clean.rows[2]]
 
     def test_a_failing_delta_fails_its_cell(self, monkeypatch):
         real = harness._componentwise_delta

@@ -9,7 +9,6 @@ from avebounds import (
     LcpProblem,
     Perturbation,
     SolveOptions,
-    classical_linear_bounds,
     componentwise_bound,
     hlcp_perturb_bound,
     lcp_min_residual,
@@ -555,18 +554,36 @@ _HLCP = HlcpProblem(2.0 * _I2, _I2, _ONE2)
     ("dM", lambda: hlcp_perturb_bound(_HLCP, _I3, _I2, _ONE2)),
     ("dN", lambda: hlcp_perturb_bound(_HLCP, _I2, _I3, _ONE2)),
     ("dq", lambda: hlcp_perturb_bound(_HLCP, _I2, _I2, _ONE3)),
-    ("dA", lambda: classical_linear_bounds(_I2, _I3, _ONE2, _ONE2, _ONE2, 0.01)),
-    ("b", lambda: classical_linear_bounds(_I2, _I2, _ONE3, _ONE2, _ONE2, 0.01)),
-    ("db", lambda: classical_linear_bounds(_I2, _I2, _ONE2, _ONE3, _ONE2, 0.01)),
-    ("x_star", lambda: classical_linear_bounds(_I2, _I2, _ONE2, _ONE2, _ONE3, 0.01)),
 ], ids=["AveProblem.B", "AveProblem.b", "residual", "sign_diagonal", "picard_solve",
         "rhs_only_bound", "componentwise_bound", "Perturbation.dB", "Perturbation.db",
         "LcpProblem.q", "HlcpProblem.N", "HlcpProblem.q", "lcp_min_residual",
-        "hlcp_perturb_bound.dM", "hlcp_perturb_bound.dN", "hlcp_perturb_bound.dq",
-        "classical_linear_bounds.dA", "classical_linear_bounds.b",
-        "classical_linear_bounds.db", "classical_linear_bounds.x_star"])
+        "hlcp_perturb_bound.dM", "hlcp_perturb_bound.dN", "hlcp_perturb_bound.dq"])
 def test_wrong_size_names_the_argument(name, call):
     # Every size rule is stated once, by as_vector / as_square at the boundary.
     wrong = r"(length 3, expected 2|shape \(3, 3\), expected \(2, 2\))"
     with pytest.raises(ValueError, match=rf"^{name} has {wrong}$"):
+        call()
+
+
+_Z2 = _I2 + 0.5j * _I2
+
+
+@pytest.mark.parametrize("name,call", [
+    ("A", lambda: AveProblem([[2 + 5j]], [[0.0]], [4.0])),
+    ("B", lambda: AveProblem(_I2, _Z2, _ONE2)),
+    ("b", lambda: AveProblem(_I2, _I2, _ONE2 + 1j)),
+    ("b", lambda: AveProblem([[1.0]], [[0.0]], [1 + 2j])),
+    ("q", lambda: LcpProblem(_I2, _ONE2 - 1j)),
+    ("N", lambda: HlcpProblem(_I2, _Z2, _ONE2)),
+    ("dA", lambda: Perturbation(_Z2, _I2, _ONE2)),
+    ("x", lambda: residual(_AVE, _ONE2 + 1j)),
+    ("p_norm", lambda: numerics.p_norm(np.array([3 + 4j]), 2)),
+    ("p_norm", lambda: numerics.p_norm(_Z2, 1)),
+], ids=["AveProblem.A", "AveProblem.B", "AveProblem.b", "AveProblem.b-list", "LcpProblem.q",
+        "HlcpProblem.N", "Perturbation.dA", "residual", "p_norm.vector", "p_norm.matrix"])
+def test_complex_input_names_the_argument(name, call):
+    # A cast to float would keep the real part alone (a list fails the cast
+    # with a bare TypeError); the boundary refuses complex entries instead,
+    # as matrixio refuses a complex file.
+    with pytest.raises(ValueError, match=rf"^{name}: complex entries are not supported$"):
         call()

@@ -9,7 +9,6 @@ from avebounds import (
     Perturbation,
     SINGULAR_GAP,
     SolveOptions,
-    classical_linear_bounds,
     componentwise_bound,
     error_interval,
     general_relative_bound,
@@ -18,7 +17,6 @@ from avebounds import (
     picard_solve,
     region_factors,
     rhs_only_bound,
-    shifted_norm_slack,
     sign_accord_solve,
     solvability_report,
     upper_factor,
@@ -28,7 +26,12 @@ from avebounds.exceptions import InapplicableBoundError, NonConvergenceError
 from avebounds.harness import gen_perturbation, gen_problem
 from avebounds.complementarity import lcp_to_ave
 
-from support import envelope_perturbation, random_solvable, vertex_mu2
+from support import (
+    componentwise_linear_bound,
+    envelope_perturbation,
+    random_solvable,
+    vertex_mu2,
+)
 
 
 def table_one_cell(eps):
@@ -92,12 +95,9 @@ NAN = float("nan")
     lambda: LcpPerturbFactors(NAN, 0.5, 2.0, 0.1),
     lambda: LcpPerturbFactors(1.0, 0.5, 2.0, NAN),
     lambda: LcpPerturbFactors(1.0, 0.5, NAN, 0.1),
-    lambda: shifted_norm_slack(np.eye(2), NAN),
-    lambda: classical_linear_bounds(np.eye(2), np.zeros((2, 2)), np.ones(2), np.zeros(2),
-                                    np.ones(2), NAN),
 ], ids=["Perturbation", "gen_perturbation", "ExperimentSpec", "region_factors",
         "lcp_region_bound", "LcpPerturbFactors.beta", "LcpPerturbFactors.delta",
-        "LcpPerturbFactors.alpha", "shifted_norm_slack", "classical_linear_bounds"])
+        "LcpPerturbFactors.alpha"])
 def test_nan_scales_are_rejected(call):
     # A NaN passes every ``x < 0`` guard; the guards are written ``not x >= 0``.
     with pytest.raises(ValueError):
@@ -267,11 +267,30 @@ class TestComponentwiseBound:
         x_star = np.array([2.0])
         damped = componentwise_bound(prob, x_star, 0.1, kernel="damped")
         series = componentwise_bound(prob, x_star, 0.1, kernel="series")
-        _, classical = classical_linear_bounds(
-            A, [[0.2]], [4.0], [0.4], x_star, 0.1)
         assert damped == pytest.approx(2.0 / 9.0, abs=1e-15)
         assert series == pytest.approx(2.0 / 9.0, abs=1e-15)
-        assert classical == pytest.approx(2.0 / 9.0, abs=1e-15)
+
+    def test_is_the_classical_bound_bit_for_bit_when_B_is_zero(self):
+        # |K| = 0 at B = 0: the series kernel (I - 0)^-1 |A^-1| is |A^-1|
+        # and S = |A| + |B| is |A|, so the bound is the textbook
+        # componentwise bound of A x = b, computed with the same operations.
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            A = rng.normal(size=(n, n)) + rng.uniform(0.0, 3.0) * np.eye(n)
+            b = rng.normal(size=n)
+            eps = float(rng.uniform(1e-5, 1e-2))
+            problem = AveProblem(A, np.zeros((n, n)), b)
+            x_star = np.linalg.solve(A, b)
+            for p in (1, 2, np.inf):
+                try:
+                    bound = componentwise_bound(problem, x_star, eps, p)
+                except InapplicableBoundError:
+                    continue
+                assert bound == componentwise_linear_bound(A, b, x_star, eps, p)
+                checked += 1
+        assert checked >= 800
 
     def test_conditions(self):
         with pytest.raises(InapplicableBoundError) as exc:
@@ -337,58 +356,6 @@ class TestComponentwiseBound:
             assert val <= series + 1e-9
             checked += 1
         assert checked >= 190
-
-
-class TestClassicalLinearBounds:
-    def test_scalar_literal(self):
-        normwise, comp = classical_linear_bounds(
-            [[2.0]], [[0.2]], [4.0], [0.4], [2.0], 0.1)
-        assert normwise == pytest.approx(2.0 / 9.0, abs=1e-15)
-        assert comp == pytest.approx(2.0 / 9.0, abs=1e-15)
-
-    def test_normwise_condition(self):
-        with pytest.raises(InapplicableBoundError) as exc:
-            classical_linear_bounds([[1.0]], [[1.0]], [1.0], [0.0], [1.0], 0.1)
-        assert exc.value.condition == "normwise_denominator"
-
-    def test_componentwise_condition(self):
-        with pytest.raises(InapplicableBoundError) as exc:
-            classical_linear_bounds([[1.0]], [[0.5]], [1.0], [0.0], [1.0], 1.5)
-        assert exc.value.condition == "componentwise_denominator"
-
-    def test_singular_A_names_its_premise(self):
-        # The refusal is the bound's, with the gate's message; it used to be
-        # the gate's bare SingularMatrixError.
-        with pytest.raises(InapplicableBoundError,
-                           match=r"A is singular to working precision") as exc:
-            classical_linear_bounds(np.ones((3, 3)), np.zeros((3, 3)), np.ones(3),
-                                    np.zeros(3), np.ones(3), 0.1)
-        assert exc.value.condition == "invertible_A"
-
-    def test_dA_norm_is_taken_once(self, monkeypatch):
-        rng = np.random.default_rng(30)
-        A = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
-        dA = 1e-3 * rng.normal(size=(6, 6))
-        for p in (1, 2, np.inf):
-            taken = []
-            p_norm = numerics.p_norm
-            monkeypatch.setattr(numerics, "p_norm",
-                                lambda a, q: taken.append(a is dA) or p_norm(a, q))
-            classical_linear_bounds(A, dA, np.ones(6), 1e-3 * np.ones(6), np.ones(6), 1e-3, p)
-            monkeypatch.setattr(numerics, "p_norm", p_norm)
-            assert sum(taken) == 1, p
-
-    def test_rejects_zero_references(self):
-        with pytest.raises(ValueError):
-            classical_linear_bounds([[1.0]], [[0.0]], [0.0], [0.0], [1.0], 0.1)
-        with pytest.raises(ValueError):
-            classical_linear_bounds([[1.0]], [[0.0]], [1.0], [0.0], [0.0], 0.1)
-
-    def test_rejects_negative_scale(self):
-        # Without the guard, eps = -0.5 gave a negative componentwise bound.
-        A = np.array([[2.0, 1.0], [0.5, 3.0]])
-        with pytest.raises(ValueError, match="epsilon"):
-            classical_linear_bounds(A, 0.01 * A, np.ones(2), np.zeros(2), np.ones(2), -0.5)
 
 
 class TestPerturbationExperiment:
