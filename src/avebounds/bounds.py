@@ -213,12 +213,16 @@ class ErrorBoundReport:
         return ErrorInterval(residual_norm, lower, best.value * residual_norm, best.method)
 
 
-def _upper_factors(problem, p):
-    """Every estimator at ``p``, the inapplicable ones with the reason."""
+def _upper_factors(problem, p, relative=False):
+    """Every estimator at ``p``, the inapplicable ones with the reason;
+    ``relative`` takes an estimator's ``relative`` factor where it has one."""
     out = []
-    for method in METHODS:
+    for method, est in ESTIMATORS.items():
         try:
-            out.append(UpperFactor(method, upper_factor(problem, method, p), True))
+            # upper_factor, not est.factor: the benchmark tracer counts it per method.
+            value = (_estimator(method, p).relative(problem, p) if relative and est.relative
+                     else upper_factor(problem, method, p))
+            out.append(UpperFactor(method, value, True))
         except (InapplicableBoundError, ValueError) as exc:
             out.append(UpperFactor(method, None, False, str(exc), getattr(exc, "condition", None)))
     return out

@@ -41,7 +41,7 @@ def _read_dense(path):
         finally:
             if stream is not None:      # the .gz or .bz2 file under the cursor
                 stream.close()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:    # scipy: "Integer out of range"
         raise ValueError(f"{path}: {exc}") from exc
     dense = np.zeros(shape, dtype=data.dtype)
     np.add.at(dense, (rows, cols), data)    # duplicates add up, as in mmread

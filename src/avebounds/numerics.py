@@ -29,11 +29,17 @@ _RCOND_FLOOR = 1e-14
 
 
 def _as_real(obj, name):
-    """``obj`` as a float array; a complex one is refused, not cast to its
-    real part."""
-    if np.iscomplexobj(obj):
-        raise ValueError(f"{name}: complex entries are not supported")
-    return np.asarray(obj, dtype=float)
+    """``obj`` as a float array, or a ValueError that names it; a complex
+    one is refused, not cast to its real part."""
+    try:
+        if not np.iscomplexobj(obj):
+            return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        try:    # entries that cast to complex but not to float hold a complex one
+            np.asarray(obj, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{name}: {exc}") from exc
+    raise ValueError(f"{name}: complex entries are not supported")
 
 
 def as_vector(v, name="vector", n=None):

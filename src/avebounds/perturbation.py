@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bounds import ESTIMATORS, METHODS, NEUMANN, _estimator, upper_factor
+from .bounds import ESTIMATORS, NEUMANN, _upper_factors, upper_factor
 from .exceptions import InapplicableBoundError, NonConvergenceError
 from .solver import sign_accord_solve
 
@@ -60,7 +60,6 @@ class PerturbBoundReport:
     tau: float | None = None
     upsilon: float | None = None
     nu: float | None = None
-    estimates: list = field(default_factory=list)   # (method, factor) pairs
     notes: list = field(default_factory=list)
 
 
@@ -78,19 +77,14 @@ class ExperimentRecord:
     delta: float | None
 
 
-def _rhs_term(problem, db, p):
-    """(||db||/||b||)(||A|| + ||B||), the right-hand side's share of w."""
+def _relative_coefficient(problem, db, norm_dA, norm_dB, p):
+    """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
+    in the perturbation scale, from the numbers ||dA|| and ||dB||."""
     norm_b = numerics.p_norm(problem.b, p)
     if norm_b == 0:
         raise ValueError("relative bounds are undefined for b = 0")
     return numerics.p_norm(db, p) / norm_b * (
-        problem.analysis.norm("A", p) + problem.analysis.norm("B", p))
-
-
-def _relative_coefficient(problem, db, norm_dA, norm_dB, p):
-    """w = (||db||/||b||)(||A|| + ||B||) + ||dA|| + ||dB||, exactly linear
-    in the perturbation scale, from the numbers ||dA|| and ||dB||."""
-    return _rhs_term(problem, db, p) + norm_dA + norm_dB
+        problem.analysis.norm("A", p) + problem.analysis.norm("B", p)) + norm_dA + norm_dB
 
 
 def rhs_only_bound(problem, db, method=NEUMANN, p=2):
@@ -102,11 +96,11 @@ def rhs_only_bound(problem, db, method=NEUMANN, p=2):
     """
     p = numerics.check_norm(p)
     db = numerics.as_vector(db, "db", problem.n)
-    scale = _rhs_term(problem, db, p)
-    return upper_factor(problem, method, p) * scale
+    w = _relative_coefficient(problem, db, 0.0, 0.0, p)
+    return upper_factor(problem, method, p) * w
 
 
-def general_relative_bound(problem, pert, method=None, p=2):
+def general_relative_bound(problem, pert, p=2):
     """Bounds for simultaneous perturbation of A, B and b.
 
     Every bound is ``factor * w`` where w is the relative coefficient from
@@ -117,37 +111,25 @@ def general_relative_bound(problem, pert, method=None, p=2):
     * upsilon -- the truncated singular-value gap (``singular_gap``),
     * nu      -- the norm-ratio estimator (``norm_ratio``).
 
-    ``upper_factor`` gives tau's and nu's factors, ``bounds.ESTIMATORS``
-    upsilon's; upsilon and nu are defined for p = 2 alone.
-
-    ``method=None`` evaluates all three, recording a note for each one
-    whose hypothesis fails; naming a method raises instead when it does
-    not apply.
+    The factors are the perturbed pair's ``bounds._upper_factors``, with
+    upsilon's taken from its ``relative`` entry in ``bounds.ESTIMATORS``;
+    upsilon and nu are defined for p = 2 alone.  An estimator whose
+    hypothesis fails leaves its field None and records a note.
     """
     p = numerics.check_norm(p)
     perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
     norms = [numerics.p_norm(m, p) for m in (pert.dA, pert.dB)]
-    return _relative_bound(perturbed, _relative_coefficient(problem, pert.db, *norms, p),
-                           method, p)
+    return _relative_bound(perturbed, _relative_coefficient(problem, pert.db, *norms, p), p)
 
 
-def _relative_bound(perturbed, w, method, p):
+def _relative_bound(perturbed, w, p):
     """``general_relative_bound`` for a built perturbed problem and its w."""
     report = PerturbBoundReport(w=w)
-    wanted = METHODS if method is None else (method,)
-    for name in wanted:
-        try:
-            est = _estimator(name, p)
-            # upper_factor, not est.factor: the benchmark tracer counts it per method.
-            factor = (est.relative(perturbed, p) if est.relative
-                      else upper_factor(perturbed, name, p))
-        except (InapplicableBoundError, ValueError) as exc:
-            if method is not None:
-                raise
-            report.notes.append(f"{name}: {exc}")
-            continue
-        report.estimates.append((name, factor))
-        setattr(report, est.field, factor * w)
+    for u in _upper_factors(perturbed, p, relative=True):
+        if u.applicable:
+            setattr(report, ESTIMATORS[u.method].field, u.value * w)
+        else:
+            report.notes.append(f"{u.method}: {u.reason}")
     return report
 
 
@@ -231,7 +213,7 @@ def _experiment_cell(problem, base, perturbed, db, norms, epsilon, options=None)
         raise ValueError("relative error is undefined for x* = 0")
     r = numerics.p_norm(base.x - shifted.x, 2) / norm_x
     w = _relative_coefficient(problem, db, *norms, 2)
-    report = _relative_bound(perturbed, w, None, 2)
+    report = _relative_bound(perturbed, w, 2)
     bounds = {est.field: getattr(report, est.field) for est in ESTIMATORS.values()}
     return ExperimentRecord(n=problem.n, epsilon=epsilon, r=r, w=w, delta=None, **bounds)
 

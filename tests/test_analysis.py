@@ -80,7 +80,7 @@ def _calls(problem, p):
     calls += [
         ("picard_solve", lambda: picard_solve(problem)),
         ("error_bound_report", lambda: error_bound_report(problem, p)),
-        ("general_relative_bound", lambda: general_relative_bound(problem, pert, None, p)),
+        ("general_relative_bound", lambda: general_relative_bound(problem, pert, p)),
         ("solvability_report", lambda: solvability_report(problem)),
     ]
     calls += [(f"componentwise_bound:{k}",

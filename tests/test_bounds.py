@@ -24,7 +24,7 @@ from avebounds import (
     sign_accord_solve,
     upper_factor,
 )
-from avebounds import harness, numerics, perturbation
+from avebounds import bounds, harness, numerics, perturbation
 from avebounds.bounds import ESTIMATORS, METHODS
 from avebounds.complementarity import lcp_to_ave
 from avebounds.exceptions import InapplicableBoundError, SingularMatrixError
@@ -143,9 +143,6 @@ class TestUpperFactor:
                 with pytest.raises(InapplicableBoundError, match=singular) as exc:
                     upper_factor(p, method, norm)
                 assert exc.value.condition == condition
-                with pytest.raises(InapplicableBoundError, match=singular) as exc:
-                    general_relative_bound(p, pert, method, norm)
-                assert exc.value.condition == condition
             for u in error_bound_report(p, norm).upper_factors:
                 if norm in ESTIMATORS[u.method].norms:
                     assert u.condition == premises[u.method]
@@ -163,7 +160,6 @@ class TestUpperFactor:
             # 0.001 here, off a gap of rounding noise.
             report = general_relative_bound(p, pert, p=norm)
             assert report.tau is None and report.upsilon is None and report.nu is None
-            assert report.estimates == []
             assert f"{NEUMANN}: A is singular to working precision" in report.notes[0]
 
     def test_ratio_needs_invertible_B(self):
@@ -292,17 +288,18 @@ class TestEstimatorTable:
         # upsilon takes the truncated gap; tau and nu go through upper_factor,
         # where the traced per-method counts are taken.
         called = []
-        original = perturbation.upper_factor
+        original = bounds.upper_factor
 
         def counting(problem, method=NEUMANN, p=2):
             called.append(method)
             return original(problem, method, p)
 
-        monkeypatch.setattr(perturbation, "upper_factor", counting)
+        monkeypatch.setattr(bounds, "upper_factor", counting)
         problem, pert = table_one_cell()
         rep = general_relative_bound(problem, pert)
         assert called == [NEUMANN, NORM_RATIO]
-        assert [name for name, _ in rep.estimates] == list(ESTIMATORS)
+        assert rep.notes == []
+        assert all(getattr(rep, est.field) is not None for est in ESTIMATORS.values())
 
 
 class TestErrorInterval:

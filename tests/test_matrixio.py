@@ -124,6 +124,9 @@ BROKEN = {
                         "Truncated file"),
     "truncated_coordinate": ("%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 1.0\n",
                              "Truncated file"),
+    # scipy raises OverflowError, not ValueError, for an integer past int64.
+    "integer_overflow": ("%%MatrixMarket matrix array integer general\n1 1\n99999999999999999999\n",
+                         "Line 3: Integer out of range"),
 }
 
 

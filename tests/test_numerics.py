@@ -579,11 +579,24 @@ _Z2 = _I2 + 0.5j * _I2
     ("x", lambda: residual(_AVE, _ONE2 + 1j)),
     ("p_norm", lambda: numerics.p_norm(np.array([3 + 4j]), 2)),
     ("p_norm", lambda: numerics.p_norm(_Z2, 1)),
+    ("p_norm", lambda: numerics.p_norm(np.array([1 + 2j], dtype=object))),
+    ("b", lambda: AveProblem([[1.0]], [[0.0]], np.array([1 + 2j], dtype=object))),
 ], ids=["AveProblem.A", "AveProblem.B", "AveProblem.b", "AveProblem.b-list", "LcpProblem.q",
-        "HlcpProblem.N", "Perturbation.dA", "residual", "p_norm.vector", "p_norm.matrix"])
+        "HlcpProblem.N", "Perturbation.dA", "residual", "p_norm.vector", "p_norm.matrix",
+        "p_norm.object", "AveProblem.b-object"])
 def test_complex_input_names_the_argument(name, call):
     # A cast to float would keep the real part alone (a list fails the cast
     # with a bare TypeError); the boundary refuses complex entries instead,
-    # as matrixio refuses a complex file.
+    # as matrixio refuses a complex file.  An object array's dtype does not
+    # say it holds a complex number; its failed cast does.
     with pytest.raises(ValueError, match=rf"^{name}: complex entries are not supported$"):
+        call()
+
+
+@pytest.mark.parametrize("name,call", [
+    ("A", lambda: AveProblem([[1.0, 2.0], [3.0]], _I2, _ONE2)),
+    ("b", lambda: AveProblem([[1.0]], [[0.0]], ["a"])),
+], ids=["ragged", "string"])
+def test_failed_cast_names_the_argument(name, call):
+    with pytest.raises(ValueError, match=rf"^{name}: "):
         call()

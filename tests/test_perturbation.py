@@ -6,10 +6,14 @@ from avebounds import (
     ExperimentSpec,
     LcpPerturbFactors,
     NEUMANN,
+    NORM_RATIO,
     Perturbation,
     SINGULAR_GAP,
     SolveOptions,
+    TYPE_ONE,
+    TYPE_TWO,
     componentwise_bound,
+    error_bound_report,
     error_interval,
     general_relative_bound,
     lcp_region_bound,
@@ -29,6 +33,7 @@ from avebounds.complementarity import lcp_to_ave
 from support import (
     componentwise_linear_bound,
     envelope_perturbation,
+    random_perturbation,
     random_solvable,
     vertex_mu2,
 )
@@ -152,7 +157,6 @@ class TestGeneralRelativeBound:
         assert rep.tau == 0.0
         assert rep.upsilon == 0.0
         assert rep.nu == 0.0
-        assert len(rep.estimates) == 3
         assert rep.notes == []
 
     def test_frozen_benchmark_cell(self):
@@ -174,19 +178,12 @@ class TestGeneralRelativeBound:
         rep = general_relative_bound(problem, pert)
         assert rep.upsilon is not None and rep.upsilon > 0
 
-    def test_named_method_raises_when_inapplicable(self):
-        p = AveProblem(np.eye(2), np.eye(2), np.ones(2))
-        zero = Perturbation(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(InapplicableBoundError):
-            general_relative_bound(p, zero, method=NEUMANN)
-
     def test_unnamed_methods_record_notes(self):
         p = AveProblem(np.eye(2), np.eye(2), np.ones(2))
         zero = Perturbation(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(2))
         rep = general_relative_bound(p, zero)
         assert rep.tau is None and rep.upsilon is None and rep.nu is None
         assert len(rep.notes) == 3
-        assert rep.estimates == []
 
     def test_one_norm_keeps_tau_only(self):
         problem, pert = table_one_cell(0.01)
@@ -194,12 +191,6 @@ class TestGeneralRelativeBound:
         assert rep.tau is not None
         assert rep.upsilon is None and rep.nu is None
         assert any("2-norm" in note for note in rep.notes)
-
-    def test_unknown_method(self):
-        p = AveProblem([[2.0]], [[1.0]], [3.0])
-        zero = Perturbation([[0.0]], [[0.0]], [0.0])
-        with pytest.raises(ValueError):
-            general_relative_bound(p, zero, method="secant")
 
     def test_rejects_zero_rhs(self):
         p = AveProblem([[2.0]], [[1.0]], [0.0])
@@ -214,6 +205,47 @@ class TestGeneralRelativeBound:
         w2 = general_relative_bound(problem, pert2).w
         assert w2 == pytest.approx(2.0 * w1, rel=1e-12)
         assert w1 / 0.01 == pytest.approx(8.42454140387942, rel=1e-9)
+
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_relative_report_is_the_perturbed_error_report_times_w(form):
+    """tau and nu are the perturbed pair's upper factors times w, and each
+    failed estimator's note is the error report's reason, bit for bit;
+    at dA = dB = 0 they are ``rhs_only_bound``."""
+    rng = np.random.default_rng(33)
+    fields = {NEUMANN: "tau", NORM_RATIO: "nu"}
+    seen = set()
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        base = random_solvable(rng, n, form=form)
+        for scale in (1.0, 3.0):    # 3.0 pushes rho(|K|) past 1 for most draws
+            problem = AveProblem(base.A, scale * base.B, base.b, form)
+            pert = random_perturbation(rng, n, 1e-3)
+            rhs_pert = Perturbation(np.zeros((n, n)), np.zeros((n, n)), pert.db)
+            for p in (1, 2, np.inf):
+                rhs = general_relative_bound(problem, rhs_pert, p)
+                for method, field in fields.items():
+                    try:
+                        want = rhs_only_bound(problem, pert.db, method, p)
+                    except (InapplicableBoundError, ValueError):
+                        assert getattr(rhs, field) is None
+                        continue
+                    assert getattr(rhs, field) == want
+                report = general_relative_bound(problem, pert, p)
+                notes = {note.split(": ", 1)[0]: note for note in report.notes}
+                perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
+                for u in error_bound_report(perturbed, p).upper_factors:
+                    if u.method not in fields:
+                        continue
+                    seen.add(u.applicable)
+                    if u.applicable:
+                        assert u.method not in notes
+                        assert getattr(report, fields[u.method]) == u.value * report.w
+                    else:
+                        assert notes[u.method] == f"{u.method}: {u.reason}"
+                        assert getattr(report, fields[u.method]) is None
+    assert seen == {True, False}
 
 
 class TestComponentwiseBound:
