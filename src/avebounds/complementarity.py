@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .bounds import NEUMANN, error_bound_report, upper_factor
+from .bounds import error_bound_report
 from .core import AveProblem, TYPE_ONE, sign_box_scan
 from .exceptions import InapplicableBoundError
-from .perturbation import _relative_coefficient
+from .perturbation import Perturbation, general_relative_bound
 
 
 @dataclass
@@ -159,29 +159,21 @@ def lcp_comparison_bound(M, p=2):
     return numerics.p_norm(comp_inv @ d_cap, p)
 
 
-def hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=2):
-    """Relative solution-perturbation bound for an HLCP, stated through
-    ``hlcp_to_ave(hlcp)``.
+def hlcp_perturb_bound(hlcp, dM, dN, dq, p=2):
+    """Relative solution-perturbation bounds for an HLCP: the
+    ``general_relative_bound`` of ``hlcp_to_ave(hlcp)`` under the AVE
+    perturbation dA = (dM+dN)/2, dB = (dN-dM)/2, db = dq.
 
-    The bound is ``factor * w`` with ``factor`` the ``upper_factor`` of
-    the perturbed AVE pair ((M+N+dM+dN)/2, (N-M+dN-dM)/2) and
+    Each bound is a factor of the perturbed pair ((M+N+dM+dN)/2,
+    (N-M+dN-dM)/2) times
 
         w = (||dq||/||q||) (||M+N|| + ||M-N||)/2 + (||dM+dN|| + ||dM-dN||)/2
-
-    the relative coefficient of the AVE perturbation dA = (dM+dN)/2,
-    dB = (dN-dM)/2.  For neumann and norm_ratio this is the tau or nu of
-    ``general_relative_bound``.  For singular_gap it is not upsilon:
-    ``upper_factor`` takes the certified full singular-value gap, where
-    upsilon takes the gap of truncated spectra, an estimate.
     """
-    p = numerics.check_norm(p)
     dM = numerics.as_square(dM, "dM", hlcp.n)
     dN = numerics.as_square(dN, "dN", hlcp.n)
     dq = numerics.as_vector(dq, "dq", hlcp.n)
-    ave = hlcp_to_ave(hlcp)
-    dA, dB = (dM + dN) / 2.0, (dN - dM) / 2.0
-    w = _relative_coefficient(ave, dq, numerics.p_norm(dA, p), numerics.p_norm(dB, p), p)
-    return upper_factor(ave.perturbed(dA, dB, dq), method, p) * w
+    return general_relative_bound(
+        hlcp_to_ave(hlcp), Perturbation((dM + dN) / 2.0, (dN - dM) / 2.0, dq), p)
 
 
 def beta_factor(M, p=2):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics
-from .bounds import ESTIMATORS, NEUMANN, _upper_factors, upper_factor
+from .bounds import ESTIMATORS, _upper_factors
 from .exceptions import InapplicableBoundError, NonConvergenceError
 from .solver import sign_accord_solve
 
@@ -56,6 +56,10 @@ class Perturbation:
 
 @dataclass
 class PerturbBoundReport:
+    """The perturbation bound of every estimator: ``tau``, ``upsilon`` and
+    ``nu`` are factors of the perturbed pair times ``w``; a field is None
+    where its estimator does not apply, and a note says why."""
+
     w: float
     tau: float | None = None
     upsilon: float | None = None
@@ -63,18 +67,15 @@ class PerturbBoundReport:
     notes: list = field(default_factory=list)
 
 
-@dataclass
-class ExperimentRecord:
-    """One grid cell of a perturbation experiment."""
+@dataclass(kw_only=True)
+class ExperimentRecord(PerturbBoundReport):
+    """One grid cell of a perturbation experiment: its bounds' report, with
+    the observed relative error ``r`` and the componentwise ``delta``."""
 
     n: int
     epsilon: float | None
     r: float | None
-    w: float
-    tau: float | None
-    upsilon: float | None
-    nu: float | None
-    delta: float | None
+    delta: float | None = None
 
 
 def _relative_coefficient(problem, db, norm_dA, norm_dB, p):
@@ -87,17 +88,18 @@ def _relative_coefficient(problem, db, norm_dA, norm_dB, p):
         problem.analysis.norm("A", p) + problem.analysis.norm("B", p)) + norm_dA + norm_dB
 
 
-def rhs_only_bound(problem, db, method=NEUMANN, p=2):
-    """Bound for perturbations of the right-hand side only.
+def rhs_only_bound(problem, db, p=2):
+    """Bounds for perturbations of the right-hand side only.
 
     ||x* - y*|| / ||x*||  <=  c * (||db|| / ||b||) * (||A|| + ||B||)
 
-    with c any applicable upper factor of the *unperturbed* problem.
+    with c each estimator's factor of the *unperturbed* problem: the
+    ``general_relative_bound`` of ``Perturbation(0, 0, db)``, field for
+    field, from the problem's own analysis.
     """
     p = numerics.check_norm(p)
     db = numerics.as_vector(db, "db", problem.n)
-    w = _relative_coefficient(problem, db, 0.0, 0.0, p)
-    return upper_factor(problem, method, p) * w
+    return _relative_bound(problem, _relative_coefficient(problem, db, 0.0, 0.0, p), p)
 
 
 def general_relative_bound(problem, pert, p=2):
@@ -123,7 +125,8 @@ def general_relative_bound(problem, pert, p=2):
 
 
 def _relative_bound(perturbed, w, p):
-    """``general_relative_bound`` for a built perturbed problem and its w."""
+    """``general_relative_bound`` for a built perturbed problem (the problem
+    itself when only b moves) and its w."""
     report = PerturbBoundReport(w=w)
     for u in _upper_factors(perturbed, p, relative=True):
         if u.applicable:
@@ -212,10 +215,8 @@ def _experiment_cell(problem, base, perturbed, db, norms, epsilon, options=None)
     if norm_x == 0:
         raise ValueError("relative error is undefined for x* = 0")
     r = numerics.p_norm(base.x - shifted.x, 2) / norm_x
-    w = _relative_coefficient(problem, db, *norms, 2)
-    report = _relative_bound(perturbed, w, 2)
-    bounds = {est.field: getattr(report, est.field) for est in ESTIMATORS.values()}
-    return ExperimentRecord(n=problem.n, epsilon=epsilon, r=r, w=w, delta=None, **bounds)
+    report = _relative_bound(perturbed, _relative_coefficient(problem, db, *norms, 2), 2)
+    return ExperimentRecord(n=problem.n, epsilon=epsilon, r=r, **vars(report))
 
 
 def _componentwise_delta(problem, x_star, epsilon):

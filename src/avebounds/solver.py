@@ -53,8 +53,8 @@ class SolveOptions:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         try:
             self.max_iterations = operator.index(self.max_iterations)
         except TypeError:

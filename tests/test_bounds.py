@@ -280,6 +280,9 @@ class TestEstimatorTable:
         field = ESTIMATORS[method].field
         for report in (perturbation.PerturbBoundReport, perturbation.ExperimentRecord):
             assert field in {f.name for f in dataclasses.fields(report)}
+        # Declared once: a record extends the report.
+        assert issubclass(perturbation.ExperimentRecord, perturbation.PerturbBoundReport)
+        assert field not in perturbation.ExperimentRecord.__annotations__
 
     def test_record_columns_follow_the_table(self):
         assert harness._RECORD_FIELDS == ("n", "epsilon", "r", "w", "tau", "upsilon", "nu", "delta")

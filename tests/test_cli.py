@@ -52,6 +52,14 @@ class TestSolveCommand:
         assert code == 3
         assert "converged: False" in capsys.readouterr().out
 
+    def test_infinite_tolerance_exit_code(self, mtx, capsys):
+        # x - 2|x| = 1 has no solution; an infinite tolerance would take
+        # the first Picard step as converged.
+        code = main(["solve", "--a", mtx("a", [[1.0]]), "--b", mtx("b", [[2.0]]),
+                     "--rhs", mtx("rhs", [1.0]), "--tol", "inf"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_diverging_iteration_exit_code(self, mtx, capsys):
         code = main(["solve", "--a", mtx("a", np.eye(2)), "--b", mtx("b", 3.0 * np.eye(2)),
                      "--rhs", mtx("rhs", [1.0, 1.0])])

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from avebounds import (
-    AveProblem,
     HlcpProblem,
     LcpPerturbFactors,
     LcpProblem,
+    Perturbation,
     SolveOptions,
     beta_factor,
     column_w_property,
+    general_relative_bound,
     hlcp_error_bounds,
     hlcp_perturb_bound,
     hlcp_to_ave,
@@ -221,16 +222,20 @@ class TestHlcpPerturbBound:
     def test_neumann_infinity_norm_closed_form(self):
         eps = 0.01
         hlcp, dM, dN, dq = self.scaling_demo(eps)
-        got = hlcp_perturb_bound(hlcp, dM, dN, dq, method=NEUMANN, p=np.inf)
+        got = hlcp_perturb_bound(hlcp, dM, dN, dq, p=np.inf).tau
         want = (1.0 / (4.0 * np.sqrt(6.0)) + 0.5) * 3.0 * eps
         assert got == pytest.approx(want, rel=1e-12)
         assert got == pytest.approx(0.018061862178479, rel=1e-9)
 
     def test_gap_two_norm_closed_form(self):
+        # Both spectra are flat, so the truncated gap of upsilon is the
+        # full gap of the singular_gap factor.
         eps = 0.01
         hlcp, dM, dN, dq = self.scaling_demo(eps)
-        got = hlcp_perturb_bound(hlcp, dM, dN, dq, method=SINGULAR_GAP, p=2)
-        assert got == pytest.approx(1.8 * eps, rel=1e-12)
+        rep = hlcp_perturb_bound(hlcp, dM, dN, dq, p=2)
+        assert rep.upsilon == pytest.approx(1.8 * eps, rel=1e-12)
+        pair = hlcp_to_ave(hlcp).perturbed((dM + dN) / 2, (dN - dM) / 2, dq)
+        assert upper_factor(pair, SINGULAR_GAP, 2) * rep.w == pytest.approx(1.8 * eps, rel=1e-12)
 
     def test_rejects_zero_q(self):
         hlcp = HlcpProblem(np.eye(2), np.eye(2), np.zeros(2))
@@ -248,7 +253,9 @@ class TestHlcpPerturbBound:
 @pytest.mark.parametrize("seed", range(12))
 def test_perturb_bound_matches_closed_form(seed):
     """The AVE route gives the closed form (||dq||/||q||)(||M+N|| + ||M-N||)/2
-    + (||dM+dN|| + ||dM-dN||)/2 times the factor of the perturbed pair."""
+    + (||dM+dN|| + ||dM-dN||)/2 for w.  The report is the
+    ``general_relative_bound`` of the transform, field for field and note
+    for note, and its tau and nu are the perturbed pair's factors times w."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 13))
     ave = random_solvable(rng, n)
@@ -256,20 +263,22 @@ def test_perturb_bound_matches_closed_form(seed):
     dM, dN = 1e-3 * rng.normal(size=(2, n, n))
     dq = 1e-3 * rng.normal(size=n)
     M, N, q = hlcp.M, hlcp.N, hlcp.q
-    shifted = AveProblem((M + N + dM + dN) / 2, (N - M + dN - dM) / 2, np.zeros(n))
+    pert = Perturbation((dM + dN) / 2, (dN - dM) / 2, dq)
+    shifted = hlcp_to_ave(hlcp).perturbed(pert.dA, pert.dB, pert.db)
     for p in (1, 2, np.inf):
         norm = lambda v: np.linalg.norm(v, p)
         w = (norm(dq) / norm(q) * (norm(M + N) + norm(M - N)) / 2
              + (norm(dM + dN) + norm(dM - dN)) / 2)
-        for method in (NEUMANN, SINGULAR_GAP, NORM_RATIO):
+        report = hlcp_perturb_bound(hlcp, dM, dN, dq, p)
+        assert report.w == pytest.approx(w, rel=1e-12), p
+        assert report == general_relative_bound(hlcp_to_ave(hlcp), pert, p)
+        for method, field in ((NEUMANN, "tau"), (NORM_RATIO, "nu")):
             try:
-                want = upper_factor(shifted, method, p) * w
-            except (InapplicableBoundError, ValueError) as exc:
-                with pytest.raises(type(exc)):
-                    hlcp_perturb_bound(hlcp, dM, dN, dq, method, p)
+                want = upper_factor(shifted, method, p) * report.w
+            except (InapplicableBoundError, ValueError):
+                assert getattr(report, field) is None
                 continue
-            got = hlcp_perturb_bound(hlcp, dM, dN, dq, method, p)
-            assert got == pytest.approx(want, rel=1e-12), (p, method)
+            assert getattr(report, field) == want, (p, method)
 
 
 class TestBetaFactor:

@@ -346,6 +346,13 @@ class TestEmit:
         assert first[-1] == ""          # None stays empty in csv
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "markdown"])
+    def test_notes_are_not_emitted(self, fmt):
+        table = synthetic_table()
+        want = emit(table, fmt)
+        table.rows[0].notes.append("neumann: spectral radius 1 >= 1")
+        assert emit(table, fmt) == want
+
     def test_json_structure(self):
         doc = json.loads(emit(synthetic_table(), "json").decode())
         assert doc["meta"]["family"] == "tridiag"

@@ -118,7 +118,7 @@ def test_bounds_do_not_depend_on_the_scale_of_b(scale):
         problem = AveProblem([[4.0, 1.0], [0.0, 3.0]], 0.5 * np.eye(2), s * np.array([1.0, -2.0]))
         x_star = s * sign_accord_solve(AveProblem(problem.A, problem.B, [1.0, -2.0])).x
         interval = error_interval(problem, s * np.ones(2), p=2)
-        return (rhs_only_bound(problem, 1e-3 * s * np.ones(2)),
+        return (rhs_only_bound(problem, 1e-3 * s * np.ones(2)).tau,
                 componentwise_bound(problem, x_star, 1e-3, kernel="damped"),
                 interval.residual_norm / s, interval.lower / s, interval.upper / s)
     want = at(1.0)
@@ -128,9 +128,13 @@ def test_bounds_do_not_depend_on_the_scale_of_b(scale):
 
 class TestRhsOnlyBound:
     def test_scalar_literal(self):
-        # factor 1, times (0.3/3) * (2 + 1) = 0.3
+        # Every factor is 1 (Neumann 1 / (2 - 1), gap 1 / (2 - 1), ratio
+        # 0.5 / 1 / (1 - 0.5)), times w = (0.3/3) * (2 + 1) = 0.3.
         p = AveProblem([[2.0]], [[1.0]], [3.0])
-        assert rhs_only_bound(p, [0.3]) == pytest.approx(0.3, abs=1e-12)
+        rep = rhs_only_bound(p, [0.3])
+        assert rep.w == pytest.approx(0.3, abs=1e-12)
+        assert [rep.tau, rep.upsilon, rep.nu] == pytest.approx([0.3] * 3, abs=1e-12)
+        assert rep.notes == []
 
     def test_rejects_zero_rhs(self):
         p = AveProblem([[2.0]], [[1.0]], [0.0])
@@ -143,9 +147,13 @@ class TestRhsOnlyBound:
             rhs_only_bound(p, [0.1, 0.2])
 
     def test_propagates_inapplicability(self):
+        # rho(|A^-1 B|) = 1: no Neumann factor, and the note says why.
         p = AveProblem(np.eye(2), np.eye(2), np.ones(2))
-        with pytest.raises(InapplicableBoundError):
-            rhs_only_bound(p, [0.1, 0.0])
+        rep = rhs_only_bound(p, [0.1, 0.0])
+        with pytest.raises(InapplicableBoundError) as exc:
+            upper_factor(p, NEUMANN)
+        assert rep.tau is None
+        assert rep.notes[0] == f"neumann: {exc.value}"
 
 
 class TestGeneralRelativeBound:
@@ -209,10 +217,35 @@ class TestGeneralRelativeBound:
 
 
 @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_rhs_only_bound_is_the_general_bound_of_db_alone(form):
+    """``rhs_only_bound`` is ``general_relative_bound`` at dA = dB = 0 in
+    w, every estimator field and the notes, and its tau and nu are the
+    problem's own upper factors times w."""
+    rng = np.random.default_rng(34)
+    fields = {NEUMANN: "tau", NORM_RATIO: "nu"}
+    seen = set()
+    for _ in range(6):
+        n = int(rng.integers(2, 9))
+        base = random_solvable(rng, n, form=form)
+        for scale in (1.0, 3.0):    # 3.0 pushes rho(|K|) past 1 for most draws
+            problem = AveProblem(base.A, scale * base.B, base.b, form)
+            db = random_perturbation(rng, n, 1e-3).db
+            zero = np.zeros((n, n))
+            for p in (1, 2, np.inf):
+                report = rhs_only_bound(problem, db, p)
+                assert report == general_relative_bound(problem, Perturbation(zero, zero, db), p)
+                for method, field in fields.items():
+                    value = getattr(report, field)
+                    seen.add(value is not None)
+                    if value is not None:
+                        assert value == upper_factor(problem, method, p) * report.w
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
 def test_relative_report_is_the_perturbed_error_report_times_w(form):
     """tau and nu are the perturbed pair's upper factors times w, and each
-    failed estimator's note is the error report's reason, bit for bit;
-    at dA = dB = 0 they are ``rhs_only_bound``."""
+    failed estimator's note is the error report's reason, bit for bit."""
     rng = np.random.default_rng(33)
     fields = {NEUMANN: "tau", NORM_RATIO: "nu"}
     seen = set()
@@ -222,16 +255,7 @@ def test_relative_report_is_the_perturbed_error_report_times_w(form):
         for scale in (1.0, 3.0):    # 3.0 pushes rho(|K|) past 1 for most draws
             problem = AveProblem(base.A, scale * base.B, base.b, form)
             pert = random_perturbation(rng, n, 1e-3)
-            rhs_pert = Perturbation(np.zeros((n, n)), np.zeros((n, n)), pert.db)
             for p in (1, 2, np.inf):
-                rhs = general_relative_bound(problem, rhs_pert, p)
-                for method, field in fields.items():
-                    try:
-                        want = rhs_only_bound(problem, pert.db, method, p)
-                    except (InapplicableBoundError, ValueError):
-                        assert getattr(rhs, field) is None
-                        continue
-                    assert getattr(rhs, field) == want
                 report = general_relative_bound(problem, pert, p)
                 notes = {note.split(": ", 1)[0]: note for note in report.notes}
                 perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
@@ -440,6 +464,18 @@ class TestPerturbationExperiment:
         pert = Perturbation([[0.01]], [[0.01]], [0.01])
         with pytest.raises(ValueError, match=r"relative error is undefined for x\* = 0"):
             perturbation_experiment(p, pert)
+
+    def test_inapplicable_bounds_are_noted(self):
+        # The perturbed x - 1.01|x| = -1.01 has rho(|A^-1 B|) = 1.01, so no
+        # Neumann factor, yet it and x - |x| = -1 have solutions x < 0.
+        p = AveProblem(np.eye(2), np.eye(2), -np.ones(2))
+        pert = Perturbation(np.zeros((2, 2)), 0.01 * np.eye(2), -0.01 * np.ones(2))
+        rec = perturbation_experiment(p, pert)
+        assert rec.r is not None and rec.tau is None
+        perturbed = p.perturbed(pert.dA, pert.dB, pert.db)
+        with pytest.raises(InapplicableBoundError) as exc:
+            upper_factor(perturbed, NEUMANN)
+        assert rec.notes[0] == f"neumann: {exc.value}"
 
     def test_solver_failure_raises(self):
         p = AveProblem([[1.0]], [[2.0]], [1.0])

@@ -20,10 +20,9 @@ from support import random_solvable
 
 class TestSolveOptions:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SolveOptions(tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolveOptions(tolerance=float("nan"))
+        for tolerance in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                SolveOptions(tolerance=tolerance)
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
         for count in (2.5, 3.0, "3", None):
