@@ -50,37 +50,20 @@ def _shifted_norms(problem, p):
         ("shifted_norms", p), lambda: (numerics.p_norm(A - B, p), numerics.p_norm(A + B, p)))
 
 
-def _singular_gap_factor(problem, p):
-    # Past the inverse gate sigma_min(A) is rounding noise, not a gap.
+def _gap_factor(problem, p, i=-1, j=0):
+    """``1 / (sigma_i(A) - sigma_j(B))`` over the descending spectra, ``j``
+    capped at the last index; ``ESTIMATORS`` declares both probes."""
+    # Past the inverse gate sigma_n(A) is rounding noise, not a gap.
     problem.analysis.inverse(condition="invertible_A")
-    smin_a = float(problem.analysis.singular_values("A")[-1])
-    smax_b = float(problem.analysis.singular_values("B")[0])
-    gap = smin_a - smax_b
+    sa = problem.analysis.singular_values("A")
+    sb = problem.analysis.singular_values("B")
+    j = min(j, len(sb) - 1)
+    a, b = float(sa[i]), float(sb[j])
+    gap = a - b
     if gap <= 0.0:
         raise InapplicableBoundError(
-            f"singular value gap is {gap:.6g} <= 0 "
-            f"(smallest of A: {smin_a:.6g}, largest of B: {smax_b:.6g})",
-            condition="singular_value_gap",
-        )
-    return 1.0 / gap
-
-
-# The singular-value gap used for the grid experiments is probed across the
-# six dominant singular values of each matrix (largest of the left set
-# minus smallest of the right set) rather than the full extreme pair.  The
-# full-spectrum gap is often closed for the benchmark families while the
-# truncated probe stays open and tracks the observed error well.
-_GAP_PROBE = 6
-
-
-def _partial_gap_factor(problem, p):
-    problem.analysis.inverse(condition="invertible_A")     # as for the full gap
-    sa = problem.analysis.singular_values("A")[:_GAP_PROBE]
-    sb = problem.analysis.singular_values("B")[:_GAP_PROBE]
-    gap = float(sa.max() - sb.min())
-    if gap <= 0.0:
-        raise InapplicableBoundError(
-            f"truncated singular-value gap is {gap:.6g} <= 0",
+            f"singular-value gap sigma_{i % len(sa) + 1}(A) - sigma_{j + 1}(B) "
+            f"is {a:.6g} - {b:.6g} = {gap:.6g} <= 0",
             condition="singular_value_gap",
         )
     return 1.0 / gap
@@ -106,14 +89,16 @@ class Estimator:
     factor: object          # factor(problem, p)
     norms: tuple            # the norms it is defined in
     field: str              # the report field of its perturbation bound
-    relative: object = None     # the factor that bound takes instead, if any
+    relative: object = None     # that bound's own factor, if any; an estimate
 
 
 #: Every upper estimator, in report order: declaring one is one entry here.
 ESTIMATORS = {
     NEUMANN: Estimator(lambda problem, p: problem.analysis.neumann_factor(p),
                        numerics.SUPPORTED_NORMS, "tau"),
-    SINGULAR_GAP: Estimator(_singular_gap_factor, (2,), "upsilon", _partial_gap_factor),
+    # Certified sigma_n(A) - sigma_1(B); upsilon's estimate sigma_1(A) - sigma_6(B).
+    SINGULAR_GAP: Estimator(_gap_factor, (2,), "upsilon",
+                            lambda problem, p: _gap_factor(problem, p, 0, 5)),
     NORM_RATIO: Estimator(_norm_ratio_factor, (2,), "nu"),
 }
 METHODS = tuple(ESTIMATORS)

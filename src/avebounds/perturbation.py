@@ -110,7 +110,8 @@ def general_relative_bound(problem, pert, p=2):
     constant of the *perturbed* pair (A + dA, B + dB):
 
     * tau     -- the inverse-series estimator (``neumann``),
-    * upsilon -- the truncated singular-value gap (``singular_gap``),
+    * upsilon -- ``w / (sigma_1(A + dA) - sigma_6(B + dB))``, the rank
+      capped at n: an estimate, not a bound (``singular_gap``),
     * nu      -- the norm-ratio estimator (``norm_ratio``).
 
     The factors are the perturbed pair's ``bounds._upper_factors``, with

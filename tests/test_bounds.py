@@ -106,6 +106,7 @@ class TestUpperFactor:
         with pytest.raises(InapplicableBoundError) as exc:
             upper_factor(p, SINGULAR_GAP)
         assert exc.value.condition == "singular_value_gap"
+        assert str(exc.value) == "singular-value gap sigma_2(A) - sigma_1(B) is 1 - 2 = -1 <= 0"
 
     @pytest.mark.parametrize("A", [
         np.ones((3, 3)),
@@ -283,6 +284,52 @@ class TestEstimatorTable:
         # Declared once: a record extends the report.
         assert issubclass(perturbation.ExperimentRecord, perturbation.PerturbBoundReport)
         assert field not in perturbation.ExperimentRecord.__annotations__
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_gap_probes(self, form):
+        # singular_gap reads sigma_n(A) - sigma_1(B) of the pair; upsilon
+        # reads sigma_1(A + dA) - sigma_6(B + dB), the rank capped at n.
+        rng = np.random.default_rng(35)
+        seen = set()
+        for k in range(120):
+            n = k % 10 + 1
+            A = rng.normal(size=(n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+            B = np.exp(rng.uniform(-3.0, 2.5)) * rng.normal(size=(n, n))
+            dA, dB = (1e-3 * rng.normal(size=(n, n)) for _ in range(2))
+            symmetric = k % 20 >= 10    # the eigvalsh route of singular_values
+            if symmetric:
+                A, B, dA, dB = (m + m.T for m in (A, B, dA, dB))
+            pert = Perturbation(dA, dB, 1e-3 * rng.normal(size=n))
+            problem = AveProblem(A, B, rng.normal(size=n), form)
+            perturbed = problem.perturbed(dA, dB, pert.db)
+            assert np.array_equal(perturbed.B, perturbed.B.T) == (symmetric or n == 1)
+
+            s_a, s_b = (numerics.singular_values(m) for m in (problem.A, problem.B))
+            gap = s_a[-1] - s_b[0]
+            if gap > 0:
+                assert upper_factor(problem, SINGULAR_GAP) == 1 / gap
+            else:
+                with pytest.raises(InapplicableBoundError,
+                                   match=rf"^singular-value gap sigma_{n}\(A\) - sigma_1\(B\) is ") as exc:
+                    upper_factor(problem, SINGULAR_GAP)
+                assert exc.value.condition == "singular_value_gap"
+            seen.add(("full", bool(gap > 0)))
+
+            rep = general_relative_bound(problem, pert)
+            s_a, s_b = (numerics.singular_values(m) for m in (perturbed.A, perturbed.B))
+            j = min(5, n - 1)
+            gap = s_a[0] - s_b[j]
+            if gap > 0:
+                assert rep.upsilon == 1 / gap * rep.w
+            else:
+                notes = [note for note in rep.notes if note.startswith(f"{SINGULAR_GAP}: ")]
+                assert rep.upsilon is None and len(notes) == 1
+                assert notes[0].startswith(
+                    f"{SINGULAR_GAP}: singular-value gap sigma_1(A) - sigma_{j + 1}(B) is ")
+            seen.add(("upsilon", bool(gap > 0), n < 6, symmetric))
+        assert {("full", True), ("full", False)} <= seen
+        assert {("upsilon", opened, capped, symmetric) for opened in (True, False)
+                for capped in (True, False) for symmetric in (True, False)} <= seen
 
     def test_record_columns_follow_the_table(self):
         assert harness._RECORD_FIELDS == ("n", "epsilon", "r", "w", "tau", "upsilon", "nu", "delta")
