@@ -39,15 +39,15 @@ def lower_factor(problem, p=2):
     """
     p = numerics.check_norm(p)
     if p == (1 if problem.form == TYPE_TWO else np.inf):
-        return numerics.p_norm(np.abs(problem.A) + np.abs(problem.B), p)
+        return numerics.scaled_norm(lambda A, B: np.abs(A) + np.abs(B), (problem.A, problem.B), p)
     return max(_shifted_norms(problem, p))
 
 
 def _shifted_norms(problem, p):
     """(||A - B||_p, ||A + B||_p), computed once per analysis."""
-    A, B = problem.A, problem.B
-    return problem.analysis.memoised(
-        ("shifted_norms", p), lambda: (numerics.p_norm(A - B, p), numerics.p_norm(A + B, p)))
+    pair = (problem.A, problem.B)
+    return problem.analysis.memoised(("shifted_norms", p), lambda: (
+        numerics.scaled_norm(np.subtract, pair, p), numerics.scaled_norm(np.add, pair, p)))
 
 
 def _gap_factor(problem, p, i=-1, j=0):
@@ -152,7 +152,10 @@ def _identity_pair(problem, p):
             condition="smallest_singular_value",
         )
     low = sum(_shifted_norms(problem, p))
-    return low, low / (smin**2 - 1.0)
+    try:
+        return low, low / (smin**2 - 1.0)
+    except OverflowError:   # smin**2 past the float range
+        return low, (low / smin) / (smin - 1.0 / smin)
 
 
 @dataclass

@@ -196,8 +196,9 @@ class ProblemAnalysis:
 
     def kernel_norm(self, kernel, p):
         """||kernel (|A| + |B|)||_p (p already checked)."""
-        return self.memoised(("kernel_norm", kernel, p), lambda: numerics.p_norm(
-            self.componentwise_kernel(kernel) @ (np.abs(self.A) + np.abs(self.B)), p))
+        return self.memoised(("kernel_norm", kernel, p), lambda: numerics.scaled_norm(
+            lambda A, B: self.componentwise_kernel(kernel) @ (np.abs(A) + np.abs(B)),
+            (self.A, self.B), p))
 
 
 def residual(problem, x):

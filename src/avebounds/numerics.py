@@ -112,6 +112,21 @@ def p_norm(obj, p=2):
     raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
 
 
+def scaled_norm(build, arrays, p):
+    """``p_norm(build(*arrays), p)`` for a ``build`` homogeneous of degree
+    one in the arrays jointly, such as ``np.add``.  ``build`` runs on the
+    arrays times 2**-k, 2**k near their largest entry, and the norm is
+    multiplied back by 2**k.  Both scalings are exact (short of entries
+    below 2**-1022 times the largest), so the value is the unscaled norm
+    bit for bit; but a sum that would overflow stays finite, and a norm
+    past the float range is inf, without a warning.
+    """
+    exponent = np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1]
+    value = p_norm(build(*(np.ldexp(a, -exponent) for a in arrays)), p)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, exponent))
+
+
 def scaled_gram(stack):
     """``(s, G)`` for a stack of shape (k, m, n): ``s`` the largest |entry| of
     each matrix and ``G`` the Gram matrix, on its smaller side, of each matrix

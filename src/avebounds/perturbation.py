@@ -169,14 +169,16 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="series"):
         raise ValueError("relative bounds are undefined for x* = 0")
 
     K = problem.analysis.componentwise_kernel(kernel)
-    u = np.abs(problem.b) + (np.abs(problem.A) + np.abs(problem.B)) @ np.abs(x_star)
     damping = epsilon * problem.analysis.kernel_norm(kernel, p)
     if damping >= 1.0:
         raise InapplicableBoundError(
             f"denominator condition fails: eps * ||K (|A| + |B|)|| = {damping:.6g} >= 1",
             condition="denominator",
         )
-    return epsilon * numerics.p_norm(K @ u, p) / ((1.0 - damping) * norm_x)
+    norm_Ku = numerics.scaled_norm(
+        lambda A, B, b: K @ (np.abs(b) + (np.abs(A) + np.abs(B)) @ np.abs(x_star)),
+        (problem.A, problem.B, problem.b), p)
+    return epsilon * norm_Ku / ((1.0 - damping) * norm_x)
 
 
 def _require_converged(result, which):

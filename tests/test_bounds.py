@@ -71,6 +71,16 @@ class TestLowerFactor:
                 got = lower_factor(AveProblem(A, B, np.zeros(n), form), p)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+    @pytest.mark.parametrize("p", (1, 2, np.inf), ids=["p1", "p2", "pinf"])
+    def test_sum_past_the_float_range_is_inf(self, form, p):
+        # Finite entries whose |A| + |B|, A - B and A + B overflow: an
+        # induced norm is at least the largest entry, so the factor is inf.
+        problem = AveProblem(np.diag([1e308, 1e308]), np.diag([1e308, -1e308]), np.ones(2), form)
+        assert lower_factor(problem, p) == np.inf
+        assert error_bound_report(problem, p).lower_factor == np.inf
+
 
 class TestUpperFactor:
     def test_all_estimators_scalar(self):
@@ -209,6 +219,14 @@ class TestIdentityBounds:
         with pytest.raises(InapplicableBoundError) as exc:
             identity_ave_bounds(0.5 * np.eye(2))
         assert exc.value.condition == "smallest_singular_value"
+
+    @pytest.mark.parametrize("p", (1, 2, np.inf), ids=["p1", "p2", "pinf"])
+    def test_smallest_singular_value_past_the_square_root_of_the_float_range(self, p):
+        # smin**2 overflows past about 1.3e154; upper is then taken as
+        # (lower / smin) / (smin - 1 / smin), not from smin**2 - 1.
+        assert identity_ave_bounds([[1e200]], p) == (2e200, pytest.approx(2e-200, rel=1e-15))
+        rep = error_bound_report(AveProblem([[1e200]], [[1.0]], [1.0]), p)
+        assert (rep.identity_lower, rep.identity_upper) == (2e200, pytest.approx(2e-200, rel=1e-15))
 
 
 class TestErrorBoundReport:

@@ -106,6 +106,14 @@ class TestBoundsCommand:
         assert code == 0
         assert "identity-case pair: lower 6," in out
 
+    def test_identity_pair_past_the_square_root_of_the_float_range(self, mtx, capsys):
+        # sigma_min(A) = 1e200: its square overflows, the pair does not.
+        code = main(["bounds", "--a", mtx("a", [[1e200]]), "--b", mtx("b", [[1.0]]),
+                     "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["identity_upper"] == pytest.approx(
+            2e-200, rel=1e-15)
+
     def test_interval_at_point(self, mtx, capsys):
         code = main(["bounds", "--a", mtx("a", [[2.0]]), "--b", mtx("b", [[1.0]]),
                      "--rhs", mtx("rhs", [3.0]), "--at", mtx("x", [4.0]),

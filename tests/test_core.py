@@ -178,7 +178,7 @@ class TestSolvabilityReport:
     def test_dense_radius_without_eigensolve(self, form, monkeypatch):
         # rho(|K|) in (0.3, 0.9) on random dense pairs, and 1.25 on a pair
         # with K = 1.25 H, H >= 0 row-stochastic: the reported radius is the
-        # oracle's, and no eigvals runs
+        # oracle's, no eigvals runs, and the screen's one inverse is of A
         rng = np.random.default_rng(20261018)
         problems = [random_solvable(rng, n, form=form) for n in (40, 160, 400)]
         n = 40
@@ -191,10 +191,14 @@ class TestSolvabilityReport:
             A_inv = np.linalg.inv(problem.A)
             K = A_inv @ problem.B if form == TYPE_ONE else problem.B @ A_inv
             want = spectral_radius(np.abs(K))
+            inverted, inv = [], np.linalg.inv
             with monkeypatch.context() as patch:
                 patch.setattr(np.linalg, "eigvals", _no_eigvals)
+                patch.setattr(np.linalg, "inv",
+                              lambda a, *args, **kw: inverted.append(a.shape) or inv(a, *args, **kw))
                 radius = {c.name: c for c in solvability_report(problem).checks}[
                     "spectral_radius"]
+            assert inverted == [(problem.n, problem.n)]
             assert radius.value == pytest.approx(want, rel=1e-10)
             assert radius.passed == (want < 1.0)
         assert radius.value == pytest.approx(1.25, rel=1e-10) and not radius.passed

@@ -2,6 +2,7 @@ import json
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,17 +268,16 @@ class TestRunExperiment:
             (3, 0.01), (3, 0.03), (4, 0.01), (4, 0.03)]
 
 
-def test_table_holds_one_cell_at_a_time():
-    # Table 3 (n = 225): the base problem holds A, B and A^-1 while each
-    # cell's perturbed pair and analysis come and go, and the base kernel
-    # is built after the last cell.  The traced peak is near 11 n x n
-    # arrays (18 when the unit and scaled perturbations and the base
-    # kernel were held through every cell).
+@pytest.mark.parametrize("table, n", [(3, 225), (4, 400)])
+def test_table_holds_one_cell_at_a_time(table, n):
+    # The base problem holds A, B and A^-1 while each cell's perturbed pair
+    # and analysis come and go, and the base kernel is built after the last
+    # cell.  The traced peak is near 11 n x n arrays (18 when the unit and
+    # scaled perturbations and the base kernel were held through every cell).
     reproduce_table(1)      # imports and one-off allocations
-    n = 225
     tracemalloc.start()
     try:
-        out = reproduce_table(3)
+        out = reproduce_table(table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,11 +380,18 @@ class TestEmit:
         assert text.startswith("# benchmark table 1, tridiag family\n")
         assert "## n = 30" in text
 
-    def test_json_table_is_byte_reproducible(self, monkeypatch):
+    @pytest.mark.parametrize("table", [1, 4])
+    def test_json_table_is_byte_reproducible(self, table, monkeypatch):
         # The clock moves between the two runs; the bytes do not.
         ticks = iter(range(1_700_000_000, 1_800_000_000, 3600))
         gmtime = time.gmtime
         monkeypatch.setattr(time, "gmtime", lambda *args: gmtime(next(ticks)))
-        first = emit(reproduce_table(1), "json")
-        second = emit(reproduce_table(1), "json")
+        first = emit(reproduce_table(table), "json")
+        second = emit(reproduce_table(table), "json")
         assert first == second
+
+    @pytest.mark.parametrize("table", [1, 2, 3, 4])
+    def test_markdown_table_matches_the_frozen_copy(self, table):
+        # The 4-decimal markdown under tests/data/ is the gate, byte for byte.
+        frozen = (Path(__file__).parent / "data" / f"table{table}.md").read_bytes()
+        assert emit(reproduce_table(table), "markdown") == frozen

@@ -273,6 +273,21 @@ def test_relative_report_is_the_perturbed_error_report_times_w(form):
 
 
 class TestComponentwiseBound:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+    @pytest.mark.parametrize("p", (1, 2, np.inf), ids=["p1", "p2", "pinf"])
+    def test_sum_past_the_float_range(self, form, p):
+        # |A| + |B| and u = |b| + (|A| + |B|) |x*| overflow, yet
+        # K (|A| + |B|) = 3 I and K u = (4, 4) (series kernel; damped: 0.75 I
+        # and (1, 1)), so the bound is finite.
+        A, B = np.diag([1.5e308, 1e308]), np.diag([0.75e308, 0.5e308])
+        problem = AveProblem(A, B, [0.75e308, 0.5e308], form)
+        eps = 0.01
+        assert componentwise_bound(problem, [1.0, 1.0], eps, p) == pytest.approx(
+            4 * eps / (1 - 3 * eps), rel=1e-12)
+        assert componentwise_bound(problem, [1.0, 1.0], eps, p, kernel="damped") == pytest.approx(
+            eps / (1 - 0.75 * eps), rel=1e-12)
+
     def test_damped_never_exceeds_series(self):
         rng = np.random.default_rng(20240915)
         for _ in range(50):
