@@ -96,17 +96,14 @@ def recover_solution(problem, x):
 
 
 def lcp_min_residual(lcp, z):
-    """Natural LCP residual min(z, M z + q), written in AVE style:
+    """Natural LCP residual min(z, M z + q), componentwise.
 
-        ((M + I) z + q)/2 - |(M - I) z + q|/2
-
-    Zero exactly at solutions; at z = 0 it reduces to min(0, q).
+    Zero exactly at solutions; at z = 0 it reduces to min(0, q).  The AVE
+    form ((M + I) z + q)/2 - |(M - I) z + q|/2 is the same quantity but
+    cancels when z and M z + q are far apart.
     """
     z = numerics.as_vector(z, "z", lcp.n)
-    eye = np.eye(lcp.n)
-    a = (lcp.M + eye) @ z + lcp.q
-    b = (lcp.M - eye) @ z + lcp.q
-    return 0.5 * a - 0.5 * np.abs(b)
+    return np.minimum(z, lcp.M @ z + lcp.q)
 
 
 def column_w_property(hlcp):

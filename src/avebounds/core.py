@@ -230,11 +230,10 @@ def sign_diagonal(a, b):
 
 @dataclass
 class SolvabilityCheck:
-    """One sufficient condition: ``value`` compared against ``threshold``."""
+    """One sufficient condition and the value it was read from."""
 
     name: str
     value: float
-    threshold: float
     passed: bool
     note: str = ""
 
@@ -495,20 +494,20 @@ def solvability_report(problem):
         analysis.inverse()
     except SingularMatrixError:
         checks.append(SolvabilityCheck(
-            "spectral_radius", math.inf, 1.0, False, "A is numerically singular"))
+            "spectral_radius", math.inf, False, "A is numerically singular"))
         checks.append(SolvabilityCheck(
-            "largest_singular_ratio", math.inf, 1.0, False, "A is numerically singular"))
+            "largest_singular_ratio", math.inf, False, "A is numerically singular"))
     else:
         rho, closed = numerics.spectral_radius_nonneg(np.abs(analysis._ratio()))
         # An eigvals estimate below 1 is no proof; the certificate is.
         passed = rho < 1.0 and (closed or analysis._contraction()[2])
         checks.append(SolvabilityCheck(
-            "spectral_radius", rho, 1.0, passed,
+            "spectral_radius", rho, passed,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",
         ))
         sigma = analysis.ratio_norm()
         checks.append(SolvabilityCheck(
-            "largest_singular_ratio", sigma, 1.0, sigma < 1.0,
+            "largest_singular_ratio", sigma, sigma < 1.0,
             "largest singular value of A^-1 B (B A^-1 for type2), must be below one",
         ))
 
@@ -522,13 +521,13 @@ def solvability_report(problem):
     witness, _ = sign_box_scan(problem.A, problem.B, problem.form == TYPE_TWO)
     if witness is None:
         checks.append(SolvabilityCheck(
-            "sign_family_nonsingular", 1.0, 1.0, True,
+            "sign_family_nonsingular", 1.0, True,
             f"all {2**n} sign-vertex determinants share one strict sign, "
             "so every member of the box is nonsingular",
         ))
         return SolvabilityReport(checks, VERDICT_PROVEN)
     checks.append(SolvabilityCheck(
-        "sign_family_nonsingular", 0.0, 1.0, False,
+        "sign_family_nonsingular", 0.0, False,
         "the box may hold a singular member: the determinant changes sign or "
         f"is of rounding size at d = {np.array2string(witness, precision=3)}; "
         "some right-hand sides may lack unique solutions",

@@ -95,21 +95,23 @@ def p_norm(obj, p=2):
     ``batched_norms``.  A vector's 2-norm is taken of v / 2**k, 2**k near
     max |v_i|: an exact scaling, so entries near 1e200 or 1e-200 neither
     overflow nor underflow when squared.  Any norm above the float range is
-    inf, without a warning.
+    inf, without a warning.  An empty vector or matrix has norm 0.
     """
     p = check_norm(p)
     arr = _as_real(obj, "p_norm")
     if not np.all(np.isfinite(arr)):
         raise ValueError("p_norm: entries must be finite")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
+    if arr.size == 0:
+        return 0.0
     with np.errstate(over="ignore"):
-        if arr.ndim == 1 and p == 2:
-            exponent = np.frexp(np.abs(arr).max(initial=0.0))[1]
-            return float(np.ldexp(np.linalg.norm(np.ldexp(arr, -exponent)), exponent))
-        if arr.ndim == 1:
-            return float(np.linalg.norm(arr, p))
         if arr.ndim == 2:
             return float(batched_norms(arr[None], p)[0])
-    raise ValueError(f"p_norm: expected a vector or matrix, got ndim={arr.ndim}")
+        if p == 2:
+            exponent = np.frexp(np.abs(arr).max())[1]
+            return float(np.ldexp(np.linalg.norm(np.ldexp(arr, -exponent)), exponent))
+        return float(np.linalg.norm(arr, p))
 
 
 def scaled_norm(build, arrays, p):

@@ -122,6 +122,8 @@ class TestBoundsCommand:
         assert code == 0
         assert doc["interval"]["lower"] == pytest.approx(1.0 / 3.0)
         assert doc["interval"]["upper"] == pytest.approx(1.0)
+        # B = I: the identity pair's upper factor is 4 / (2**2 - 1).
+        assert doc["identity_upper"] == 4 / 3 and doc["interval"]["upper_method"]
 
     def test_interval_line_brackets_the_error(self, mtx, capsys):
         # x* = (1, -2) solves A x - |x| / 2 = b; the text report's interval
@@ -211,7 +213,8 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("text", [
         "garbage\n",
         "%%MatrixMarket matrix array real general\n2 1\n1.0\n",
-    ], ids=["banner", "truncated"])
+        "%%MatrixMarket matrix array integer general\n2 1\n99999999999999999999\n1\n",
+    ], ids=["banner", "truncated", "past_int64"])
     def test_unparsable_at_file_is_named(self, mtx, tmp_path, capsys, text):
         at = tmp_path / "bad.mtx"
         at.write_text(text)
@@ -286,13 +289,15 @@ class TestLcpCommand:
 
 class TestHlcpCommand:
     def test_scalar_hlcp(self, mtx, capsys):
-        code = main(["hlcp", "--m", mtx("m", [[2.0]]), "--n-mat", mtx("n", [[1.0]]),
-                     "--q", mtx("q", [3.0]), "--format", "json"])
-        doc = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert doc["z"][0] == pytest.approx(1.5, abs=1e-5)
-        assert doc["w"][0] == pytest.approx(0.0, abs=1e-5)
-        assert doc["feasibility_inf"] < 1e-5
+        # 2 z - w = q: q = 3 gives z = 1.5, w = 0; q = -4 gives z = 0, w = 4.
+        for q, z, w in ((3.0, 1.5, 0.0), (-4.0, 0.0, 4.0)):
+            code = main(["hlcp", "--m", mtx("m", [[2.0]]), "--n-mat", mtx("n", [[1.0]]),
+                         "--q", mtx("q", [q]), "--format", "json"])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert doc["z"][0] == pytest.approx(z, abs=1e-5)
+            assert doc["w"][0] == pytest.approx(w, abs=1e-5)
+            assert doc["feasibility_inf"] < 1e-5
 
     def test_text_output(self, mtx, capsys):
         code = main(["hlcp", "--m", mtx("m", [[2.0]]), "--n-mat", mtx("n", [[1.0]]),

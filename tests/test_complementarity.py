@@ -104,6 +104,9 @@ class TestMinResidual:
             z = rng.normal(size=n)
             expected = np.minimum(z, lcp.M @ z + lcp.q)
             assert np.allclose(lcp_min_residual(lcp, z), expected, atol=1e-12)
+        # M z + q = 8 beside z = 1e17: ((M + I) z + q)/2 - |(M - I) z + q|/2 cancels to 0.
+        lcp = LcpProblem([[0.5]], [-5e16 + 8])
+        assert lcp_min_residual(lcp, [1e17]).tolist() == [8.0]
 
     def test_rejects_wrong_length(self):
         lcp = LcpProblem(np.eye(2), np.zeros(2))

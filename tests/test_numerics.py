@@ -83,6 +83,12 @@ class TestPNorm:
         with pytest.raises(ValueError):
             numerics.p_norm(np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_has_norm_zero(self, shape, p):
+        # An empty maximum has no identity in numpy: 7 of these 9 raised.
+        assert numerics.p_norm(np.zeros(shape), p) == 0.0
+
 
 class TestGramTwoNorm:
     """The matrix 2-norm from the scaled Gram matrix matches the SVD's."""

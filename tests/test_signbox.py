@@ -252,25 +252,34 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_memory_is_bounded_by_one_batch():
+def test_memory_is_bounded_by_one_batch(monkeypatch):
     # The peak covers one batch of 2**(n // 2) members, their inverses and
     # LAPACK's copies of them: eight copies take 4.5 MiB at n = 17, where a
     # 2**n x n vertex array alone would take 17.8 MB.  The column W pair is
-    # walked; on the late-witness box every vertex with d_17 = 1 is
+    # walked; on the late-witness box every vertex with d_n = 1 is
     # singular-signed, so the walk passes the first half of the box and
-    # the direct scan of the next segment stops in its first batch.
+    # the direct scan of the next segment stops in its first batch.  That
+    # box is also scanned at the limit, n = 20.
     n = 17
     M = random_hplus_lcp(np.random.default_rng(17), n).M
-    A, B = np.eye(n), np.diag([0.0] * (n - 1) + [2.0])
     regular, column_w_peak = _traced_peak(
         lambda: column_w_property(HlcpProblem(M, np.eye(n), np.ones(n))))
-    (witness, _), scan_peak = _traced_peak(lambda: sign_box_scan(A, B))
-    alpha, alpha_peak = _traced_peak(
-        lambda: brute_force_alpha(AveProblem(A, B, np.zeros(n)), p=2))
+    alpha, alpha_peak = _traced_peak(lambda: brute_force_alpha(
+        AveProblem(np.eye(n), np.diag([0.0] * (n - 1) + [2.0]), np.zeros(n)), p=2))
     assert regular and alpha == np.inf
-    assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0])
-    peaks = (column_w_peak, scan_peak, alpha_peak)
-    assert max(peaks) < 8 * 2 ** (n // 2) * n**2 * 8, peaks
+    assert max(column_w_peak, alpha_peak) < 8 * 2 ** (n // 2) * n**2 * 8
+    sizes = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: sizes.append(len(a)) or slogdet(a))
+    for n in (17, core.SIGN_BOX_LIMIT):
+        sizes.clear()
+        B = np.diag([0.0] * (n - 1) + [2.0])
+        (witness, _), scan_peak = _traced_peak(lambda: sign_box_scan(np.eye(n), B))
+        assert np.array_equal(witness, [-1.0] * (n - 1) + [1.0])
+        # Batch 0, the rebuilt last batch of each of the segments of
+        # core._ANCHOR_STEPS = 64 batches before d_n = 1, and the witness's.
+        assert sizes == [2 ** (n // 2)] * (2 ** (n - n // 2) // 128 + 2), sizes
+        assert scan_peak < 8 * 2 ** (n // 2) * n**2 * 8, scan_peak
 
 
 def _enumerated(A, B, left=False, p=None, zero_one=False):
