@@ -37,9 +37,12 @@ _EPS = np.finfo(float).eps
 SIGN_BOX_LIMIT = 20
 
 
-@dataclass
+@dataclass(frozen=True)
 class AveProblem:
-    """An absolute value equation ``A x - B|x| = b`` (or the type2 variant)."""
+    """An absolute value equation ``A x - B|x| = b`` (or the type2 variant):
+    a value holding read-only copies of A, B and b, and ``analysis``, the
+    ``ProblemAnalysis`` of its ``(A, B, form)``, built with it.  A changed
+    problem is a new one, from ``perturbed`` or ``dataclasses.replace``."""
 
     A: np.ndarray
     B: np.ndarray
@@ -47,34 +50,29 @@ class AveProblem:
     form: str = TYPE_ONE
 
     def __post_init__(self):
-        self.A = numerics.as_square(self.A, "A")
-        self.B = numerics.as_square(self.B, "B", self.n)
-        self.b = numerics.as_vector(self.b, "b", self.n)
+        A = numerics.as_square(self.A, "A")
+        data = {"A": A, "B": numerics.as_square(self.B, "B", len(A)),
+                "b": numerics.as_vector(self.b, "b", len(A))}
         if self.form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+        for name, value in data.items():
+            value = value.copy()            # the caller's array stays writeable
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "analysis", ProblemAnalysis(self.A, self.B, self.form))
 
     @property
     def n(self):
         return self.A.shape[0]
 
-    @property
-    def analysis(self):
-        """The ``ProblemAnalysis`` of the current ``(A, B, form)``.
-
-        It is rebuilt when A, B or form is reassigned.  Editing A or B in
-        place after the first use leaves it stale: assign a new array.
-        """
-        current = self.__dict__.get("_analysis")
-        if (current is None or current.A is not self.A or current.B is not self.B
-                or current.form != self.form):
-            current = self._analysis = ProblemAnalysis(self.A, self.B, self.form)
-        return current
-
     def __getstate__(self):
         # The analysis holds a lock, which cannot be copied or pickled.
         state = self.__dict__.copy()
-        state.pop("_analysis", None)
+        del state["analysis"]
         return state
+
+    def __setstate__(self, state):
+        self.__init__(**state)      # read-only copies and a new analysis
 
     def perturbed(self, dA, dB, db):
         """A new problem of the same form, shifted by deltas of its size."""
@@ -84,8 +82,9 @@ class AveProblem:
 
 
 class ProblemAnalysis:
-    """Quantities of one ``(A, B, form)``, each computed on first request
-    and then shared by the solver, the estimators and the solvability screen.
+    """Quantities of one ``(A, B, form)``, built once with its ``AveProblem``;
+    each is computed on first request and then shared by the solver, the
+    estimators and the solvability screen.
 
     K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
     factorization of A: the solver, K, the Neumann factor and the kernels
@@ -136,11 +135,18 @@ class ProblemAnalysis:
         return inv
 
     def _ratio(self):
-        """K, read-only; A must have passed the gate."""
+        """K, read-only; A must have passed the gate.  A K past the float
+        range is InapplicableBoundError (``finite_ratio``), formed once."""
         def compute():
             A_inv = self.inverse()
-            return self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
-        return self.memoised("K", compute)
+            with np.errstate(over="ignore", invalid="ignore"):
+                K = self.B @ A_inv if self.form == TYPE_TWO else A_inv @ self.B
+            return K if np.all(np.isfinite(K)) else None
+        K = self.memoised("K", compute)
+        if K is None:
+            raise InapplicableBoundError("A^-1 B (B A^-1 for type2) overflows the float range",
+                                         condition="finite_ratio")
+        return K
 
     def ratio_norm(self):
         """Largest singular value of K; A must have passed the gate."""
@@ -485,20 +491,19 @@ def solvability_report(problem):
       solutions; this particular b may or may not,
     * dimension over the limit   -> ``fails_all_sufficient_conditions``.
 
-    A non-invertible A simply fails both conditions; it is not an error
-    here.
+    A non-invertible A, or an A^-1 B past the float range, simply fails
+    both conditions; it is not an error here.
     """
     analysis = problem.analysis
-    checks = []
+    checks, failed = [], None
     try:
-        analysis.inverse()
+        K = analysis._ratio()
     except SingularMatrixError:
-        checks.append(SolvabilityCheck(
-            "spectral_radius", math.inf, False, "A is numerically singular"))
-        checks.append(SolvabilityCheck(
-            "largest_singular_ratio", math.inf, False, "A is numerically singular"))
+        failed = "A is numerically singular"
+    except InapplicableBoundError as exc:
+        failed = str(exc)
     else:
-        rho, closed = numerics.spectral_radius_nonneg(np.abs(analysis._ratio()))
+        rho, closed = numerics.spectral_radius_nonneg(np.abs(K))
         # An eigvals estimate below 1 is no proof; the certificate is.
         passed = rho < 1.0 and (closed or analysis._contraction()[2])
         checks.append(SolvabilityCheck(
@@ -510,6 +515,9 @@ def solvability_report(problem):
             "largest_singular_ratio", sigma, sigma < 1.0,
             "largest singular value of A^-1 B (B A^-1 for type2), must be below one",
         ))
+    if failed:
+        checks = [SolvabilityCheck(name, math.inf, False, failed)
+                  for name in ("spectral_radius", "largest_singular_ratio")]
 
     if any(c.passed for c in checks):
         return SolvabilityReport(checks, VERDICT_PROVEN)

@@ -1,11 +1,12 @@
 """The per-problem analysis: memoised results equal fresh computations,
-reassignment invalidates them, concurrent callers agree, and the benchmark
+a problem is a read-only value, concurrent callers agree, and the benchmark
 tables reuse one factorization per problem."""
 import copy
 import dataclasses
 import pickle
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from avebounds import (
     numerics,
     picard_solve,
     reproduce_table,
+    rhs_only_bound,
     solvability_report,
     upper_factor,
 )
@@ -133,7 +135,29 @@ def test_memoised_results_match_fresh_copies_in_any_order(index, p):
             _assert_same(_outcome(call), want[label])
 
 
-def test_reassignment_never_returns_stale_values():
+def test_problem_is_a_read_only_value():
+    # An in-place edit once left the analysis stale: after one report,
+    # P.A[1, 1] = 0.1 kept the Neumann factor 0.5238 and proven_unique,
+    # where the edited data has no Neumann factor and is inconclusive.
+    A = np.array([[4.0, 1.0], [0.0, 3.0]])
+    problem = AveProblem(A, 0.5 * np.eye(2), [1.0, -2.0])
+    neumann = error_bound_report(problem, 1).upper_factors[0]
+    assert neumann.value == pytest.approx(0.5238095238095237, rel=1e-12)
+    for name in ("A", "B", "b"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(problem, name)[-1] = 0.1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(problem, name, getattr(problem, name).copy())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.form = TYPE_TWO
+    A[1, 1] = 0.1           # the caller's array is its own
+    assert problem.A[1, 1] == 3.0 and not np.shares_memory(problem.A, A)
+    assert error_bound_report(problem, 1).upper_factors[0] == neumann
+    assert solvability_report(problem).verdict == "proven_unique"
+    edited = dataclasses.replace(problem, A=A)
+    assert error_bound_report(edited, 1).upper_factors[0].value is None
+    assert solvability_report(edited).verdict == "inconclusive"
+
     rng = np.random.default_rng(7)
     problem = random_solvable(rng, 6)
     other = random_solvable(rng, 6, form=TYPE_TWO)
@@ -141,12 +165,11 @@ def test_reassignment_never_returns_stale_values():
         _outcome(lambda: error_bound_report(problem, p))
     first_solve = picard_solve(problem)
 
-    problem.A = other.A.copy()
+    problem = dataclasses.replace(problem, A=other.A)
     assert picard_solve(problem).x == pytest.approx(
         picard_solve(AveProblem(other.A, problem.B, problem.b)).x, abs=1e-12)
     assert not np.allclose(picard_solve(problem).x, first_solve.x)
-    problem.B = other.B.copy()
-    problem.form = TYPE_TWO
+    problem = dataclasses.replace(problem, B=other.B, form=TYPE_TWO)
     for p in NORMS:
         got = {label: _outcome(call) for label, call in _calls(problem, p)}
         want = _reference(AveProblem(other.A, other.B, problem.b, TYPE_TWO), p)
@@ -477,6 +500,40 @@ def test_unresolvable_neumann_inverse_is_inapplicable():
         with pytest.raises(InapplicableBoundError) as exc:
             componentwise_bound(problem, np.ones(n), 0.01, 2, kernel=kernel)
         assert exc.value.condition == "invertible_I_minus_K"
+
+
+@pytest.mark.parametrize("p", NORMS, ids=["p1", "p2", "pinf"])
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_overflowed_ratio_is_a_named_refusal(form, p):
+    # A = 1e-200 is perfectly conditioned, but K = 1e400 overflows.  Every
+    # entry point that reads K names the condition (a ValueError, after an
+    # overflow warning, before), and the screen goes on to the sign box,
+    # which holds the singular member at d = 1e-400.
+    problem = AveProblem([[1e-200]], [[1e200]], [1.0], form)
+    overflow = "A^-1 B (B A^-1 for type2) overflows the float range"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solvability_report(problem)
+        assert report.verdict == "inconclusive"
+        assert [(c.name, c.value, c.passed, c.note) for c in report.checks[:2]] == [
+            ("spectral_radius", np.inf, False, overflow),
+            ("largest_singular_ratio", np.inf, False, overflow)]
+        assert report.checks[2].name == "sign_family_nonsingular"
+        factors = error_bound_report(problem, p).upper_factors
+        assert {u.method: u.condition for u in factors} == (
+            {"neumann": "finite_ratio", "singular_gap": "singular_value_gap",
+             "norm_ratio": "finite_ratio"} if p == 2 else
+            {"neumann": "finite_ratio", "singular_gap": None, "norm_ratio": None})
+        assert factors[0].reason == overflow and not any(u.applicable for u in factors)
+        for kernel in ("damped", "series"):
+            with pytest.raises(InapplicableBoundError) as exc:
+                componentwise_bound(problem, [1.0], 0.01, p, kernel=kernel)
+            assert exc.value.condition == "finite_ratio"
+        notes = [f"{u.method}: {u.reason}" for u in factors]
+        for bound in (general_relative_bound(problem, Perturbation([[0.0]], [[0.0]], [1e-3]), p),
+                      rhs_only_bound(problem, [1e-3], p)):
+            assert (bound.tau, bound.upsilon, bound.nu) == (None, None, None)
+            assert bound.notes == notes
 
 
 def _count_singular_value_calls(monkeypatch):

@@ -5,6 +5,7 @@ from avebounds import (
     AveProblem,
     TYPE_ONE,
     TYPE_TWO,
+    error_bound_report,
     residual,
     sign_diagonal,
     solvability_report,
@@ -310,6 +311,16 @@ class TestSolvabilityReport:
         by_name = {c.name: c for c in rep.checks}
         assert by_name["spectral_radius"].value == np.inf
         assert "singular" in by_name["spectral_radius"].note
+
+    @pytest.mark.xfail(strict=True, reason="the screens read the rounded K (ROADMAP item 12)")
+    def test_zero_sign_member_is_not_proven(self):
+        # The box holds A - B diag(1, -1) = 0, yet largest_singular_ratio
+        # reads 0.9999999999999999 and passes, and norm_ratio gives 1.84e14
+        # where no factor exists.
+        p = AveProblem(49.0 * np.eye(2), 49.0 * np.diag([1.0, -1.0]), np.ones(2))
+        assert solvability_report(p).verdict == VERDICT_INCONCLUSIVE
+        norm_ratio = error_bound_report(p, 2).upper_factors[2]
+        assert norm_ratio.method == "norm_ratio" and not norm_ratio.applicable
 
     def test_type2_mirrors_iteration_matrix(self):
         # type1 uses A^-1 B, type2 uses B A^-1; with A = diag(1, 4) and a

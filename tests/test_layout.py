@@ -44,6 +44,11 @@ GUARDS = {
     "one_gap_factor": (
         "**/*.py", r"\b(_singular_gap_factor|_partial_gap_factor)\b",
         "src/ defines a second gap factor; give bounds._gap_factor the ranks"),
+    # A problem's A, B and b and every memoised array are read-only, so no
+    # caller can edit what a problem and its analysis share.
+    "shared_arrays_stay_read_only": (
+        "**/*.py", r"\bwriteable\s*=\s*True|setflags\([^)]*write\s*=\s*True",
+        "src/ makes an array writeable again; copy it instead"),
 }
 
 
