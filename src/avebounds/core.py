@@ -287,19 +287,26 @@ def flip_update(inverses, B, j, delta, left=False):
     return ratio
 
 
-def _vertex_check(A, B, index, left, low, sign):
+def _line_norms(A, B, low):
+    """Log 2-norms, shape (2, n), of column j of A - B diag(d), the line d_j
+    moves, at d_j = ``low`` and 1; ``np.hypot`` does not over- or underflow."""
+    ends = sign_member(A, B, np.outer([low, 1.0], np.ones(A.shape[0])))
+    with np.errstate(divide="ignore"):      # a zero column has log norm -inf
+        return np.log(np.hypot.reduce(ends, axis=1))
+
+
+def _vertex_check(A, B, index, low, sign, lines):
     """``(block, stack, signs, logdets, bad)`` for the vertices ``index``
     (bit j of k set means d_j = 1, else ``low``) and their members.
 
     ``bad`` marks a vertex whose determinant sign is not ``sign`` (the sign
     of vertex 0, read from ``signs[0]`` when ``sign`` is 0) or whose
-    |det| is at most n eps prod_j ||col_j||_2."""
+    |det| is at most n eps prod_j ||col_j||_2, read from ``lines``."""
     n = A.shape[0]
     block = np.where(index[:, None] & (1 << np.arange(n)), 1.0, low)
-    stack = sign_member(A, B, block, left)
+    stack = sign_member(A, B, block)
     signs, logdets = np.linalg.slogdet(stack)
-    with np.errstate(divide="ignore"):      # a zero column has log norm -inf
-        log_hadamard = np.log(np.linalg.norm(stack, axis=1)).sum(axis=1)
+    log_hadamard = np.where(block == 1.0, lines[1], lines[0]).sum(axis=1)
     sign = sign or signs[0]
     bad = (signs != sign) | ~(logdets > log_hadamard + math.log(n * _EPS))
     return block, stack, signs, logdets, bad
@@ -316,11 +323,12 @@ def _two_norm_bound(stack):
     return scale * np.linalg.norm(gram, axis=(1, 2)) ** (1.0 / 16.0)
 
 
-def _topped(peak, top, inverses, block, p, zero_one):
-    """``(peak, top)`` raised to the largest ||L^-1 diag(|d|)||_p of a batch
-    of inverses and its row of ``block``, where that tops ``peak``; at p = 2
+def _topped(peak, top, inverses, block, p, zero_one, left):
+    """``(peak, top)`` raised to the largest ||L^-1 diag(|d|)||_p (L^-T if
+    ``left``) of the inverses and ``block`` rows, if above ``peak``; at p = 2
     only members whose ``_two_norm_bound`` can top it get an eigensolve."""
-    members = inverses * block[:, None, :] if zero_one else inverses  # |d| = 1 on {-1, 1}**n
+    members = inverses.swapaxes(1, 2) if left else inverses
+    members = members * block[:, None, :] if zero_one else members  # |d| = 1 on {-1, 1}**n
     if p == 2:
         can_top = _two_norm_bound(members) * (1.0 + 1e-10) > peak
         members, block = members[can_top], block[can_top]
@@ -332,20 +340,20 @@ def _topped(peak, top, inverses, block, p, zero_one):
     return peak, top
 
 
-def _direct_segment(A, B, left, p, zero_one, batches, sign, peak, top):
+def _direct_segment(A, B, left, p, zero_one, batches, sign, lines, peak, top):
     """``(witness, state)`` of the ``batches`` (a range) built, tested and
     inverted directly in bit order (without ``p`` only the last): the first
     vertex failing its tests, or None and the walk's state at the last."""
     n, low = A.shape[0], (0.0 if zero_one else -1.0)
     for batch in batches:
         block, stack, signs, logdets, bad = _vertex_check(
-            A, B, np.arange(batch << n // 2, (batch + 1) << n // 2), left, low, sign)
+            A, B, np.arange(batch << n // 2, (batch + 1) << n // 2), low, sign, lines)
         if np.any(bad):
             return block[np.argmax(bad)], None
         if p is not None or batch == batches[-1]:
             inverses = np.linalg.inv(stack)
         if p is not None:
-            peak, top = _topped(peak, top, inverses, block, p, zero_one)
+            peak, top = _topped(peak, top, inverses, block, p, zero_one, left)
     return None, (block, inverses, signs, logdets, batch, peak, top)
 
 
@@ -357,7 +365,7 @@ def _segment_walk(A, B, left, p, zero_one):
     one before by flipping the bits in which they differ, then walked in
     Gray-code order, one ``flip_update`` of the whole batch per step, with
     signs and log-determinants carried by the ratios and the Hadamard bound
-    recomputed; its last batch is rebuilt directly.  A vertex failing its
+    summed anew; its last batch is rebuilt directly.  A vertex failing its
     tests, a walked |det| within ``_NEAR_FLOOR`` of the floor, a ratio |r|
     at most ``_FLIP_GUARD`` or a rebuilt batch more than ``_ANCHOR_RTOL``
     (max entry, relative) from the walked inverses sends the segment to
@@ -365,17 +373,11 @@ def _segment_walk(A, B, left, p, zero_one):
     """
     n, low = A.shape[0], (0.0 if zero_one else -1.0)
     h = n // 2
-    index = np.arange(2**h)
-    block, stack, signs, logdets, bad = _vertex_check(A, B, index, left, low, 0.0)
+    index, lines = np.arange(2**h), _line_norms(A, B, low)
+    block, stack, signs, logdets, bad = _vertex_check(A, B, index, low, 0.0, lines)
     if np.any(bad):
         return block[np.argmax(bad)], math.inf
     sign, inverses = signs[0], np.linalg.inv(stack)
-    # Entry (i, k) of a member moves with d_k (d_i when left): the squared
-    # column norms split into a per-member part over the low bits and a
-    # part over the walked bits, shared by the batch.
-    upper = np.arange(n) >= h
-    upper = upper[:, None] if left else upper[None, :]
-    low_squares = (stack**2 * ~upper).sum(axis=1)
     log_floor = math.log(n * _EPS * _NEAR_FLOOR)
     batches, batch, peak, top = 2**(n - h), 0, 0.0, block[0].copy()
     for first in range(0, batches, _ANCHOR_STEPS):
@@ -388,38 +390,36 @@ def _segment_walk(A, B, left, p, zero_one):
                 bit = (changed & -changed).bit_length() - 1
                 changed ^= 1 << bit
                 j, value = h + bit, (1.0 if target >> bit & 1 else low)
-                ratio = flip_update(inverses, B, j, value - block[0, j], left)
+                ratio = flip_update(inverses, B, j, value - block[0, j])
                 vouched = np.abs(ratio).min() > _FLIP_GUARD
                 if vouched:
                     block[:, j] = value
                     signs, logdets = signs * np.sign(ratio), logdets + np.log(np.abs(ratio))
             if vouched and first + step == last:
                 _, stack, signs, logdets, bad = _vertex_check(
-                    A, B, index + (batch << h), left, low, sign)
+                    A, B, index + (batch << h), low, sign, lines)
                 vouched = not np.any(bad)
                 if vouched:
                     walked, inverses = inverses, np.linalg.inv(stack)
                     vouched = not np.any(np.abs(walked - inverses).max(axis=(1, 2))
                                          > _ANCHOR_RTOL * np.abs(inverses).max(axis=(1, 2)))
             elif vouched and batch:         # batch 0 was tested when built
-                upper_squares = (sign_member(A, B, block[0], left)**2 * upper).sum(axis=0)
-                with np.errstate(divide="ignore"):
-                    log_hadamard = 0.5 * np.log(low_squares + upper_squares).sum(axis=1)
+                log_hadamard = np.where(block == 1.0, lines[1], lines[0]).sum(axis=1)
                 vouched = not np.any((signs != sign) | ~(logdets > log_hadamard + log_floor))
             if not vouched:
                 break
             if p is not None:
-                peak, top = _topped(peak, top, inverses, block, p, zero_one)
+                peak, top = _topped(peak, top, inverses, block, p, zero_one, left)
         if not vouched:
             witness, state = _direct_segment(
-                A, B, left, p, zero_one, range(first, last + 1), sign, *entry)
+                A, B, left, p, zero_one, range(first, last + 1), sign, lines, *entry)
             if witness is not None:
                 return witness, math.inf
             block, inverses, signs, logdets, batch, peak, top = state
     if p is None:
         return None, 0.0
-    inverse = np.linalg.inv(sign_member(A, B, top, left))[None]
-    return None, float(_topped(0.0, top, inverse, top[None], p, zero_one)[0])
+    inverse = np.linalg.inv(sign_member(A, B, top))[None]
+    return None, float(_topped(0.0, top, inverse, top[None], p, zero_one, left)[0])
 
 
 def sign_box_scan(A, B, left=False, p=None, zero_one=False):
@@ -435,7 +435,9 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     of a box proves every member of the box regular, and a sign change
     proves a singular member.  A determinant counts as strict only when
     |det| > n eps prod_j ||col_j||_2, a rounding-size fraction of
-    Hadamard's bound, which is scale-free.
+    Hadamard's bound.  ``left`` reads the transposes A^T - B^T diag(d), so
+    the columns are the lines d moves, each with two norms taken once per
+    scan; the floor and the row-pivoted LU of det ignore their scaling.
 
     ``peak`` is None without ``p``, +inf with a witness, and otherwise the
     vertex maximum of ||(A - B diag(d))^-1 diag(|d|)||_p.
@@ -457,7 +459,7 @@ def sign_box_scan(A, B, left=False, p=None, zero_one=False):
     # The test is homogeneous; an exact 2**k scaling keeps the norms finite,
     # and 2**-k scales the inverse norms back exactly.
     exponent = np.frexp(max(np.abs(A).max(), np.abs(B).max()))[1]
-    A, B = np.ldexp(A, -exponent), np.ldexp(B, -exponent)
+    A, B = (np.ldexp(M.T if left else M, -exponent) for M in (A, B))
     witness, peak = _segment_walk(A, B, left, p, zero_one)
     return witness, (None if p is None else float(np.ldexp(peak, -exponent)))
 

@@ -5,6 +5,7 @@ behaviour by fixing their seeds.  The references are plain textbook
 formulas, without validation, that the package's bounds are checked
 against.
 """
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -141,3 +142,30 @@ def sign_members(A, B, d_values, left=False):
     if left:
         return A[None, :, :] - d_values[:, :, None] * B[None, :, :]
     return A[None, :, :] - B[None, :, :] * d_values[:, None, :]
+
+
+def exact_vertex_signs(A, B, left=False, low=-1.0):
+    """The set of signs (-1, 0 or 1) of the exact determinants of
+    A - B diag(d) (A - diag(d) B when ``left``) over the vertices d of
+    {low, 1}**n, with every float entry taken exactly as a ``Fraction``.
+    Gaussian elimination in rationals; meant for n up to about 6."""
+    n = A.shape[0]
+    FA, FB = ([[Fraction(x) for x in row] for row in M.tolist()] for M in (A, B))
+    signs = set()
+    for d in box_vertices(n, low).astype(int).tolist():
+        rows = [[FA[i][j] - (d[i] if left else d[j]) * FB[i][j] for j in range(n)]
+                for i in range(n)]
+        det = Fraction(1)
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if rows[i][k]), None)
+            if pivot is None:
+                det = Fraction(0)
+                break
+            if pivot != k:
+                rows[k], rows[pivot], det = rows[pivot], rows[k], -det
+            det *= rows[k][k]
+            for i in range(k + 1, n):
+                factor = rows[i][k] / rows[k][k]
+                rows[i][k:] = [a - factor * b for a, b in zip(rows[i][k:], rows[k][k:])]
+        signs.add((det > 0) - (det < 0))
+    return signs

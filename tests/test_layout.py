@@ -49,6 +49,11 @@ GUARDS = {
     "shared_arrays_stay_read_only": (
         "**/*.py", r"\bwriteable\s*=\s*True|setflags\([^)]*write\s*=\s*True",
         "src/ makes an array writeable again; copy it instead"),
+    # The sign-box floor reads one table of 2n line norms, core._line_norms;
+    # no member's norms or split column sums are taken beside it.
+    "one_sign_box_floor": (
+        "avebounds/core.py", r"\b(low_squares|upper_squares)\b|np\.linalg\.norm\(stack",
+        "core.py takes a second Hadamard floor; read core._line_norms"),
 }
 
 

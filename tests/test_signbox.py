@@ -2,6 +2,7 @@
 and the vertex enumerations of brute_force_alpha and beta_factor are exact
 maxima over the whole box."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from avebounds import (
 from avebounds import core
 from avebounds.core import VERDICT_INCONCLUSIVE, VERDICT_PROVEN, flip_update, sign_box_scan
 
-from support import box_vertices, random_hplus_lcp, regular_sign_family, sign_members
+from support import (
+    box_vertices,
+    exact_vertex_signs,
+    random_hplus_lcp,
+    regular_sign_family,
+    sign_members,
+)
 
 NORMS = (1, 2, np.inf)
 
@@ -102,10 +109,83 @@ def test_zero_column_counts_as_singular():
         assert beta_factor(np.diag([1.0, 0.0])) == np.inf
 
 
-def _regular(stacks):
-    """Every determinant of one strict sign, well away from rounding size."""
+@pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+def test_extreme_scale_box_is_not_proven(form):
+    # Every member's |det| is about 1e-200 of its Hadamard bound.  After
+    # the 2**-665 scaling the short line's norm is about 1e-200, whose
+    # square underflows; the floor takes the norm itself.
+    problem = AveProblem(np.array([[2.0, 1e200], [0.0, 2.0]]), np.eye(2) / 2, np.zeros(2), form)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert solvability_report(problem).verdict == VERDICT_INCONCLUSIVE
+        assert [brute_force_alpha(problem, p) for p in NORMS] == [np.inf] * 3
+
+
+@pytest.mark.parametrize("corner", [1e307, 1e308])
+@pytest.mark.parametrize("p", NORMS)
+def test_extreme_scale_beta_box_is_not_proven(corner, p):
+    # The member at lam = (1, 0) has rows (2, corner) and (0, 1): its
+    # determinant 2 is below n eps times the product of its row norms.
+    with pytest.warns(UserWarning, match=r"diagonal \[1\. 0\.\]"):
+        assert beta_factor(np.array([[2.0, corner], [0.0, 2.0]]), p) == np.inf
+
+
+def test_transposed_members_get_the_same_verdict():
+    # (D A0, D B0) in type 2 has the transposes of the type-1 members of
+    # (A0 D, B0 D), with the same determinants.  Its members have rows
+    # scaled by 1e8 and 1e-8, so each column norm is about 1e8 while |det|
+    # is about 3: a column floor would see a witness at d = (-1, -1).  The
+    # floor over the rows, the lines d moves, is blind to that scaling.
+    D, A0, B0 = np.diag([1e8, 1e-8]), np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2) / 2
+    right = AveProblem(A0 @ D, B0 @ D, np.zeros(2))
+    mirror = AveProblem(D @ A0, D @ B0, np.zeros(2), TYPE_TWO)
+    dual = {1: np.inf, 2: 2, np.inf: 1}
+    for problem in (right, mirror):
+        left = problem.form == TYPE_TWO
+        assert sign_box_scan(problem.A, problem.B, left)[0] is None
+        inverses = np.linalg.inv(sign_members(problem.A, problem.B, box_vertices(2), left))
+        for p in NORMS:
+            assert brute_force_alpha(problem, p) == pytest.approx(
+                np.linalg.norm(inverses, ord=p, axis=(1, 2)).max(), rel=1e-12)
+    for p, expect in zip(NORMS, (1.2e8, 1.442e8, 2e8)):
+        assert brute_force_alpha(right, p) == pytest.approx(expect, rel=1e-3)
+        assert brute_force_alpha(mirror, p) == pytest.approx(
+            brute_force_alpha(right, dual[p]), rel=1e-12)
+
+
+def test_every_proof_holds_for_the_exact_data():
+    # Random pairs at n = 1-4 with row and column scales up to e**+-14,
+    # and on every other pair per-entry scales up to 1e+-300 on about a
+    # third of the entries: wherever the scan finds no witness, in either
+    # form or on beta's {0, 1} box, the exact vertex determinants of the
+    # float data share one strict sign.  Pair 299 in type 2 has badly
+    # scaled rows: an LU of the members themselves, not of their
+    # transposes, gives one computed sign where the exact ones change.
+    rng = np.random.default_rng(2026)
+    proofs = 0
+    for pair in range(300):
+        n = int(rng.integers(1, 5))
+        A = rng.standard_normal((n, n)) + rng.uniform(0.0, 2.0 * np.sqrt(n)) * np.eye(n)
+        B = rng.uniform(0.1, 1.5) * rng.standard_normal((n, n))
+        rows, cols = np.exp(rng.uniform(-14.0, 14.0, (2, n)))
+        entries = np.where(rng.random((2, n, n)) < 0.3 * (pair % 2),
+                           10.0 ** rng.uniform(-300.0, 300.0, (2, n, n)), 1.0)
+        A, B = rows[:, None] * A * cols * entries[0], rows[:, None] * B * cols * entries[1]
+        boxes = [(A, B, False, False), (A, B, True, False),
+                 (np.eye(n), np.eye(n) - A, True, True)]
+        for A_box, B_box, left, zero_one in boxes:
+            if sign_box_scan(A_box, B_box, left, zero_one=zero_one)[0] is None:
+                proofs += 1
+                signs = exact_vertex_signs(A_box, B_box, left, 0.0 if zero_one else -1.0)
+                assert signs in ({1}, {-1}), (pair, left, zero_one, A_box, B_box)
+    assert proofs >= 300, proofs
+
+
+def _regular(stacks, left):
+    """Every determinant of one strict sign, well away from rounding size:
+    Hadamard's bound is over the lines d moves, columns (rows when ``left``)."""
     dets = np.linalg.det(stacks)
-    hadamard = np.prod(np.linalg.norm(stacks, axis=1), axis=1)
+    hadamard = np.prod(np.linalg.norm(stacks, axis=2 if left else 1), axis=1)
     return (np.all(dets > 0) or np.all(dets < 0)) and np.min(np.abs(dets) / hadamard) > 1e-6
 
 
@@ -134,7 +214,7 @@ def test_vertex_maximum_is_exact_and_dominates_interior_samples():
             inv = np.linalg.inv(sign_members(A, B, d, left))
             return inv * d[:, None, :] if scaled else inv
 
-        if not _regular(sign_members(A, B, vertices, left)):
+        if not _regular(sign_members(A, B, vertices, left), left):
             continue
         families += 1
         at_vertices, sampled = inverses(vertices), inverses(interior)
@@ -285,12 +365,13 @@ def test_memory_is_bounded_by_one_batch(monkeypatch):
 def _enumerated(A, B, left=False, p=None, zero_one=False):
     """``sign_box_scan``'s answer from every vertex at once, in bit order:
     the first vertex whose determinant differs in sign from vertex 0's or
-    is at most n eps times Hadamard's bound, else the largest norm."""
+    is at most n eps times Hadamard's bound over the lines that d moves,
+    the columns (rows when ``left``), else the largest norm."""
     n = A.shape[0]
     vertices = box_vertices(n, low=0.0 if zero_one else -1.0)
     stacks = sign_members(A, B, vertices, left)
     dets = np.linalg.det(stacks)
-    hadamard = np.prod(np.linalg.norm(stacks, axis=1), axis=1)
+    hadamard = np.prod(np.linalg.norm(stacks, axis=2 if left else 1), axis=1)
     floor = n * np.finfo(float).eps * hadamard
     bad = (np.sign(dets) != np.sign(dets[0])) | (np.abs(dets) <= floor)
     if bad.any():
