@@ -178,19 +178,21 @@ def beta_factor(M, p=2):
     lam in [0,1], from the 2**n vertices lam in {0,1}^n; n <= ``SIGN_BOX_LIMIT``.
 
     I - L + L M is the left-form sign family I - diag(lam) (I - M).  When
-    its vertex determinants lack one strict common sign, the LCP lacks the
-    uniqueness property: a warning names the first offending diagonal and
-    the result is +inf.  Otherwise, by Sherman-Morrison, every entry of the
-    product is a ratio of affine functions of lam_k with one pole-free
-    denominator, so each norm peaks at a vertex.
+    its vertex determinants lack one strict common sign, the box may hold a
+    singular member, and with it the LCP may lack the uniqueness property:
+    a warning names the first offending diagonal and the result is +inf.
+    Otherwise, by Sherman-Morrison, every entry of the product is a ratio
+    of affine functions of lam_k with one pole-free denominator, so each
+    norm peaks at a vertex.
     """
     M = numerics.as_square(M, "M")
     p = numerics.check_norm(p)
     eye = np.eye(M.shape[0])
     witness, beta = sign_box_scan(eye, eye - M, True, p, zero_one=True)
     if witness is not None:
-        warnings.warn(f"singular member at diagonal {np.array2string(witness, precision=3)}; "
-                      "the uniqueness factor is unbounded")
+        warnings.warn("the box may hold a singular member: the determinant changes sign or "
+                      "is of rounding size at diagonal "
+                      f"{np.array2string(witness, precision=3)}; the factor is reported as inf")
     return beta
 
 

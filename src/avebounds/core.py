@@ -98,6 +98,15 @@ class ProblemAnalysis:
     ``numerics.p_norm``; their singular spectra (``singular_values``) are
     taken only for a factor that reads more than the largest value.  A
     per-analysis lock makes concurrent callers compute each quantity once.
+
+    A commuting pair takes one eigensolve for all of its 2-norm spectra:
+    when A is exactly symmetric and A + B = c I holds exactly in the stored
+    floats (``numerics.commuting_shift``), as for an LCP in AVE form
+    (A = I + M, B = I - M) with a symmetric M, the eigenvalues lam of A
+    give sigma(A) = |lam|, sigma(B) = |c - lam|, ||A||_2, ||B||_2 and
+    ||K||_2 = max |c / lam - 1|, since K = A^-1 B = B A^-1 = c A^-1 - I.
+    These are identities of the stored pair, not estimates.  Any other
+    pair takes ``numerics.singular_values`` and ``numerics.p_norm``.
     """
 
     def __init__(self, A, B, form):
@@ -117,14 +126,34 @@ class ProblemAnalysis:
                     self._memo[key] = value
         return self._memo[key]
 
+    def _commuting(self):
+        """``(c, lam)`` for a commuting pair: A + B = c I exactly and lam the
+        ascending eigenvalues of the symmetric A; None for any other pair."""
+        def compute():
+            c = numerics.commuting_shift(self.A, self.B)
+            return None if c is None else (c, numerics.symmetric_eigenvalues(self.A))
+        return self.memoised("commuting", compute)
+
     def singular_values(self, name):
         """Descending singular values of ``"A"`` or ``"B"``."""
-        return self.memoised(name, lambda: numerics.singular_values(getattr(self, name)))
+        def compute():
+            pair = self._commuting()
+            if pair is None:
+                return numerics.singular_values(getattr(self, name))
+            c, lam = pair
+            with np.errstate(over="ignore"):
+                return np.sort(np.abs(lam if name == "A" else c - lam))[::-1]
+        return self.memoised(name, compute)
 
     def norm(self, name, p):
         """Induced p-norm of ``"A"`` or ``"B"`` (p already checked), from
-        ``numerics.p_norm``: no singular spectrum is taken for it."""
-        return self.memoised(("norm", name, p), lambda: numerics.p_norm(getattr(self, name), p))
+        ``numerics.p_norm``; a commuting pair's 2-norms are its largest
+        singular values."""
+        def compute():
+            if p == 2 and self._commuting() is not None:
+                return float(self.singular_values(name)[0])
+            return numerics.p_norm(getattr(self, name), p)
+        return self.memoised(("norm", name, p), compute)
 
     def inverse(self, label="A", condition=None):
         """A^-1, read-only; ``require_regular``'s error (naming ``label``)
@@ -149,8 +178,17 @@ class ProblemAnalysis:
         return K
 
     def ratio_norm(self):
-        """Largest singular value of K; A must have passed the gate."""
-        return self.memoised("ratio_norm", lambda: numerics.p_norm(self._ratio(), 2))
+        """Largest singular value of K; A must have passed the gate, and K
+        must be finite.  For a commuting pair K = c A^-1 - I is symmetric,
+        so it is max |c / lam - 1|."""
+        def compute():
+            K, pair = self._ratio(), self._commuting()
+            if pair is None:
+                return numerics.p_norm(K, 2)
+            c, lam = pair
+            with np.errstate(over="ignore", divide="ignore"):
+                return float(np.abs(c / lam - 1.0).max())
+        return self.memoised("ratio_norm", compute)
 
     def _contraction(self):
         """``numerics.contraction_inverse(|K|)``, memoised: the inverse of
@@ -259,25 +297,20 @@ def sign_member(A, B, d, left=False):
     return A - d[..., :, None] * B if left else A - B * d[..., None, :]
 
 
-def flip_update(inverses, B, j, delta, left=False):
-    """Move d_j by ``delta`` in every member of a batch, given the batch's
-    inverses (shape (k, n, n)); returns the determinant ratios r (shape (k,)).
+def flip_update(inverses, B, j, delta):
+    """Move d_j by ``delta`` in every member A - B diag(d) of a batch, given
+    the batch's inverses (shape (k, n, n)); returns the determinant ratios r
+    (shape (k,)).
 
-    The member A - B diag(d) changes by -delta b_j e_j^T (b_j column j of
-    B); A - diag(d) B (``left``) by -delta e_j b_j^T (b_j row j of B).  So
-    det(new) = r det(old) with r = 1 - delta (L^-1 b_j)_j (left:
-    1 - delta (b_j^T L^-1)_j), and Sherman-Morrison updates each inverse in
-    O(n^2).  The inverses are updated in place only when every |r| exceeds
-    ``_FLIP_GUARD``; otherwise they are left as they were.
+    The member changes by -delta b_j e_j^T (b_j column j of B), so
+    det(new) = r det(old) with r = 1 - delta (L^-1 b_j)_j, and
+    Sherman-Morrison updates each inverse in O(n^2).  The inverses are
+    updated in place only when every |r| exceeds ``_FLIP_GUARD``; otherwise
+    they are left as they were.
     """
-    if left:
-        u = inverses[:, :, j].copy()        # L^-1 e_j
-        w = B[j] @ inverses                 # b_j^T L^-1
-        ratio = 1.0 - delta * w[:, j]
-    else:
-        u = inverses @ B[:, j]              # L^-1 b_j
-        w = inverses[:, j, :].copy()        # e_j^T L^-1
-        ratio = 1.0 - delta * u[:, j]
+    u = inverses @ B[:, j]                  # L^-1 b_j
+    w = inverses[:, j, :].copy()            # e_j^T L^-1
+    ratio = 1.0 - delta * u[:, j]
     if np.abs(ratio).min() > _FLIP_GUARD:
         u *= (delta / ratio)[:, None]
         # The same sums as u[:, :, None] * w[:, None, :], but einsum's loop

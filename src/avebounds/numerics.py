@@ -7,10 +7,15 @@ the estimator code above it can assume well-formed data.
 Every induced matrix norm of the package comes from ``p_norm`` (a stack
 of matrices from ``batched_norms``; a 2-norm from one symmetric
 eigensolve of a ``scaled_gram``, never an SVD), and every singular
-spectrum from ``singular_values``.  Only singular spectra have a second
-route: an exactly symmetric matrix gets its singular values, the
-|eigenvalues|, from one ``eigvalsh`` of the matrix itself.  The route is
-read off the input, so there is nothing to set.
+spectrum from ``singular_values``.  Only singular spectra and 2-norms have
+a second route, the signed ``symmetric_eigenvalues`` of one ``eigvalsh``
+of the matrix itself: an exactly symmetric matrix gets its singular
+values, the |eigenvalues|, from it, and a pair with a symmetric A and
+A + B = c I exactly (``commuting_shift``) gets from the eigenvalues of A
+alone the spectra and 2-norms of A, of B = c I - A and of A^-1 B
+(``core.ProblemAnalysis``).  Both routes are read off the input, so there
+is nothing to set.  Every ``eigvalsh``, ``svd`` and ``eigvals`` of the
+package runs in this module.
 """
 from __future__ import annotations
 
@@ -159,13 +164,41 @@ def singular_values(m):
     """Descending singular values of a 2-d array; the package's one route.
 
     An exactly symmetric ``m`` (``m == m.T`` entry for entry) gets the
-    sorted |eigenvalues| of one ``eigvalsh``, which at n = 400 costs about
-    0.4 of an SVD; any other matrix gets ``svd``.  Both are backward stable,
-    with absolute error O(eps ||m||_2).
+    sorted |eigenvalues| of ``symmetric_eigenvalues``, which at n = 400
+    costs about 0.4 of an SVD; any other matrix gets ``svd``.  Both are
+    backward stable, with absolute error O(eps ||m||_2).
     """
     if m.shape[0] == m.shape[1] and np.array_equal(m, m.T):
-        return np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
+        return np.sort(np.abs(symmetric_eigenvalues(m)))[::-1]
     return np.linalg.svd(m, compute_uv=False)
+
+
+def symmetric_eigenvalues(m):
+    """Ascending signed eigenvalues of an exactly symmetric ``m``, from one
+    ``eigvalsh``."""
+    return np.linalg.eigvalsh(m)
+
+
+def commuting_shift(A, B):
+    """The float c with A + B = c I exactly, for a symmetric A, else None.
+
+    Exact in the stored floats, with no rounding anywhere: A equals its
+    transpose entry for entry; off the diagonal fl(a + b) is 0, which under
+    gradual underflow means b = -a exactly; and every diagonal sum is one
+    finite c whose TwoSum error term is 0, so b_ii = c - a_ii exactly.  A
+    sum past the float range or an inexact one gives None, without a
+    warning.  Then B = c I - A is symmetric and commutes with A.
+    """
+    if not np.array_equal(A, A.T):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = A + B
+        a, b, s = np.diag(A), np.diag(B), total.diagonal().copy()
+        bb = s - a
+        exact = np.all(s == s[0]) and np.isfinite(s[0]) and not np.any(
+            (a - (s - bb)) + (b - bb))
+    np.fill_diagonal(total, 0.0)
+    return float(s[0]) if exact and not total.any() else None
 
 
 def collatz_wielandt(y, my):

@@ -351,18 +351,22 @@ def test_lattice_table_factors_once_per_problem(monkeypatch, table):
     problem's singular values, spectral radius and kernels are computed
     once.  Each of the six problems makes two inversions: A^-1, which the
     solver, K and the kernels share, and (I - |K|)^-1, which proves
-    rho(|K|) < 1 and gives every Neumann factor.  A, B and their
-    perturbations are exactly symmetric here, so their singular values come
-    from ``eigvalsh``; every matrix 2-norm comes from the ``eigvalsh`` of
-    its scaled Gram matrix.  Nothing calls ``svd``, ``cond`` or
-    ``eigvals``.  Each of the six problems is solved exactly: one LU solve
-    after the start A^-1 b has the sign pattern of its result, so Picard
-    never runs.  ||dA||_2 and ||dB||_2 are taken once for the size and
-    scaled per cell (10 matrix 2-norms before).  ||A||_2 and ||B||_2 of the
-    unperturbed pair are two more matrix 2-norms, 15 in all (13 when they
-    were read off the singular values).  The singular values and every
-    matrix 2-norm make 25 ``eigvalsh`` calls in all, so each LAPACK call of
-    the table is pinned.
+    rho(|K|) < 1 and gives every Neumann factor.  Nothing calls ``svd``,
+    ``cond`` or ``eigvals``.  Each of the six problems is solved exactly:
+    one LU solve after the start A^-1 b has the sign pattern of its
+    result, so Picard never runs.
+
+    Every pair is a commuting one: A = I + M is exactly symmetric, and
+    A + B = c I holds exactly for the stored floats, with c = 2 for the
+    base pair and the lattice bands giving dA + dB = eps I in each cell.
+    So each analysis takes one ``eigvalsh`` of A, which gives the singular
+    values of A and B, ||A||_2 and ||B||_2 of the base pair and ||K||_2
+    of each cell (these made 11 more ``eigvalsh`` calls, 25 in all, when
+    B and K had their own).  The other matrix 2-norms come from the
+    ``eigvalsh`` of a scaled Gram matrix: ||dA||_2 and ||dB||_2, taken
+    once for the size and scaled per cell, the base pair's damped kernel
+    for delta and each cell's ||(I - |K|)^-1||_2, 8 in all.  That makes
+    14 ``eigvalsh`` calls, so each LAPACK call of the table is pinned.
     """
     counts = {}
     lock = threading.Lock()
@@ -393,8 +397,83 @@ def test_lattice_table_factors_once_per_problem(monkeypatch, table):
     assert counts.get("svd", 0) == 0
     assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) == 0
-    assert counts["eigvalsh"] == 25
-    assert counts.get("svd", 0) + counts.get("cond", 0) + counts.get("norm2", 0) <= 15
+    assert counts["eigvalsh"] == 14
+    assert counts["norm2"] == 8
+
+
+def _commuting_pairs(rng, count):
+    """``count`` pairs (A, c I - A) with A + B = c I exact in floats: n = 1-30,
+    every entry and c an integer times one power of two, so c - a_ii is
+    exact.  A = S + t I for a random symmetric S, with |t| >= 2 rho(S) and
+    either sign, so cond(A) <= 3 and the reference ||A^-1 B||_2 is good to
+    a few eps.  c is 0 in every fifth pair and negative in every fifth."""
+    for k in range(count):
+        n, scale = k % 30 + 1, 2.0 ** int(rng.integers(-40, 40))
+        X = rng.integers(-2**10, 2**10, (n, n)).astype(float)
+        S = X + X.T
+        t = rng.choice([-1.0, 1.0]) * 2.0 ** np.ceil(np.log2(2.0 * np.abs(S).sum(axis=0).max() + 1))
+        c = (0, -1, 1, 1, 1)[k % 5] * float(rng.integers(1, 2**12))
+        A = (S + t * np.eye(n)) * scale
+        yield A, c * scale * np.eye(n) - A
+
+
+def _generic(A, B, form):
+    """The pair's singular values of B, ||B||_2 and ||K||_2 by the route
+    every other pair takes."""
+    inv = np.linalg.inv(A)
+    K = B @ inv if form == TYPE_TWO else inv @ B
+    return numerics.singular_values(B), numerics.p_norm(B, 2), numerics.p_norm(K, 2)
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_commuting_pair_spectra_match_the_generic_route(form):
+    """200 exactly commuting pairs take one eigensolve of A, and its
+    singular values of B, ||B||_2 and ||K||_2 match the generic route to
+    1e-12 (each singular value relative to the largest)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, B in _commuting_pairs(np.random.default_rng(40), 200):
+            analysis = AveProblem(A, B, np.ones(len(A)), form).analysis
+            assert analysis._commuting() is not None
+            s_b, norm_b, norm_k = _generic(A, B, form)
+            got = analysis.singular_values("B")
+            assert np.abs(got - s_b).max() <= 1e-12 * s_b[0]
+            assert analysis.norm("B", 2) == pytest.approx(norm_b, rel=1e-12, abs=0.0)
+            assert analysis.ratio_norm() == pytest.approx(norm_k, rel=1e-12)
+
+
+def _near_misses():
+    A = np.array([[3.0, 0.1, -0.7], [0.1, 2.5, 0.3], [-0.7, 0.3, 4.0]])
+    B = 1.5 * np.eye(3) - A
+    assert np.array_equal(A + B, 1.5 * np.eye(3))
+    off_pair = B.copy()
+    off_pair[0, 1] = off_pair[1, 0] = np.nextafter(B[0, 1], 1.0)
+    one_ulp = A.copy()
+    one_ulp[0, 1] = np.nextafter(A[0, 1], 1.0)
+    return {
+        "off_diagonal_pair": (A, off_pair),
+        "asymmetric_by_one_ulp": (one_ulp, 1.5 * np.eye(3) - one_ulp),
+        # drawn by TestEstimatorTable::test_gap_probes; fl(a + b) is not a + b
+        "inexact_diagonal_sum": (np.array([[0.8618223351666117]]),
+                                 np.array([[0.712884416927282]])),
+        "sum_past_the_float_range": (1e308 * np.eye(2), 1e308 * np.eye(2)),
+    }
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+@pytest.mark.parametrize("case", list(_near_misses()))
+def test_near_commuting_pairs_take_the_generic_route(case, form):
+    """A pair that misses A + B = c I or A = A^T by one rounding takes the
+    generic route, bit for bit, without a RuntimeWarning."""
+    A, B = _near_misses()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analysis = AveProblem(A, B, np.ones(len(A)), form).analysis
+        assert analysis._commuting() is None
+        s_b, norm_b, norm_k = _generic(A, B, form)
+        assert np.array_equal(analysis.singular_values("B"), s_b)
+        assert analysis.norm("B", 2) == norm_b
+        assert analysis.ratio_norm() == norm_k
 
 
 @pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))

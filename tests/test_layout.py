@@ -74,3 +74,15 @@ def test_source_guard(files, pattern, message):
     assert SRC.is_dir() and any(SRC.glob(files)), f"nothing to search: {SRC / files}"
     hits = _hits(pattern, files)
     assert not hits, message + "\n" + "\n".join(hits)
+
+
+def test_eigensolvers_run_in_numerics_only():
+    """Every ``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in
+    numerics.py, so each eigen route keeps one call site: the symmetric
+    spectrum (``numerics.symmetric_eigenvalues``, which ``singular_values``
+    and a commuting pair's analysis share) and the Gram eigensolve of a
+    2-norm (``numerics.batched_norms``)."""
+    numerics = str(Path("src", "avebounds", "numerics.py")) + ":"
+    hits = [hit for hit in _hits(r"linalg\b.*\b(eigvalsh|svd|eigvals)\b", "**/*.py")
+            if not hit.startswith(numerics)]
+    assert not hits, "call eigvalsh, svd and eigvals through numerics\n" + "\n".join(hits)
