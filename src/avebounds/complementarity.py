@@ -70,14 +70,11 @@ def lcp_to_ave(lcp):
 def hlcp_to_ave(hlcp):
     """Rewrite HLCP(M, N, q) as ((M+N)/2) x - ((N-M)/2)|x| = q.
 
-    Here z = (|x| + x)/2 and w = (|x| - x)/2.
+    Here z = (|x| + x)/2 and w = (|x| - x)/2.  The halves are taken before
+    the sum, so entries near 1e308 do not overflow it.
     """
-    return AveProblem(
-        (hlcp.M + hlcp.N) / 2.0,
-        (hlcp.N - hlcp.M) / 2.0,
-        hlcp.q,
-        TYPE_ONE,
-    )
+    M, N = hlcp.M / 2.0, hlcp.N / 2.0
+    return AveProblem(M + N, N - M, hlcp.q, TYPE_ONE)
 
 
 def recover_solution(problem, x):
@@ -88,10 +85,9 @@ def recover_solution(problem, x):
         raise TypeError(
             f"problem must be an LcpProblem or HlcpProblem, got {type(problem).__name__}")
     x = numerics.as_vector(x, "x", problem.n)
-    z = np.abs(x) + x
-    w = np.abs(x) - x
-    if isinstance(problem, HlcpProblem):
-        z, w = z / 2.0, w / 2.0
+    z, w = np.maximum(x, 0.0), np.maximum(-x, 0.0)     # (|x| + x)/2 and (|x| - x)/2
+    if isinstance(problem, LcpProblem):
+        z, w = 2.0 * z, 2.0 * w
     return ComplementaritySolution(z, w, float(abs(z @ w)))
 
 

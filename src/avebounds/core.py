@@ -101,12 +101,13 @@ class ProblemAnalysis:
 
     A commuting pair takes one eigensolve for all of its 2-norm spectra:
     when A is exactly symmetric and A + B = c I holds exactly in the stored
-    floats (``numerics.commuting_shift``), as for an LCP in AVE form
-    (A = I + M, B = I - M) with a symmetric M, the eigenvalues lam of A
+    floats, as for an LCP in AVE form (A = I + M, B = I - M) with a
+    symmetric M, the eigenvalues lam of A (``numerics.commuting_spectrum``)
     give sigma(A) = |lam|, sigma(B) = |c - lam|, ||A||_2, ||B||_2 and
     ||K||_2 = max |c / lam - 1|, since K = A^-1 B = B A^-1 = c A^-1 - I.
     These are identities of the stored pair, not estimates.  Any other
-    pair takes ``numerics.singular_values`` and ``numerics.p_norm``.
+    pair takes the SVD of ``numerics.singular_values`` and
+    ``numerics.p_norm``.
     """
 
     def __init__(self, A, B, form):
@@ -127,12 +128,8 @@ class ProblemAnalysis:
         return self._memo[key]
 
     def _commuting(self):
-        """``(c, lam)`` for a commuting pair: A + B = c I exactly and lam the
-        ascending eigenvalues of the symmetric A; None for any other pair."""
-        def compute():
-            c = numerics.commuting_shift(self.A, self.B)
-            return None if c is None else (c, numerics.symmetric_eigenvalues(self.A))
-        return self.memoised("commuting", compute)
+        """``numerics.commuting_spectrum`` of the pair, memoised."""
+        return self.memoised("commuting", lambda: numerics.commuting_spectrum(self.A, self.B))
 
     def singular_values(self, name):
         """Descending singular values of ``"A"`` or ``"B"``."""
@@ -260,10 +257,13 @@ def sign_diagonal(a, b):
     Each entry satisfies |d_i| <= 1 (triangle inequality); entries where
     a_i == b_i are set to zero since any value in [-1, 1] would do.  This
     is the mean-value style factorisation that turns a difference of
-    residuals into a single linear map.
+    residuals into a single linear map.  Each pair is first scaled by the
+    exact power of two near max(|a_i|, |b_i|), so a - b cannot overflow.
     """
     a = numerics.as_vector(a, "a")
     b = numerics.as_vector(b, "b", a.shape[0])
+    exponent = np.frexp(np.maximum(np.abs(a), np.abs(b)))[1]
+    a, b = np.ldexp(a, -exponent), np.ldexp(b, -exponent)
     d = np.zeros_like(a)
     diff = a - b
     nz = diff != 0

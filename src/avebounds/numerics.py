@@ -7,15 +7,12 @@ the estimator code above it can assume well-formed data.
 Every induced matrix norm of the package comes from ``p_norm`` (a stack
 of matrices from ``batched_norms``; a 2-norm from one symmetric
 eigensolve of a ``scaled_gram``, never an SVD), and every singular
-spectrum from ``singular_values``.  Only singular spectra and 2-norms have
-a second route, the signed ``symmetric_eigenvalues`` of one ``eigvalsh``
-of the matrix itself: an exactly symmetric matrix gets its singular
-values, the |eigenvalues|, from it, and a pair with a symmetric A and
-A + B = c I exactly (``commuting_shift``) gets from the eigenvalues of A
-alone the spectra and 2-norms of A, of B = c I - A and of A^-1 B
-(``core.ProblemAnalysis``).  Both routes are read off the input, so there
-is nothing to set.  Every ``eigvalsh``, ``svd`` and ``eigvals`` of the
-package runs in this module.
+spectrum of a single matrix from the ``svd`` of ``singular_values``.  A
+pair with a symmetric A and A + B = c I exactly has one more route,
+``commuting_spectrum``: the one ``eigvalsh`` of A gives the spectra and
+2-norms of A, of B = c I - A and of A^-1 B (``core.ProblemAnalysis``).
+It is read off the input, so there is nothing to set.  Every
+``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in this module.
 """
 from __future__ import annotations
 
@@ -161,26 +158,14 @@ def batched_norms(stack, p):
 
 
 def singular_values(m):
-    """Descending singular values of a 2-d array; the package's one route.
-
-    An exactly symmetric ``m`` (``m == m.T`` entry for entry) gets the
-    sorted |eigenvalues| of ``symmetric_eigenvalues``, which at n = 400
-    costs about 0.4 of an SVD; any other matrix gets ``svd``.  Both are
-    backward stable, with absolute error O(eps ||m||_2).
-    """
-    if m.shape[0] == m.shape[1] and np.array_equal(m, m.T):
-        return np.sort(np.abs(symmetric_eigenvalues(m)))[::-1]
+    """Descending singular values of a 2-d array, from ``svd``: the
+    package's one route for a single matrix."""
     return np.linalg.svd(m, compute_uv=False)
 
 
-def symmetric_eigenvalues(m):
-    """Ascending signed eigenvalues of an exactly symmetric ``m``, from one
-    ``eigvalsh``."""
-    return np.linalg.eigvalsh(m)
-
-
-def commuting_shift(A, B):
-    """The float c with A + B = c I exactly, for a symmetric A, else None.
+def commuting_spectrum(A, B):
+    """``(c, lam)`` when A is symmetric and A + B = c I exactly, with lam
+    the ascending eigenvalues of A from one ``eigvalsh``; else None.
 
     Exact in the stored floats, with no rounding anywhere: A equals its
     transpose entry for entry; off the diagonal fl(a + b) is 0, which under
@@ -198,7 +183,9 @@ def commuting_shift(A, B):
         exact = np.all(s == s[0]) and np.isfinite(s[0]) and not np.any(
             (a - (s - bb)) + (b - bb))
     np.fill_diagonal(total, 0.0)
-    return float(s[0]) if exact and not total.any() else None
+    if not exact or total.any():
+        return None
+    return float(s[0]), np.linalg.eigvalsh(A)
 
 
 def collatz_wielandt(y, my):

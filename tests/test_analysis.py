@@ -518,11 +518,13 @@ def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
     """I - |K| is inverted once per analysis: the premise, the Neumann
     factors for p = 1, 2 and inf and the series kernel read one memoised
     inverse, so with the one of A they make two inversions, no solve and,
-    A being symmetric, no SVD (a solve, an SVD and two inversions of
-    I - |K| before)."""
+    the pair commuting (B = 60 I - A), no SVD (a solve, an SVD and two
+    inversions of I - |K| before)."""
     rng = np.random.default_rng(30)
     A = rng.normal(size=(30, 30))
-    problem = AveProblem(A + A.T + 40.0 * np.eye(30), rng.normal(size=(30, 30)), np.ones(30))
+    A = A + A.T + 60.0 * np.eye(30)
+    problem = AveProblem(A, 60.0 * np.eye(30) - A, np.ones(30))
+    assert problem.analysis._commuting() is not None
     calls = []
     for name in ("inv", "solve", "svd"):
         fn = getattr(np.linalg, name)

@@ -314,7 +314,7 @@ class TestEstimatorTable:
             A = rng.normal(size=(n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
             B = np.exp(rng.uniform(-3.0, 2.5)) * rng.normal(size=(n, n))
             dA, dB = (1e-3 * rng.normal(size=(n, n)) for _ in range(2))
-            symmetric = k % 20 >= 10    # the eigvalsh route of singular_values
+            symmetric = k % 20 >= 10    # exactly symmetric pairs, n = 1 aside
             if symmetric:
                 A, B, dA, dB = (m + m.T for m in (A, B, dA, dB))
             pert = Perturbation(dA, dB, 1e-3 * rng.normal(size=n))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,36 @@ class TestTransforms:
         sol = recover_solution(hlcp, sign_accord_solve(hlcp_to_ave(hlcp)).x)
         assert sol.z.tolist() == [0.0] and sol.w.tolist() == [4.0]
         assert (hlcp.M @ sol.z - hlcp.N @ sol.w - hlcp.q).tolist() == [0.0]
+
+    def test_hlcp_at_the_edge_of_the_float_range(self):
+        # (M + N)/2 overflowed to inf here, though the data are finite and
+        # z = 1e-308, w = 0 solves 1e308 z - 1e308 w = 1.
+        hlcp = HlcpProblem([[1e308]], [[1e308]], [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ave = hlcp_to_ave(hlcp)
+            result = sign_accord_solve(ave)
+            sol = recover_solution(hlcp, result.x)
+        assert ave.A.tolist() == [[1e308]] and ave.B.tolist() == [[0.0]]
+        assert result.converged
+        assert sol.z.tolist() == [1e-308] and sol.w.tolist() == [0.0]
+
+    def test_halves_match_the_summed_forms_bit_for_bit(self):
+        # M/2 + N/2 is (M + N)/2 wherever each entry is 0 or at least
+        # 2**-1021 in magnitude, and max(x, 0) is (|x| + x)/2, +0 included.
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            M, N = (rng.standard_normal((4, 4)) * np.exp2(rng.integers(-900, 900, (4, 4)))
+                    * (rng.random((4, 4)) < 0.8) for _ in range(2))
+            ave = hlcp_to_ave(HlcpProblem(M, N, np.ones(4)))
+            assert ave.A.tobytes() == ((M + N) / 2.0).tobytes()
+            assert ave.B.tobytes() == ((N - M) / 2.0).tobytes()
+        x = np.concatenate([rng.standard_normal(8), [0.0, -0.0]])
+        for problem, scale in ((LcpProblem(np.eye(10), np.zeros(10)), 1.0),
+                               (HlcpProblem(np.eye(10), np.eye(10), np.zeros(10)), 2.0)):
+            sol = recover_solution(problem, x)
+            assert sol.z.tobytes() == ((np.abs(x) + x) / scale).tobytes()
+            assert sol.w.tobytes() == ((np.abs(x) - x) / scale).tobytes()
 
     def test_recover_solution_rejects_stale_calls(self):
         # The problem decides the substitution; a bare x or a named

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,15 @@ class TestSignDiagonal:
             d = sign_diagonal(a, b)
             assert np.all(np.abs(d) <= 1.0)
             assert np.allclose(d * (a - b), np.abs(a) - np.abs(b), atol=1e-12)
+
+    def test_extreme_scales(self):
+        # a - b overflowed to inf for the first pair, giving d = 0 where
+        # |a| - |b| = d (a - b) needs 0.2; plain halving would flush the
+        # second pair's 5e-324 to 0 and give 0 where it needs 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sign_diagonal([1.5e308], [-1e308]).tolist() == [pytest.approx(0.2)]
+            assert sign_diagonal([5e-324], [0.0]).tolist() == [1.0]
 
     def test_residual_difference_factorisation(self):
         # r(x) - r(y) equals (A - B diag(d))(x - y) exactly, d from the pair.

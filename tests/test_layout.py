@@ -54,6 +54,11 @@ GUARDS = {
     "one_sign_box_floor": (
         "avebounds/core.py", r"\b(low_squares|upper_squares)\b|np\.linalg\.norm\(stack",
         "core.py takes a second Hadamard floor; read core._line_norms"),
+    # A single matrix's singular values are its SVD; the one eigvalsh of a
+    # matrix itself is numerics.commuting_spectrum's, for a commuting pair.
+    "one_symmetric_eigensolve": (
+        "**/*.py", r"\b(symmetric_eigenvalues|commuting_shift)\b",
+        "src/ brings back a second symmetric route; call numerics.commuting_spectrum"),
 }
 
 
@@ -78,10 +83,10 @@ def test_source_guard(files, pattern, message):
 
 def test_eigensolvers_run_in_numerics_only():
     """Every ``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in
-    numerics.py, so each eigen route keeps one call site: the symmetric
-    spectrum (``numerics.symmetric_eigenvalues``, which ``singular_values``
-    and a commuting pair's analysis share) and the Gram eigensolve of a
-    2-norm (``numerics.batched_norms``)."""
+    numerics.py, so each eigen route keeps one call site: the ``eigvalsh``
+    of a commuting pair's A (``numerics.commuting_spectrum``), the Gram
+    ``eigvalsh`` of a 2-norm (``numerics.batched_norms``) and the ``svd``
+    of a singular spectrum (``numerics.singular_values``)."""
     numerics = str(Path("src", "avebounds", "numerics.py")) + ":"
     hits = [hit for hit in _hits(r"linalg\b.*\b(eigvalsh|svd|eigvals)\b", "**/*.py")
             if not hit.startswith(numerics)]

@@ -216,10 +216,10 @@ def _symmetric(m):
 
 
 class TestSymmetricRoute:
-    """Exactly symmetric matrices take their singular values from
-    ``eigvalsh``, everything else from ``svd``; every 2-norm comes from the
-    scaled Gram matrix.  All agree with ``np.linalg.svd`` to 1e-13 of
-    sigma_max."""
+    """A symmetric A in a commuting pair takes its singular values from the
+    pair's one ``eigvalsh``, every other matrix from ``svd``; every 2-norm
+    comes from the scaled Gram matrix.  All agree with ``np.linalg.svd`` to
+    1e-13 of sigma_max."""
 
     @staticmethod
     def _symmetric_cases():
@@ -252,6 +252,8 @@ class TestSymmetricRoute:
         assert np.all(np.abs(got - want) <= 1e-13 * want[0])
 
     def test_symmetric_singular_values_match_svd_without_svd(self, monkeypatch):
+        # A symmetric A with B = -A is a commuting pair (c = 0): its spectra
+        # come from the one eigvalsh of numerics.commuting_spectrum.
         cases = list(self._symmetric_cases())
         calls = []
         svd = np.linalg.svd
@@ -259,11 +261,13 @@ class TestSymmetricRoute:
             patch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = [numerics.singular_values(m) for m in cases]
+                analyses = [AveProblem(m, -m, np.ones(len(m))).analysis for m in cases]
+                got = [(a.singular_values("A"), a.singular_values("B")) for a in analyses]
         assert calls == []
-        for s, m in zip(got, cases):
-            self._agree(s, m)
-            assert np.all(np.diff(s) <= 0.0)
+        for (s_a, s_b), m in zip(got, cases):
+            for s in (s_a, s_b):
+                self._agree(s, m)
+                assert np.all(np.diff(s) <= 0.0)
 
     def test_one_ulp_from_symmetric_takes_the_svd(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -275,9 +279,12 @@ class TestSymmetricRoute:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = [numerics.singular_values(m) for m in cases]
-        assert len(calls) == len(cases)
-        for s, m in zip(got, cases):
+                paired = [AveProblem(m, -m, np.ones(len(m))).analysis.singular_values("A")
+                          for m in cases]
+        assert len(calls) == 2 * len(cases)
+        for s, t, m in zip(got, paired, cases):
             self._agree(s, m)
+            assert np.array_equal(s, t)
 
     def test_symmetric_stack_norms_match_their_eigenvalues(self):
         # One route for every 2-norm: a symmetric member's norm comes from
