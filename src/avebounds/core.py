@@ -55,8 +55,13 @@ class AveProblem:
                 "b": numerics.as_vector(self.b, "b", len(A))}
         if self.form not in FORMS:
             raise ValueError(f"form must be one of {FORMS}, got {self.form!r}")
+        # the caller's arrays stay writeable
+        self._hold({name: value.copy() for name, value in data.items()})
+
+    def _hold(self, data):
+        """Keep the arrays of ``data``, which no one else holds, read-only,
+        and build the analysis."""
         for name, value in data.items():
-            value = value.copy()            # the caller's array stays writeable
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "analysis", ProblemAnalysis(self.A, self.B, self.form))
@@ -75,10 +80,16 @@ class AveProblem:
         self.__init__(**state)      # read-only copies and a new analysis
 
     def perturbed(self, dA, dB, db):
-        """A new problem of the same form, shifted by deltas of its size."""
-        n, square = self.n, numerics.as_square
-        return AveProblem(self.A + square(dA, "dA", n), self.B + square(dB, "dB", n),
-                          self.b + numerics.as_vector(db, "db", n), self.form)
+        """A new problem of the same form, shifted by deltas of its size.
+        The sums are fresh arrays: each is checked once and kept, not
+        copied again."""
+        n, square, vector = self.n, numerics.as_square, numerics.as_vector
+        problem = object.__new__(AveProblem)
+        object.__setattr__(problem, "form", self.form)
+        problem._hold({"A": square(self.A + square(dA, "dA", n), "A"),
+                       "B": square(self.B + square(dB, "dB", n), "B"),
+                       "b": vector(self.b + vector(db, "db", n), "b")})
+        return problem
 
 
 class ProblemAnalysis:
@@ -88,16 +99,21 @@ class ProblemAnalysis:
 
     K is A^-1 B (B A^-1 for type2).  The memoised A^-1 is the one
     factorization of A: the solver, K, the Neumann factor and the kernels
-    all read it.  The one inverse of I - |K| decides the premise
-    rho(|K|) < 1 (a Collatz-Wielandt certificate) and serves every Neumann
-    factor, the series kernel and the screen where its power bracket does
-    not close.  Both are gated on their own 1-norm condition number
-    (``numerics.gated_inverse``), not on singular values.
-    K is formed once, by one matrix product, and kept read-only.  No bound
-    computes rho(|K|) itself.  Norms of A and B come from
-    ``numerics.p_norm``; their singular spectra (``singular_values``) are
-    taken only for a factor that reads more than the largest value.  A
-    per-analysis lock makes concurrent callers compute each quantity once.
+    all read it, gated on its own 1-norm condition number
+    (``numerics.gated_inverse``), not on singular values.  The premise
+    rho(|K|) < 1 is a Collatz-Wielandt certificate of a few power steps,
+    or of one solve where they do not decide it
+    (``numerics.contraction_certificate``); it also serves the screen
+    where its power bracket does not close, and it bounds the condition
+    number of I - |K| for that gate.  No inverse of I - |K| is formed for
+    it: only the readers of its entries (the series kernel, the Neumann
+    factors at p = 1 and inf, and at p = 2 for a non-commuting pair)
+    invert I - |K|, once.  K is formed once, by one matrix product, and
+    kept read-only.  No bound computes rho(|K|) itself.  Norms of A and B
+    come from ``numerics.p_norm``; their singular spectra
+    (``singular_values``) are taken only for a factor that reads more than
+    the largest value.  A per-analysis lock makes concurrent callers
+    compute each quantity once.
 
     A commuting pair takes one eigensolve for all of its 2-norm spectra:
     when A is exactly symmetric and A + B = c I holds exactly in the stored
@@ -105,9 +121,10 @@ class ProblemAnalysis:
     symmetric M, the eigenvalues lam of A (``numerics.commuting_spectrum``)
     give sigma(A) = |lam|, sigma(B) = |c - lam|, ||A||_2, ||B||_2 and
     ||K||_2 = max |c / lam - 1|, since K = A^-1 B = B A^-1 = c A^-1 - I.
-    These are identities of the stored pair, not estimates.  Any other
-    pair takes the SVD of ``numerics.singular_values`` and
-    ``numerics.p_norm``.
+    These are identities of the stored pair, not estimates.  The symmetric
+    |K| then gives the 2-norm Neumann factor from one more eigensolve, of
+    I - |K| (``neumann_factor``).  Any other pair takes the SVD of
+    ``numerics.singular_values`` and ``numerics.p_norm``.
     """
 
     def __init__(self, A, B, form):
@@ -188,33 +205,55 @@ class ProblemAnalysis:
         return self.memoised("ratio_norm", compute)
 
     def _contraction(self):
-        """``numerics.contraction_inverse(|K|)``, memoised: the inverse of
-        I - |K|, its condition number and whether rho(|K|) < 1 is proven.
-        A must have passed the gate."""
+        """``numerics.contraction_certificate(|K|)``, memoised: whether
+        rho(|K|) < 1 is proven, and the certificate's bound on the inf-norm
+        condition number of I - |K|.  A must have passed the gate."""
         return self.memoised(
-            "core", lambda: numerics.contraction_inverse(np.abs(self._ratio())))
+            "contraction", lambda: numerics.contraction_certificate(np.abs(self._ratio())))
 
-    def _core_inverse(self):
-        """(I - |K|)^-1, read-only; InapplicableBoundError unless A and then
-        the memoised inverse of I - |K| pass the gate of ``numerics.inverse``,
-        and its Collatz-Wielandt certificate proves rho(|K|) < 1
-        (``numerics.contraction_inverse``).  A singular I - |K| fails the
-        certificate: 1 is then an eigenvalue of |K|."""
+    def _premise(self):
+        """InapplicableBoundError unless A passes the gate, rho(|K|) < 1 is
+        proven and the certificate's condition bound of I - |K| passes the
+        gate of ``numerics.inverse`` (``invertible_I_minus_K``), checked
+        first.  A certificate that finds no positive vector, as for a
+        singular I - |K|, is ``spectral_radius``: 1 is then an eigenvalue
+        of |K|, or rho(|K|) exceeds 1."""
         self.inverse(condition="invertible_A")
-        inv, cond, proven = self._contraction()
-        if inv is not None:
-            numerics.require_regular(cond, "I - |K|", condition="invertible_I_minus_K")
+        proven, cond = self._contraction()
+        if cond is not None:
+            numerics.require_regular(cond, "I - |K|", np.inf, condition="invertible_I_minus_K")
         if not proven:
             raise InapplicableBoundError(
                 "spectral radius of the absolute iteration matrix is not proven below 1",
                 condition="spectral_radius",
             )
+
+    def _damping(self):
+        """I - |K|, formed anew for each reader; A must have passed the
+        gate."""
+        return np.eye(self.A.shape[0]) - np.abs(self._ratio())
+
+    def _core_inverse(self):
+        """(I - |K|)^-1, read-only, formed on first use by a reader of its
+        entries after ``_premise`` passes, and gated itself as by
+        ``numerics.inverse`` (``invertible_I_minus_K``)."""
+        self._premise()
+        inv, cond = self.memoised("core", lambda: numerics.gated_inverse(self._damping()))
+        numerics.require_regular(cond, "I - |K|", condition="invertible_I_minus_K")
         return inv
 
     def neumann_factor(self, p):
         """||A^-1||_p ||(I - |K|)^-1||_p (p already checked); ||A^-1||_2 is
-        1 / sigma_min(A)."""
+        1 / sigma_min(A).  A commuting pair's |K| is symmetric, so I - |K|
+        is positive definite under the premise and ||(I - |K|)^-1||_2 is
+        1 / lambda_min(I - |K|), from one ``numerics.smallest_eigenvalue``;
+        a lambda_min that rounds to 0 or below takes the inverse."""
         def compute():
+            if p == 2 and self._commuting() is not None:
+                self._premise()
+                lam = numerics.smallest_eigenvalue(self._damping())
+                if lam > 0.0:
+                    return float(1.0 / lam / self.singular_values("A")[-1])
             core = numerics.p_norm(self._core_inverse(), p)
             if p == 2:
                 return float(core / self.singular_values("A")[-1])
@@ -228,9 +267,11 @@ class ProblemAnalysis:
             raise ValueError(f"unknown kernel {kernel!r}; use 'damped' or 'series'")
 
         def compute():
-            core = self._core_inverse()     # both kernels need the premise
             if kernel == "damped":
-                core = np.eye(self.A.shape[0]) - np.abs(self._ratio())
+                self._premise()
+                core = self._damping()
+            else:
+                core = self._core_inverse()
             A_inv = np.abs(self.inverse())
             return A_inv @ core if self.form == TYPE_TWO else core @ A_inv
         return self.memoised(("kernel", kernel), compute)
@@ -507,7 +548,7 @@ def solvability_report(problem):
       a closed Collatz-Wielandt bracket, or an ``eigvals`` estimate where it
       does not close (``numerics.spectral_radius_nonneg``).  An estimate
       below one passes only with the contraction certificate of the
-      analysis (``numerics.contraction_inverse``), so a pass is a proof,
+      analysis (``numerics.contraction_certificate``), so a pass is a proof,
     * largest singular value of A^-1 B below one.
 
     Either pass proves a unique solution exists for every right-hand side
@@ -540,7 +581,7 @@ def solvability_report(problem):
     else:
         rho, closed = numerics.spectral_radius_nonneg(np.abs(K))
         # An eigvals estimate below 1 is no proof; the certificate is.
-        passed = rho < 1.0 and (closed or analysis._contraction()[2])
+        passed = rho < 1.0 and (closed or analysis._contraction()[0])
         checks.append(SolvabilityCheck(
             "spectral_radius", rho, passed,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",

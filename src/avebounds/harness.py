@@ -44,12 +44,13 @@ _RECORD_FIELDS = ("n", "epsilon", "r", "w", *_BOUND_FIELDS, "delta")
 
 
 def tridiagonal(n, sub, diag, sup):
-    """Dense n x n tridiagonal matrix from its three constant bands."""
+    """Dense n x n tridiagonal matrix from its three constant bands, written
+    into one zeroed array."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    out = np.diag(np.full(n, float(diag)))
-    out += np.diag(np.full(n - 1, float(sub)), -1)
-    out += np.diag(np.full(n - 1, float(sup)), 1)
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    flat[::n + 1], flat[n::n + 1], flat[1::n + 1] = diag, sub, sup
     return out
 
 
@@ -88,9 +89,10 @@ def gen_problem(family, size):
 
 
 def _scaled_bands(family, n, epsilon):
-    """epsilon times the dA and dB of the family's unit perturbation."""
-    _, da_bands, db_bands = _family(family)
-    return epsilon * tridiagonal(n, *da_bands), epsilon * tridiagonal(n, *db_bands)
+    """epsilon times the dA and dB of the family's unit perturbation, each
+    band scaled before it is written."""
+    return tuple(tridiagonal(n, *(epsilon * band for band in bands))
+                 for bands in _family(family)[1:])
 
 
 def gen_perturbation(family, n, epsilon):
@@ -169,7 +171,7 @@ def run_experiment(spec):
         except (AveBoundsError, ValueError) as exc:    # every cell of this size fails with it
             out.failures += [(n, eps, str(exc)) for eps in spec.epsilons]
             continue
-        norms = [numerics.p_norm(m, 2) for m in _scaled_bands(spec.family, n, 1.0)]
+        norms = numerics.pair_norms(*_scaled_bands(spec.family, n, 1.0), 2)
         rows = []
         for eps in spec.epsilons:
             try:    # no name holds the perturbed problem: it dies with the cell

@@ -10,9 +10,12 @@ eigensolve of a ``scaled_gram``, never an SVD), and every singular
 spectrum of a single matrix from the ``svd`` of ``singular_values``.  A
 pair with a symmetric A and A + B = c I exactly has one more route,
 ``commuting_spectrum``: the one ``eigvalsh`` of A gives the spectra and
-2-norms of A, of B = c I - A and of A^-1 B (``core.ProblemAnalysis``).
-It is read off the input, so there is nothing to set.  Every
-``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in this module.
+2-norms of A, of B = c I - A and of A^-1 B (``core.ProblemAnalysis``),
+and ``pair_norms`` takes it for the 2-norms of a perturbation pair.  It
+is read off the input, so there is nothing to set.  The one other
+``eigvalsh`` of a matrix itself is ``smallest_eigenvalue``, of the
+symmetric I - |K| of such a pair.  Every ``eigvalsh``, ``svd`` and
+``eigvals`` of the package runs in this module.
 """
 from __future__ import annotations
 
@@ -188,6 +191,31 @@ def commuting_spectrum(A, B):
     return float(s[0]), np.linalg.eigvalsh(A)
 
 
+def pair_norms(dA, dB, p):
+    """``(||dA||_p, ||dB||_p)`` of a pair of square matrices (p already
+    checked), each ``p_norm`` except for one case.  At p = 2 both are first
+    divided by s, their joint largest |entry|; when the scaled pair commutes
+    (``commuting_spectrum``), its one ``eigvalsh`` gives both norms, s max
+    |lam| and s max |c - lam|.  Where the scaled pair is the same for every
+    multiple eps (dA, dB), as for the lattice bands (fl(eps x) / fl(2 eps)
+    = x / 2), the eigensolve is too, and with s = 2 eps the norms are eps
+    times those of the pair bit for bit.
+    """
+    s = max(np.abs(dA).max(), np.abs(dB).max())
+    pair = commuting_spectrum(dA / s, dB / s) if p == 2 and s > 0 else None
+    if pair is None:
+        return p_norm(dA, p), p_norm(dB, p)
+    c, lam = pair
+    with np.errstate(over="ignore"):
+        return float(s * np.abs(lam).max()), float(s * np.abs(c - lam).max())
+
+
+def smallest_eigenvalue(m):
+    """The smallest eigenvalue of the symmetric matrix whose lower triangle
+    ``m`` holds, from one ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(m)[0])
+
+
 def collatz_wielandt(y, my):
     """``(lo, hi)`` with lo <= rho(m) <= hi, for an entrywise nonnegative
     n x n m, a vector y > 0 and ``my`` the computed product ``m @ y``.
@@ -205,63 +233,105 @@ def collatz_wielandt(y, my):
 
 
 # Power steps and relative width of the bracket that ``spectral_radius_nonneg``
-# accepts before it falls back to ``eigvals``.
+# accepts before it falls back to ``eigvals``; power steps that
+# ``contraction_certificate`` takes before it falls back to one solve.
 _POWER_STEPS = 64
 _BRACKET_RTOL = 1e-12
+_CERTIFY_STEPS = 8
+
+
+def _power_bracket(arr, steps, decided):
+    """``(y, lo, hi)`` at the first of at most ``steps`` normalised power
+    steps ``y <- m y / max(m y)`` from ``y = 1`` whose ``collatz_wielandt``
+    bracket ``decided(lo, hi)`` accepts, which an inf or nan end must not
+    pass; None when no step does, or once ``m y`` is not safely positive
+    (a zero row, or a reducible, periodic or defective m)."""
+    n = arr.shape[0]
+    y = np.ones(n)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            my = arr @ y
+            # below n * tiny an underflowed product could exceed the margin
+            if not my.min() > n * np.finfo(float).tiny:
+                return None
+            lo, hi = collatz_wielandt(y, my)
+            if decided(lo, hi):
+                return y, lo, hi
+            y = my / my.max()
+    return None
+
+
+def _closed(lo, hi):
+    return hi - lo <= _BRACKET_RTOL * lo
 
 
 def spectral_radius_nonneg(m):
     """``(value, closed)``: the spectral radius of an entrywise nonnegative
     square matrix, and whether ``value`` is proven never below it.
 
-    Normalised power steps ``y <- m y / max(m y)`` from ``y = 1`` close the
-    Collatz-Wielandt bracket of ``collatz_wielandt``; once its relative
-    width is at most 1e-12 its upper end is returned with ``closed`` True,
-    so ``value < 1`` proves rho(m) < 1.  On a positive m with a gap below
-    its Perron root that takes a few dozen matrix-vector products.  When
-    the bracket has not closed after 64 products, or ``m y`` stops being
-    positive (a zero row, or a reducible, periodic or defective m), the
-    value comes from a dense ``eigvals`` instead, with ``closed`` False: an
-    estimate, which can fall below the true radius (0.9999999999999999 for
-    a reducible m whose radius is exactly 1).  A negative entry means the
-    caller picked the wrong quantity, so it is rejected.
+    Normalised power steps (``_power_bracket``) close the Collatz-Wielandt
+    bracket of ``collatz_wielandt``; once its relative width is at most
+    1e-12 its upper end is returned with ``closed`` True, so ``value < 1``
+    proves rho(m) < 1.  On a positive m with a gap below its Perron root
+    that takes a few dozen matrix-vector products.  When the bracket has
+    not closed after 64 products, or ``m y`` stops being positive (a zero
+    row, or a reducible, periodic or defective m), the value comes from a
+    dense ``eigvals`` instead, with ``closed`` False: an estimate, which
+    can fall below the true radius (0.9999999999999999 for a reducible m
+    whose radius is exactly 1).  A negative entry means the caller picked
+    the wrong quantity, so it is rejected.
     """
     arr = as_square(m)
     if np.any(arr < 0):
         raise ValueError("spectral_radius_nonneg: matrix has negative entries")
-    n = arr.shape[0]
-    y = np.ones(n)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(_POWER_STEPS):
-            my = arr @ y
-            # below n * tiny an underflowed product could exceed the margin
-            if not my.min() > n * np.finfo(float).tiny:
-                break
-            lo, hi = collatz_wielandt(y, my)
-            if hi - lo <= _BRACKET_RTOL * lo:    # False on inf or nan
-                return hi, True
-            y = my / my.max()
+    found = _power_bracket(arr, _POWER_STEPS, _closed)
+    if found is not None:
+        return found[2], True
     return float(np.max(np.abs(np.linalg.eigvals(arr)))), False
 
 
-def contraction_inverse(m):
-    """``(inv, cond, proven)`` for an entrywise nonnegative square m.
+def contraction_certificate(m):
+    """``(proven, cond)`` for an entrywise nonnegative square m.
 
-    ``inv, cond`` are ``gated_inverse(I - m)``.  ``proven`` is True only if
-    rho(m) < 1 is proven: ``y = inv 1`` with ``y > 0`` and the upper end of
-    ``collatz_wielandt(y, m y)`` below 1 is a Collatz-Wielandt certificate,
-    whatever the accuracy of ``inv``.  False means "not proven": some m
-    with rho(m) < 1 give it too, near rho = 1 or when (I - m)^-1 is too
-    large for y to be resolved (a strongly non-normal m).
+    ``proven`` is True only if rho(m) < 1 is proven by a vector y > 0 whose
+    ``collatz_wielandt`` upper end ``hi`` is below 1.  Up to 8 power steps
+    (``_power_bracket``) look for one and stop at the first upper end below
+    1, or at a lower end above 1, which disproves the premise.  Otherwise y
+    = (I - m)^-1 1 from one ``np.linalg.solve`` is tried: in exact
+    arithmetic it is positive exactly when rho(m) < 1, and the certificate
+    holds whatever the accuracy of the solve.  No inverse is formed.
+
+    ``cond`` bounds the inf-norm condition number of I - m from the
+    certificate: (I - m)^-1 = sum_k m^k and m y <= hi y give
+    ||(I - m)^-1||_inf <= max y / (min y (1 - hi)), times ||I - m||_inf.
+    It is inf when a positive y was found but its upper end is not below
+    1 (an inverse too large for y to resolve), and None when no positive y
+    was found: a lower end above 1, a singular I - m, or a y that is not
+    positive, all of which say rho(m) >= 1 or near it.
     """
     arr = as_square(m)
     if np.any(arr < 0):
-        raise ValueError("contraction_inverse: matrix has negative entries")
+        raise ValueError("contraction_certificate: matrix has negative entries")
     n = arr.shape[0]
-    inv, cond = gated_inverse(np.eye(n) - arr)
-    y = np.zeros(n) if inv is None else inv.sum(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return inv, cond, bool(np.all(y > 0) and collatz_wielandt(y, arr @ y)[1] < 1.0)
+    y, lo, hi = _power_bracket(arr, _CERTIFY_STEPS, lambda lo, hi: (
+        hi < 1.0 or lo > 1.0 or _closed(lo, hi))) or (None, 0.0, np.inf)
+    if lo > 1.0:
+        return False, None
+    if not hi < 1.0:
+        try:
+            y = np.linalg.solve(np.eye(n) - arr, np.ones(n))
+        except np.linalg.LinAlgError:
+            return False, None
+        if not np.all((y > 0) & np.isfinite(y)):
+            return False, None
+        with np.errstate(over="ignore", invalid="ignore"):
+            hi = collatz_wielandt(y, arr @ y)[1]
+        if not hi < 1.0:
+            return False, np.inf
+    d = np.diag(arr)
+    with np.errstate(over="ignore", divide="ignore"):
+        norm = float((np.abs(1.0 - d) + arr.sum(axis=1) - d).max())
+        return True, norm * float(y.max() / (y.min() * (1.0 - hi)))
 
 
 def inverse(m, name="matrix", condition=None):
@@ -307,8 +377,9 @@ def cond_from_singulars(s):
 
 
 def require_regular(cond, name="matrix", p=1, condition=None):
-    """The gate of ``inverse`` on a p-norm condition number (p = 1 or 2): a
-    SingularMatrixError, or an InapplicableBoundError naming ``condition``."""
+    """The gate of ``inverse`` on a p-norm condition number (p = 1, 2 or
+    inf): a SingularMatrixError, or an InapplicableBoundError naming
+    ``condition``."""
     if not cond <= 1.0 / _RCOND_FLOOR:
         message = f"{name} is singular to working precision ({p}-norm cond ~ {cond:.3e})"
         raise (SingularMatrixError(message) if condition is None

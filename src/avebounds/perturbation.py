@@ -121,7 +121,7 @@ def general_relative_bound(problem, pert, p=2):
     """
     p = numerics.check_norm(p)
     perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
-    norms = [numerics.p_norm(m, p) for m in (pert.dA, pert.dB)]
+    norms = numerics.pair_norms(pert.dA, pert.dB, p)
     return _relative_bound(perturbed, _relative_coefficient(problem, pert.db, *norms, p), p)
 
 
@@ -156,9 +156,10 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="series"):
       benchmark families, but on a ``proven_unique`` 2 x 2 pair it falls
       2000 times below it.
 
-    Both kernels require rho(M) < 1, proven on the gated inverse of I - M,
-    and the denominator positive; each is reported as inapplicable when
-    it fails.
+    Both kernels require rho(M) < 1, proven by a Collatz-Wielandt
+    certificate whose bound on the condition number of I - M passes the
+    gate, and the denominator positive; each is reported as inapplicable
+    when it fails.  Only the series kernel inverts I - M.
     """
     p = numerics.check_norm(p)
     if not epsilon >= 0:
@@ -202,7 +203,7 @@ def perturbation_experiment(problem, pert, options=None):
     """
     perturbed = problem.perturbed(pert.dA, pert.dB, pert.db)
     base = _require_converged(sign_accord_solve(problem, options), "base")
-    norms = [numerics.p_norm(m, 2) for m in (pert.dA, pert.dB)]
+    norms = numerics.pair_norms(pert.dA, pert.dB, 2)
     record = _experiment_cell(problem, base, perturbed, pert.db, norms, pert.epsilon, options)
     if pert.epsilon is not None:
         record.delta = _componentwise_delta(problem, base.x, pert.epsilon)

@@ -153,8 +153,13 @@ def sign_accord_solve(problem, options=None):
     solves the AVE up to the rounding of that one solve, and the result is
     ``converged`` with ``method="sign_accord"``.
 
-    A repeated pattern, a singular or non-finite solve ends the loop.  The
-    last x then warm-starts ``picard_solve`` with the rest of the
+    A repeated pattern, or a singular or non-finite solve, ends the loop.
+    So does a start A^-1 b or a sign test B x that leaves the float range;
+    an AVE is positively homogeneous in b, so the loop then starts again on
+    b / 2**k, 2**k near max |b|, and scales x and its step back by 2**k
+    (``_sign_accord_loop``), where b and the start multiply back to
+    themselves bit for bit.  The last x, or the zero vector for a start
+    out of range, then warm-starts ``picard_solve`` with the rest of the
     iteration budget, and its result (``method="picard"``) counts the
     linear solves in ``iterations``.  The fallback is not gated on the
     contraction premise: the loop can cycle on problems where Picard
@@ -163,17 +168,60 @@ def sign_accord_solve(problem, options=None):
     (SingularMatrixError), as for ``picard_solve``.
     """
     opts = options or SolveOptions()
-    A, B, b = problem.A, problem.B, problem.b
     A_inv = problem.analysis.inverse("sign_accord_solve: A")
-    if opts.initial is None:
-        x, iterations = A_inv @ b, 1
-    else:
-        x, iterations = numerics.as_vector(opts.initial, "initial guess", problem.n), 0
+    initial = opts.initial
+    if initial is not None:
+        initial = numerics.as_vector(initial, "initial guess", problem.n)
+    x, iterations, step, converged, in_range = _sign_accord_loop(problem, A_inv, initial, opts, 0)
+    exponent = int(np.frexp(np.abs(problem.b).max())[1])
+    if not in_range and exponent and all(
+            np.array_equal(np.ldexp(np.ldexp(v, -exponent), exponent), v)
+            for v in (problem.b, initial) if v is not None):
+        x, iterations, step, converged, _ = _sign_accord_loop(
+            problem, A_inv, initial, opts, exponent)
 
+    if not converged and iterations < opts.max_iterations:
+        fallback = picard_solve(problem, SolveOptions(
+            initial=x, tolerance=opts.tolerance, max_iterations=opts.max_iterations - iterations))
+        return replace(fallback, iterations=fallback.iterations + iterations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_norm = _norm(residual(problem, x))
+    return SolveResult(x, iterations, step, res_norm, converged, "sign_accord")
+
+
+def _sign_accord_loop(problem, A_inv, initial, opts, exponent):
+    """``(x, iterations, step, converged, in_range)`` of the sign-accord
+    loop on b / 2**exponent from ``initial`` (None: from A^-1 b), with x
+    and the step scaled back.  ``in_range`` is False when the start or a
+    sign test left the float range, or an iterate did once scaled back; x
+    is then the last iterate in range, the zero vector if none was."""
+    A, B = problem.A, problem.B
     type_one = problem.form == TYPE_ONE
-    step, converged, seen = np.inf, False, set()
-    while iterations < opts.max_iterations:
-        s = np.where((x if type_one else B @ x) >= 0, 1.0, -1.0)
+    b = np.ldexp(problem.b, -exponent)
+
+    def signs_of(v):
+        """``v`` (type2: ``B v``), or None where it leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = v if type_one else B @ v
+        return t if np.all(np.isfinite(t)) else None
+
+    def kept(v):
+        with np.errstate(over="ignore"):
+            return np.all(np.isfinite(np.ldexp(v, exponent)))
+
+    if initial is None:
+        x, iterations = np.zeros(problem.n), 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            start = A_inv @ b
+    else:
+        x, iterations = np.ldexp(initial, -exponent), 0
+        start = x
+    tested = signs_of(start)
+    if tested is not None and kept(start):
+        x = start
+    step, converged, in_range, seen = np.inf, False, tested is not None, set()
+    while in_range and iterations < opts.max_iterations:
+        s = np.where(tested >= 0, 1.0, -1.0)
         pattern = s.tobytes()
         if pattern in seen:
             break
@@ -185,17 +233,15 @@ def sign_accord_solve(problem, options=None):
             break
         if not np.all(np.isfinite(x_next)):
             break
+        tested = signs_of(x_next)
+        in_range = tested is not None and kept(x_next)
+        if not in_range:
+            break
         with np.errstate(over="ignore"):
             step = _norm(x_next - x)
         x = x_next
-        if np.all(s * (x if type_one else B @ x) >= 0):
+        if np.all(s * tested >= 0):
             converged = True
             break
-
-    if not converged and iterations < opts.max_iterations:
-        fallback = picard_solve(problem, SolveOptions(
-            initial=x, tolerance=opts.tolerance, max_iterations=opts.max_iterations - iterations))
-        return replace(fallback, iterations=fallback.iterations + iterations)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_norm = _norm(residual(problem, x))
-    return SolveResult(x, iterations, step, res_norm, converged, "sign_accord")
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, exponent), iterations, float(np.ldexp(step, exponent)), converged, in_range

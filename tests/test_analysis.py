@@ -349,12 +349,14 @@ def test_lattice_table_factors_once_per_problem(monkeypatch, table):
     solves, 10 eigvals, 10 svd, 35 cond and 45 matrix 2-norms (90
     SVD-class calls).  Now the base problem is solved once, and each
     problem's singular values, spectral radius and kernels are computed
-    once.  Each of the six problems makes two inversions: A^-1, which the
-    solver, K and the kernels share, and (I - |K|)^-1, which proves
-    rho(|K|) < 1 and gives every Neumann factor.  Nothing calls ``svd``,
-    ``cond`` or ``eigvals``.  Each of the six problems is solved exactly:
-    one LU solve after the start A^-1 b has the sign pattern of its
-    result, so Picard never runs.
+    once.  Each of the six problems makes one inversion, A^-1, which the
+    solver, K and the kernels share.  No problem inverts I - |K| (six more
+    inversions before): the first power step y = |K| 1 proves rho(|K|) < 1
+    (a Collatz-Wielandt certificate), and nothing in the table reads the
+    entries of its inverse.  Nothing calls ``svd``, ``cond`` or
+    ``eigvals``.  Each of the six problems is solved exactly: one LU solve
+    after the start A^-1 b has the sign pattern of its result, so Picard
+    never runs.
 
     Every pair is a commuting one: A = I + M is exactly symmetric, and
     A + B = c I holds exactly for the stored floats, with c = 2 for the
@@ -362,11 +364,14 @@ def test_lattice_table_factors_once_per_problem(monkeypatch, table):
     So each analysis takes one ``eigvalsh`` of A, which gives the singular
     values of A and B, ||A||_2 and ||B||_2 of the base pair and ||K||_2
     of each cell (these made 11 more ``eigvalsh`` calls, 25 in all, when
-    B and K had their own).  The other matrix 2-norms come from the
-    ``eigvalsh`` of a scaled Gram matrix: ||dA||_2 and ||dB||_2, taken
-    once for the size and scaled per cell, the base pair's damped kernel
-    for delta and each cell's ||(I - |K|)^-1||_2, 8 in all.  That makes
-    14 ``eigvalsh`` calls, so each LAPACK call of the table is pinned.
+    B and K had their own).  Each cell's |K| is then symmetric, and one
+    ``eigvalsh`` of I - |K| gives ||(I - |K|)^-1||_2 (a Gram eigensolve of
+    the inverse before).  The unit bands dA and dB, scaled by their largest
+    entry, are a commuting pair too, so one ``eigvalsh`` gives both norms
+    for the size (two Gram eigensolves before).  The one matrix 2-norm left
+    to ``numerics.p_norm`` is the base pair's damped kernel for delta.
+    That makes 13 ``eigvalsh`` calls (14 before), so each LAPACK call of
+    the table is pinned.
     """
     counts = {}
     lock = threading.Lock()
@@ -393,12 +398,12 @@ def test_lattice_table_factors_once_per_problem(monkeypatch, table):
     assert counts["sign_accord_solve"] == 6
     assert counts.get("picard_solve", 0) == 0
     assert counts["solve"] == 6
-    assert counts["inv"] == 12
+    assert counts["inv"] == 6
     assert counts.get("svd", 0) == 0
     assert counts.get("cond", 0) == 0
     assert counts.get("eigvals", 0) == 0
-    assert counts["eigvalsh"] == 14
-    assert counts["norm2"] == 8
+    assert counts["eigvalsh"] == 13
+    assert counts["norm2"] == 1
 
 
 def _commuting_pairs(rng, count):
@@ -476,6 +481,50 @@ def test_near_commuting_pairs_take_the_generic_route(case, form):
         assert analysis.ratio_norm() == norm_k
 
 
+def _neumann_by_inverse(problem):
+    """The ``_outcome`` of ||(I - |K|)^-1||_2 / sigma_min(A) from the gated
+    inverse, on a fresh analysis."""
+    analysis = _fresh(problem).analysis
+    return _outcome(
+        lambda: numerics.p_norm(analysis._core_inverse(), 2) / analysis.singular_values("A")[-1])
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+def test_commuting_neumann_norm_matches_the_inverse_route(monkeypatch, form):
+    """On 200 exactly commuting pairs |K| is symmetric, and the 2-norm
+    Neumann factor 1 / (lambda_min(I - |K|) sigma_min(A)), from one
+    ``eigvalsh`` and no inverse of I - |K|, matches the gated inverse's
+    ||(I - |K|)^-1||_2 / sigma_min(A) to 1e-12 relative; a pair whose
+    premise fails (c = 0 gives |K| = I) fails it on both routes."""
+    applicable = 0
+    inv = np.linalg.inv
+    for A, B in _commuting_pairs(np.random.default_rng(44), 200):
+        problem = AveProblem(A, B, np.ones(len(A)), form)
+        assert problem.analysis._commuting() is not None
+        inversions = []
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "inv", lambda a: inversions.append(a.shape) or inv(a))
+            got = _outcome(lambda: problem.analysis.neumann_factor(2))
+        assert inversions == [A.shape]      # A^-1 alone
+        want = _neumann_by_inverse(problem)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        applicable += 1
+    assert applicable >= 60
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+@pytest.mark.parametrize("case", list(_near_misses()))
+def test_near_commuting_neumann_norm_takes_the_inverse(case, form):
+    """A pair one rounding off commuting takes the 2-norm Neumann factor
+    from the gated inverse of I - |K|, bit for bit."""
+    A, B = _near_misses()[case]
+    problem = AveProblem(A, B, np.ones(len(A)), form)
+    assert _outcome(lambda: problem.analysis.neumann_factor(2)) == _neumann_by_inverse(problem)
+
+
 @pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
 def test_relative_bound_takes_the_perturbed_spectra_only(monkeypatch, form):
     """On a nonsymmetric pair ``general_relative_bound`` runs ``svd`` for
@@ -515,11 +564,13 @@ def test_norm_is_p_norm_once_per_analysis(monkeypatch):
 
 
 def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
-    """I - |K| is inverted once per analysis: the premise, the Neumann
-    factors for p = 1, 2 and inf and the series kernel read one memoised
-    inverse, so with the one of A they make two inversions, no solve and,
-    the pair commuting (B = 60 I - A), no SVD (a solve, an SVD and two
-    inversions of I - |K| before)."""
+    """I - |K| is inverted once per analysis, and only for the readers of
+    its entries: the Neumann factors for p = 1 and inf and the series
+    kernel read one memoised inverse.  The premise is a power-step
+    certificate, and the pair commuting (B = 60 I - A), the 2-norm factor
+    is one ``eigvalsh`` of I - |K|, so it inverts A alone.  With the one of
+    A that makes two inversions, no solve and no SVD (a solve, an SVD and
+    two inversions of I - |K| before one analysis was shared)."""
     rng = np.random.default_rng(30)
     A = rng.normal(size=(30, 30))
     A = A + A.T + 60.0 * np.eye(30)
@@ -530,6 +581,8 @@ def test_neumann_and_series_kernel_share_one_core_inverse(monkeypatch):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k))
+    assert upper_factor(problem, "neumann", 2) > 0
+    assert calls == ["inv"]
     for p in NORMS:
         assert upper_factor(problem, "neumann", p) > 0
     componentwise_bound(problem, np.ones(30), 0.01, 2, kernel="series")

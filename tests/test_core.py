@@ -44,6 +44,20 @@ class TestAveProblem:
         # original untouched
         assert np.array_equal(p.A, np.eye(2))
 
+    def test_perturbed_holds_its_sums_read_only(self):
+        # The sums are fresh arrays, checked once and kept as they are: the
+        # problem and its analysis share them, read-only, and the deltas
+        # stay the caller's.
+        rng = np.random.default_rng(44)
+        p = AveProblem(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), rng.normal(size=4))
+        dA, dB, db = rng.normal(size=(4, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
+        q = p.perturbed(dA, dB, db)
+        for got, want in ((q.A, p.A + dA), (q.B, p.B + dB), (q.b, p.b + db)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        assert q.analysis.A is q.A and q.analysis.B is q.B and q.analysis.form == q.form
+        assert dA.flags.writeable and db.flags.writeable
+        with pytest.raises(ValueError, match="dA: entries must be finite"):
+            p.perturbed(np.full((4, 4), np.nan), dB, db)
 
     def test_perturbed_rejects_mis_sized_deltas(self):
         # A 1 x 1 dA or a scalar db would broadcast over the whole problem.

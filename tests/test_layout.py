@@ -59,6 +59,11 @@ GUARDS = {
     "one_symmetric_eigensolve": (
         "**/*.py", r"\b(symmetric_eigenvalues|commuting_shift)\b",
         "src/ brings back a second symmetric route; call numerics.commuting_spectrum"),
+    # The premise rho(|K|) < 1 is numerics.contraction_certificate's, from
+    # power steps or one solve; no inverse of I - |K| is formed to decide it.
+    "premise_forms_no_inverse": (
+        "**/*.py", r"\bcontraction_inverse\b",
+        "src/ brings back contraction_inverse; call numerics.contraction_certificate"),
 }
 
 
@@ -84,9 +89,10 @@ def test_source_guard(files, pattern, message):
 def test_eigensolvers_run_in_numerics_only():
     """Every ``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in
     numerics.py, so each eigen route keeps one call site: the ``eigvalsh``
-    of a commuting pair's A (``numerics.commuting_spectrum``), the Gram
-    ``eigvalsh`` of a 2-norm (``numerics.batched_norms``) and the ``svd``
-    of a singular spectrum (``numerics.singular_values``)."""
+    of a commuting pair's A (``numerics.commuting_spectrum``) and of its
+    I - |K| (``numerics.smallest_eigenvalue``), the Gram ``eigvalsh`` of a
+    2-norm (``numerics.batched_norms``) and the ``svd`` of a singular
+    spectrum (``numerics.singular_values``)."""
     numerics = str(Path("src", "avebounds", "numerics.py")) + ":"
     hits = [hit for hit in _hits(r"linalg\b.*\b(eigvalsh|svd|eigvals)\b", "**/*.py")
             if not hit.startswith(numerics)]

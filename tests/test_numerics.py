@@ -18,6 +18,7 @@ from avebounds import (
     rhs_only_bound,
     sign_diagonal,
 )
+from avebounds import harness
 from avebounds.exceptions import SingularMatrixError
 
 from support import spectral_radius
@@ -132,12 +133,12 @@ def _stochastic(rng, n):
 
 
 def _certifies(m):
-    return numerics.contraction_inverse(m)[2]
+    return numerics.contraction_certificate(m)[0]
 
 
 class TestCertifiesContraction:
-    """A True certificate from ``contraction_inverse`` proves rho < 1; below
-    0.999 it is always found."""
+    """A True certificate from ``contraction_certificate`` proves rho < 1;
+    below 0.999 it is always found."""
 
     @staticmethod
     def _cases():
@@ -183,14 +184,45 @@ class TestCertifiesContraction:
         assert _certifies(np.array([[0.999]])) is True
         assert _certifies(np.array([[1.0]])) is False
         assert _certifies(np.array([[1.25]])) is False
-        # (I - m)^-1 = 2 and its 1-norm condition number 0.5 * 2 come along
-        inv, cond, proven = numerics.contraction_inverse(np.array([[0.5]]))
-        assert inv.tolist() == [[2.0]] and cond == 1.0 and proven is True
-        assert numerics.contraction_inverse(np.array([[1.0]]))[:2] == (None, np.inf)
+        # y = 1 proves rho = 0.5 at the first power step; its bound on the
+        # condition number of I - m is 0.5 * 1 / (1 * 0.5), up to the margin
+        proven, cond = numerics.contraction_certificate(np.array([[0.5]]))
+        assert proven is True and cond == pytest.approx(1.0, rel=1e-14)
+        assert numerics.contraction_certificate(np.array([[1.0]])) == (False, None)
 
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            numerics.contraction_inverse(np.array([[0.5, -0.1], [0.0, 0.5]]))
+            numerics.contraction_certificate(np.array([[0.5, -0.1], [0.0, 0.5]]))
+
+
+class TestPairNorms:
+    @pytest.mark.parametrize("n", (225, 400))
+    def test_lattice_bands_take_one_eigensolve(self, monkeypatch, n):
+        """The lattice bands scaled by their largest entry 2 eps are the
+        same pair for every eps, and commute (dA + dB = I): one ``eigvalsh``
+        gives both 2-norms, eps times the unit ones bit for bit, within
+        1e-12 of ``p_norm``."""
+        unit = harness._scaled_bands("lattice", n, 1.0)
+        want = [numerics.p_norm(m, 2) for m in unit]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        norms = numerics.pair_norms(*unit, 2)
+        assert calls == [(n, n)]
+        assert norms == pytest.approx(want, rel=1e-12, abs=0.0)
+        for eps in harness.BENCH_EPSILONS:
+            scaled = numerics.pair_norms(*harness._scaled_bands("lattice", n, eps), 2)
+            assert scaled == tuple(eps * norm for norm in norms)
+
+    def test_other_pairs_are_p_norm_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        pairs = [harness._scaled_bands("tridiag", 40, 0.01),
+                 (rng.normal(size=(6, 6)), rng.normal(size=(6, 6))),
+                 (np.zeros((3, 3)), np.zeros((3, 3)))]
+        for dA, dB in pairs:
+            for p in (1, 2, np.inf):
+                assert numerics.pair_norms(dA, dB, p) == (numerics.p_norm(dA, p),
+                                                          numerics.p_norm(dB, p))
 
 
 class TestExtremeSingulars:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,6 +303,41 @@ class TestSignAccordSolve:
         assert res.converged and np.array_equal(res.x, [1.5e308, 1.5e308])
         assert np.isfinite(res.final_step_norm)
         assert res.final_residual_norm == np.inf
+
+    @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
+    def test_start_out_of_range_is_solved_for_a_scaled_b(self, form):
+        # 1e-300 x - |x / 2| = -1e10 is solved by x = -2e10, but its start
+        # A^-1 b = -1e310 overflows.  The loop starts again on b / 2**34,
+        # whose start -5.8e299 is in range; x is scaled back exactly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = sign_accord_solve(AveProblem([[1e-300]], [[0.5]], [-1e10], form))
+        assert (res.converged, res.method, res.iterations) == (True, "sign_accord", 2)
+        assert res.x.tolist() == [-2e10] and res.final_residual_norm == 0.0
+
+    def test_extreme_scales_raise_no_warning(self):
+        # 3000 type-2 draws, n = 1-4, one power-of-ten scale up to 1e+-300
+        # for each of A, B and b: 641 raised an overflow RuntimeWarning in
+        # the start A^-1 b or the sign test B x before the loop ended on a
+        # value out of range, and with warnings ignored 117 went on to a
+        # ValueError, an infinite start handed to the Picard fallback.  Now
+        # none does either; 72 of those 641 end as exact sign-accord
+        # solves, the rest in the Picard fallback.
+        rng = np.random.default_rng(5)
+        exact = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3000):
+                n = int(rng.integers(1, 5))
+                sa, sb, sv = (10.0 ** int(rng.integers(-300, 301)) for _ in range(3))
+                problem = AveProblem(rng.normal(size=(n, n)) * sa, rng.normal(size=(n, n)) * sb,
+                                     rng.normal(size=n) * sv, TYPE_TWO)
+                try:
+                    res = sign_accord_solve(problem)
+                except SingularMatrixError:
+                    continue
+                exact += res.converged and res.method == "sign_accord"
+        assert exact == 1886
 
     def test_singular_A_raises(self):
         p = AveProblem(np.zeros((2, 2)), np.eye(2), np.ones(2))
