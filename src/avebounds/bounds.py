@@ -39,15 +39,17 @@ def lower_factor(problem, p=2):
     """
     p = numerics.check_norm(p)
     if p == (1 if problem.form == TYPE_TWO else np.inf):
-        return numerics.scaled_norm(lambda A, B: np.abs(A) + np.abs(B), (problem.A, problem.B), p)
+        return numerics.scaled_norm(numerics.absolute_sum, (problem.A, problem.B), p)
     return max(_shifted_norms(problem, p))
 
 
 def _shifted_norms(problem, p):
-    """(||A - B||_p, ||A + B||_p), computed once per analysis."""
+    """(||A - B||_p, ||A + B||_p), computed once per analysis; each is
+    written over the scaled copy of A."""
     pair = (problem.A, problem.B)
-    return problem.analysis.memoised(("shifted_norms", p), lambda: (
-        numerics.scaled_norm(np.subtract, pair, p), numerics.scaled_norm(np.add, pair, p)))
+    return problem.analysis.memoised(("shifted_norms", p), lambda: tuple(
+        numerics.scaled_norm(lambda A, B: ufunc(A, B, out=A), pair, p)
+        for ufunc in (np.subtract, np.add)))
 
 
 def _gap_factor(problem, p, i=-1, j=0):

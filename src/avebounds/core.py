@@ -229,9 +229,13 @@ class ProblemAnalysis:
             )
 
     def _damping(self):
-        """I - |K|, formed anew for each reader; A must have passed the
-        gate."""
-        return np.eye(self.A.shape[0]) - np.abs(self._ratio())
+        """I - |K|, formed anew for each reader in one array; A must have
+        passed the gate.  0 - |k| then + 1 on the diagonal rounds as
+        ``np.eye(n) - np.abs(K)`` does, bit for bit, +0.0 included."""
+        out = np.abs(self._ratio())
+        np.subtract(0.0, out, out=out)
+        out.flat[::out.shape[0] + 1] += 1.0
+        return out
 
     def _core_inverse(self):
         """(I - |K|)^-1, read-only, formed on first use by a reader of its
@@ -277,10 +281,13 @@ class ProblemAnalysis:
         return self.memoised(("kernel", kernel), compute)
 
     def kernel_norm(self, kernel, p):
-        """||kernel (|A| + |B|)||_p (p already checked)."""
-        return self.memoised(("kernel_norm", kernel, p), lambda: numerics.scaled_norm(
-            lambda A, B: self.componentwise_kernel(kernel) @ (np.abs(A) + np.abs(B)),
-            (self.A, self.B), p))
+        """||kernel (|A| + |B|)||_p (p already checked), the product written
+        over the scaled copy of B; the kernel is built first."""
+        def compute():
+            K = self.componentwise_kernel(kernel)
+            return numerics.scaled_norm(
+                lambda A, B: np.matmul(K, numerics.absolute_sum(A, B), out=B), (self.A, self.B), p)
+        return self.memoised(("kernel_norm", kernel, p), compute)
 
 
 def residual(problem, x):

@@ -126,12 +126,20 @@ def scaled_norm(build, arrays, p):
     multiplied back by 2**k.  Both scalings are exact (short of entries
     below 2**-1022 times the largest), so the value is the unscaled norm
     bit for bit; but a sum that would overflow stays finite, and a norm
-    past the float range is inf, without a warning.
+    past the float range is inf, without a warning.  The scaled arrays are
+    fresh copies that ``build`` owns: it may overwrite them, as
+    ``absolute_sum`` does, instead of allocating its own temporaries.
     """
     exponent = np.frexp(max(np.abs(a).max(initial=0.0) for a in arrays))[1]
     value = p_norm(build(*(np.ldexp(a, -exponent) for a in arrays)), p)
     with np.errstate(over="ignore"):
         return float(np.ldexp(value, exponent))
+
+
+def absolute_sum(A, B):
+    """|A| + |B|, written over A (and |B| over B): for a ``scaled_norm``
+    build, whose arrays are its own to overwrite."""
+    return np.add(np.abs(A, out=A), np.abs(B, out=B), out=A)
 
 
 def scaled_gram(stack):

@@ -159,7 +159,9 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="series"):
     Both kernels require rho(M) < 1, proven by a Collatz-Wielandt
     certificate whose bound on the condition number of I - M passes the
     gate, and the denominator positive; each is reported as inapplicable
-    when it fails.  Only the series kernel inverts I - M.
+    when it fails.  Only the series kernel inverts I - M.  Neither
+    ||K S|| nor the numerator depends on eps: each is taken once per
+    kernel, p (and x*) of the problem, so a grid of epsilons shares them.
     """
     p = numerics.check_norm(p)
     if not epsilon >= 0:
@@ -169,16 +171,21 @@ def componentwise_bound(problem, x_star, epsilon, p=2, kernel="series"):
     if norm_x == 0:
         raise ValueError("relative bounds are undefined for x* = 0")
 
-    K = problem.analysis.componentwise_kernel(kernel)
-    damping = epsilon * problem.analysis.kernel_norm(kernel, p)
+    analysis = problem.analysis
+    damping = epsilon * analysis.kernel_norm(kernel, p)
     if damping >= 1.0:
         raise InapplicableBoundError(
             f"denominator condition fails: eps * ||K (|A| + |B|)|| = {damping:.6g} >= 1",
             condition="denominator",
         )
-    norm_Ku = numerics.scaled_norm(
-        lambda A, B, b: K @ (np.abs(b) + (np.abs(A) + np.abs(B)) @ np.abs(x_star)),
-        (problem.A, problem.B, problem.b), p)
+
+    def numerator():
+        K = analysis.componentwise_kernel(kernel)
+        return numerics.scaled_norm(
+            lambda A, B, b: K @ (np.abs(b) + numerics.absolute_sum(A, B) @ np.abs(x_star)),
+            (problem.A, problem.B, problem.b), p)
+    # the analysis is the problem's own, so its b is fixed too
+    norm_Ku = analysis.memoised(("numerator", kernel, p, x_star.tobytes()), numerator)
     return epsilon * norm_Ku / ((1.0 - damping) * norm_x)
 
 

@@ -29,10 +29,11 @@ from avebounds import (
     picard_solve,
     reproduce_table,
     rhs_only_bound,
+    sign_accord_solve,
     solvability_report,
     upper_factor,
 )
-from avebounds import harness, perturbation, solver
+from avebounds import bounds, harness, perturbation, solver
 from avebounds.bounds import METHODS
 from avebounds.exceptions import AveBoundsError, InapplicableBoundError, SingularMatrixError
 
@@ -741,3 +742,80 @@ def test_singular_A_is_inverted_once_per_analysis(monkeypatch):
         assert exc.value.condition == "invertible_factors"
         assert not solvability_report(problem).checks[1].passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("form", (TYPE_ONE, TYPE_TWO))
+@pytest.mark.parametrize("kernel", ("damped", "series"))
+@pytest.mark.parametrize("p", NORMS, ids=["p1", "p2", "pinf"])
+def test_componentwise_epsilons_share_one_numerator(monkeypatch, form, kernel, p):
+    """A table size's five deltas take the epsilon-free numerator
+    ||K (|b| + S |x*|)|| once: each bound equals, bit for bit, the call on
+    a fresh problem, and a second x* on the same problem takes its own."""
+    rng = np.random.default_rng(45)
+    problem = random_solvable(rng, 6, rho_cap=0.6, form=form)
+    xs = [rng.normal(size=6) for _ in range(2)]
+    want = [[componentwise_bound(_fresh(problem), x, eps, p, kernel)
+             for eps in harness.BENCH_EPSILONS] for x in xs]
+    assert want[0] != want[1]
+    builds = []
+    scaled_norm = numerics.scaled_norm
+    monkeypatch.setattr(numerics, "scaled_norm",
+                        lambda *a: builds.append(len(a[1])) or scaled_norm(*a))
+    for x, row in zip(xs, want):
+        assert [componentwise_bound(problem, x, eps, p, kernel)
+                for eps in harness.BENCH_EPSILONS] == row
+    # ||K S|| from (A, B) once; each x*'s numerator from (A, B, b) once
+    assert builds == [2, 3, 3]
+
+
+def _extreme_problems():
+    """(problem, same scale) pairs, both forms: A and b scaled by 1e300 or
+    1e-300, B by either, so K is of order 1, or underflows, or overflows."""
+    rng = np.random.default_rng(4545)
+    for form in (TYPE_ONE, TYPE_TWO):
+        base = random_solvable(rng, 5, rho_cap=0.6, form=form)
+        B = base.B.copy()
+        B[:, 1] = 0.0           # |K| has zero entries: I - |K| keeps +0.0
+        for s_a in (1e300, 1e-300):
+            for s_b in (1e300, 1e-300):
+                yield AveProblem(s_a * base.A, s_b * B, s_a * base.b, form), s_a == s_b
+
+
+def _absolute(A, B):
+    return np.abs(A) + np.abs(B)
+
+
+@pytest.mark.filterwarnings("error")
+def test_in_place_builds_match_the_out_of_place_formulas():
+    """The ``scaled_norm`` builds that write over their scaled copies give
+    the out-of-place formulas' values bit for bit, near 1e300 and 1e-300,
+    and leave the problem's read-only A, B and b as they were; I - |K| in
+    one array is ``np.eye(n) - np.abs(K)`` bit for bit, signed zeros
+    included."""
+    checked = 0
+    for problem, same_scale in _extreme_problems():
+        data = [(a, a.tobytes()) for a in (problem.A, problem.B, problem.b)]
+        pair, triple = (problem.A, problem.B), (problem.A, problem.B, problem.b)
+        p = 1 if problem.form == TYPE_TWO else np.inf
+        assert bounds.lower_factor(problem, p) == numerics.scaled_norm(_absolute, pair, p)
+        for p in NORMS:
+            assert bounds._shifted_norms(problem, p) == (
+                numerics.scaled_norm(np.subtract, pair, p), numerics.scaled_norm(np.add, pair, p))
+        if same_scale:
+            analysis = problem.analysis
+            K = analysis._ratio()
+            assert analysis._damping().tobytes() == (np.eye(5) - np.abs(K)).tobytes()
+            x = sign_accord_solve(problem).x
+            for kernel in ("damped", "series"):
+                M = analysis.componentwise_kernel(kernel)
+                for p in NORMS:
+                    norm = numerics.scaled_norm(lambda A, B: M @ _absolute(A, B), pair, p)
+                    assert analysis.kernel_norm(kernel, p) == norm
+                    numerator = numerics.scaled_norm(
+                        lambda A, B, b: M @ (np.abs(b) + _absolute(A, B) @ np.abs(x)), triple, p)
+                    assert componentwise_bound(problem, x, 0.01, p, kernel) == (
+                        0.01 * numerator / ((1.0 - 0.01 * norm) * numerics.p_norm(x, p)))
+                    checked += 1
+        for a, raw in data:
+            assert not a.flags.writeable and a.tobytes() == raw
+    assert checked == 2 * 2 * 2 * 3
