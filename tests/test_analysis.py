@@ -37,7 +37,7 @@ from avebounds import bounds, harness, perturbation, solver
 from avebounds.bounds import METHODS
 from avebounds.exceptions import AveBoundsError, InapplicableBoundError, SingularMatrixError
 
-from support import random_hplus_lcp, random_perturbation, random_solvable
+from support import random_hplus_lcp, random_perturbation, random_solvable, spectral_radius
 
 NORMS = (1, 2, np.inf)
 
@@ -330,15 +330,22 @@ def test_unsolvable_instance_fails_the_premise_without_eigensolve(monkeypatch):
     assert not checks["spectral_radius"].passed
 
 
-def test_table_three_makes_no_eigensolve(monkeypatch):
-    """The certificate proves rho(|K|) < 1 on every table-3 problem, so no
-    nonsymmetric eigensolve runs."""
-    calls = []
-    eigvals = np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda *a, **k: calls.append(1) or eigvals(*a, **k))
-    out = reproduce_table(3)
-    assert len(out.rows) == 5 and out.failures == []
-    assert calls == []
+@pytest.mark.parametrize("table, most", ((1, 12), (4, 5)))
+def test_screen_closes_on_table_base_pairs(monkeypatch, table, most):
+    """On the base pair of a table (tridiagonal n = 30, lattice n = 400) the
+    screen's bracket closes within 1e-12 of the oracle in a few shifted
+    solves, and no ``eigvals`` runs."""
+    problem = lcp_to_ave(harness.gen_problem(*harness.BENCH_TABLES[table]))
+    abs_ratio = _abs_ratio(problem.A, problem.B, problem.form)
+    want = spectral_radius(abs_ratio)
+    solves, solve = [], np.linalg.solve
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvals", _no_eigvals)
+        patch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        radius = {c.name: c for c in solvability_report(problem).checks}["spectral_radius"]
+    assert 0 < len(solves) <= most
+    assert radius.passed and want * (1.0 - 1e-13) <= radius.value <= want * (1.0 + 1e-12)
+    assert numerics.spectral_radius_nonneg(abs_ratio) == (radius.value, True)
 
 
 @pytest.mark.parametrize("table", (3, 4))

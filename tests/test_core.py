@@ -166,11 +166,10 @@ class TestSolvabilityReport:
         assert "singular_value_gap" not in by_name
         assert not by_name["largest_singular_ratio"].passed
 
-    def test_eigvals_estimate_below_one_is_no_proof(self):
+    def test_unit_radius_reads_a_proven_upper_end(self):
         # Each diagonal block of |K| = B has rows summing to exactly 1, so
-        # rho(|K|) = 1 and I - B is exactly singular.  |K| is reducible, the
-        # power bracket does not close, and eigvals estimates 1 - 1e-16;
-        # without the contraction certificate that is not a pass.
+        # rho(|K|) = 1 and I - B is exactly singular.  The value is a proven
+        # upper end, 1 + 8e-13, where eigvals gave 1 - 1e-16.
         B = np.array([[0.1875, 0.8125, 0.5, 0.0], [0.8125, 0.1875, 0.25, 0.125],
                       [0.0, 0.0, 0.0625, 0.9375], [0.0, 0.0, 0.75, 0.25]])
         rep = solvability_report(AveProblem(np.eye(4), B, np.ones(4)))
@@ -186,7 +185,7 @@ class TestSolvabilityReport:
                              for _ in range(k)]) / 16.0
 
         rng = np.random.default_rng(20261020)
-        estimated_below_one = 0
+        below_one = 0
         for _ in range(200):
             n = int(rng.integers(2, 9))
             k = int(rng.integers(1, n))
@@ -196,9 +195,9 @@ class TestSolvabilityReport:
             form = (TYPE_ONE, TYPE_TWO)[n % 2]
             rep = solvability_report(AveProblem(np.eye(n), B, np.ones(n), form))
             radius = {c.name: c for c in rep.checks}["spectral_radius"]
-            estimated_below_one += radius.value < 1.0
+            below_one += radius.value < 1.0
             assert not radius.passed and rep.verdict != VERDICT_PROVEN
-        assert estimated_below_one > 0
+        assert below_one == 0
 
     @pytest.mark.parametrize("form", [TYPE_ONE, TYPE_TWO])
     def test_dense_radius_without_eigensolve(self, form, monkeypatch):

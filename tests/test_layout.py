@@ -64,6 +64,11 @@ GUARDS = {
     "premise_forms_no_inverse": (
         "**/*.py", r"\bcontraction_inverse\b",
         "src/ brings back contraction_inverse; call numerics.contraction_certificate"),
+    # rho of a nonnegative matrix is a proven Collatz-Wielandt upper end
+    # (numerics.spectral_radius_nonneg); no general eigensolve estimates it.
+    "no_general_eigensolve": (
+        "**/*.py", r"\beigvals\(",
+        "src/ calls eigvals; call numerics.spectral_radius_nonneg"),
 }
 
 
@@ -87,13 +92,13 @@ def test_source_guard(files, pattern, message):
 
 
 def test_eigensolvers_run_in_numerics_only():
-    """Every ``eigvalsh``, ``svd`` and ``eigvals`` of the package runs in
-    numerics.py, so each eigen route keeps one call site: the ``eigvalsh``
+    """Every ``eigvalsh`` and ``svd`` of the package runs in numerics.py,
+    so each eigen route keeps one call site: the ``eigvalsh``
     of a commuting pair's A (``numerics.commuting_spectrum``) and of its
     I - |K| (``numerics.smallest_eigenvalue``), the Gram ``eigvalsh`` of a
     2-norm (``numerics.batched_norms``) and the ``svd`` of a singular
     spectrum (``numerics.singular_values``)."""
     numerics = str(Path("src", "avebounds", "numerics.py")) + ":"
-    hits = [hit for hit in _hits(r"linalg\b.*\b(eigvalsh|svd|eigvals)\b", "**/*.py")
+    hits = [hit for hit in _hits(r"linalg\b.*\b(eigvalsh|svd)\b", "**/*.py")
             if not hit.startswith(numerics)]
-    assert not hits, "call eigvalsh, svd and eigvals through numerics\n" + "\n".join(hits)
+    assert not hits, "call eigvalsh and svd through numerics\n" + "\n".join(hits)
